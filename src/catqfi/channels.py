@@ -7,11 +7,22 @@ K_k|n> = sqrt(C(n,k) R^k T^{n-k}) |n-k>; the two-mode channel applies it
 independently per mode.  Completeness of the binomial sum makes the
 channel exactly trace preserving on the truncated grid.
 
-States supported on the 'noon span' {|0,0>} u {|n,0>, |0,n>} stay inside
-it under both loss and phase averaging, so those are processed in the
-reduced basis (2*n_max + 1 dimensional) instead of the full grid; the
-operator-sum semantics are identical and the reduced/dense routes are
-cross-checked in the test suite.
+`loss_channel` picks one of three routes with the same operator-sum
+semantics; the test suite cross-checks each against the dense one:
+
+* noon span {|0,0>} u {|n,0>, |0,n>}: states there stay there, so loss
+  runs in the reduced basis (2*n_max + 1 dimensional), as 2x2 blocks per
+  total photon number when each term lies in one sector.  Phase-averaged
+  ecs, modified, extended and noon states take this route (every lossy
+  sweep row and the CLI for those families).
+* sector blocks: a state whose every term lies in one total-photon sector
+  (any `phase_average` output) off the noon span is held as blocks
+  B[n, k, k'] with k = n_a; loss shifts the blocks and each output block
+  gets its own small eigendecomposition.  Phase-averaged cat4 takes this
+  route (`bench.numeric_point`, `catqfi qfi --family cat4 --transmission`).
+* dense: the full-grid operator sum and one eigendecomposition, for states
+  that were not phase averaged (random or pure states, loss applied
+  before averaging).  Nothing in the sweeps or the CLI reaches it.
 """
 
 from __future__ import annotations
@@ -128,7 +139,7 @@ def phase_average(s: TwoModeState | SpectralState) -> SpectralState:
         # sector weights of a pure state are exact slice norms: keep them all,
         # however small, so that feeble high-n sectors stay verifiable
         for n in range(2 * n_max + 1):
-            ks = np.arange(max(0, n - n_max), min(n, n_max) + 1)
+            ks = _sector_ks(n, n_max)
             sector = s.amps[ks, n - ks]
             w = float(np.sum(np.abs(sector) ** 2))
             if w <= 0.0:
@@ -138,7 +149,7 @@ def phase_average(s: TwoModeState | SpectralState) -> SpectralState:
             out.append((w, TwoModeState(amps)))
         return SpectralState(terms=tuple(out))
     for n in range(2 * n_max + 1):
-        ks = np.arange(max(0, n - n_max), min(n, n_max) + 1)
+        ks = _sector_ks(n, n_max)
         cols = []
         for w, v in terms_in:
             sec = v.amps[ks, n - ks]
@@ -147,19 +158,31 @@ def phase_average(s: TwoModeState | SpectralState) -> SpectralState:
         if not cols:
             continue
         mat = np.stack(cols, axis=1)
-        block = mat @ mat.conj().T
-        block_trace = float(np.trace(block).real)
-        if block_trace <= 0.0:
-            continue
-        vals, vecs = np.linalg.eigh(block)
-        for lam, col in zip(vals, vecs.T):
-            # floor relative to the sector, so tiny sectors keep full precision
-            if lam <= 1e-14 * block_trace:
-                continue
-            amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-            amps[ks, n - ks] = col
-            out.append((float(lam), TwoModeState(amps)))
+        out.extend(_sector_terms(n, mat @ mat.conj().T, n_max))
     return SpectralState(terms=tuple(out))
+
+
+def _sector_ks(n: int, n_max: int) -> np.ndarray:
+    """Mode-a photon numbers k of the grid cells |k, n-k> in sector n."""
+    return np.arange(max(0, n - n_max), min(n, n_max) + 1)
+
+
+def _sector_terms(n: int, block: np.ndarray, n_max: int) -> list:
+    """Spectral terms of a sector-n density block indexed by k over `_sector_ks`."""
+    block_trace = float(np.trace(block).real)
+    if block_trace <= 0.0:
+        return []
+    ks = _sector_ks(n, n_max)
+    terms = []
+    vals, vecs = np.linalg.eigh(block)
+    for lam, col in zip(vals, vecs.T):
+        # floor relative to the sector, so tiny sectors keep full precision
+        if lam <= 1e-14 * block_trace:
+            continue
+        amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        amps[ks, n - ks] = col
+        terms.append((float(lam), TwoModeState(amps)))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +223,16 @@ def _reduced_index(n_max: int, which: str) -> np.ndarray:
     return np.where(ns == 0, 0, 2 * ns - off)
 
 
-def _vector_sector(v: TwoModeState) -> int | None:
-    """Total photon number of a noon-span vector, or None if it spans sectors."""
-    sectors = set()
-    if v.amps[0, 0] != 0:
-        sectors.add(0)
-    sectors.update(int(n) for n in np.nonzero(v.amps[1:, 0])[0] + 1)
-    sectors.update(int(n) for n in np.nonzero(v.amps[0, 1:])[0] + 1)
-    return sectors.pop() if len(sectors) == 1 else None
+def _photon_sector(v: TwoModeState) -> int | None:
+    """Total photon number n_a + n_b of a vector, or None if it spans sectors."""
+    nonzero = v.amps != 0
+    count = np.count_nonzero(nonzero)
+    if count == 0:
+        return None
+    i, j = divmod(int(nonzero.argmax()), v.n_max + 1)
+    # sector i + j is diagonal n_max - (i + j) of the grid's left-right mirror
+    on_sector = np.count_nonzero(nonzero[:, ::-1].diagonal(v.n_max - i - j))
+    return i + j if on_sector == count else None
 
 
 def _noon_term(n_max: int, n: int, lam: float, ca: complex, cb: complex):
@@ -263,7 +288,44 @@ def _loss_reduced_sectorwise(s: SpectralState, sectors: list, coef: np.ndarray) 
     return SpectralState(terms=tuple(terms))
 
 
-def _loss_reduced(s: SpectralState, t: float, r: float) -> SpectralState:
+def _loss_sector_blocks(s: SpectralState, sectors: list, coef: np.ndarray) -> SpectralState:
+    """Loss on a state diagonal in total photon number, off the noon span.
+
+    The state is held as blocks B[n, k, k'] of |k, n-k><k', n-k'| (k = n_a).
+    Losing j photons from mode a maps block n to n-j and shifts both k
+    indices by j; losing them from mode b maps n to n-j with k fixed.  Each
+    Kraus index is one shifted multiply-add over all blocks, and each output
+    block is diagonalized on its own, as in `phase_average`.
+    """
+    n_max = s.n_max
+    n_sec = 2 * n_max + 1
+    k = np.arange(n_max + 1)
+    blocks = np.zeros((n_sec, n_max + 1, n_max + 1), dtype=complex)
+    for (w, v), n in zip(s.terms, sectors):
+        ks = _sector_ks(n, n_max)
+        u = np.zeros(n_max + 1, dtype=complex)
+        u[ks] = v.amps[ks, n - ks]
+        blocks[n] += w * np.outer(u, u.conj())
+    lost_a = np.zeros_like(blocks)
+    for j in range(n_max + 1):
+        # |k, n-k> -> |k-j, n-k>: weight coef[j, k-j]
+        c = coef[j, : n_max + 1 - j]
+        lost_a[: n_sec - j, : n_max + 1 - j, : n_max + 1 - j] += np.outer(c, c) * blocks[j:, j:, j:]
+    lost = np.zeros_like(blocks)
+    m = np.arange(n_sec)[:, None]
+    for j in range(n_max + 1):
+        # |k, n-k> -> |k, n-j-k>: weight coef[j, n-j-k], zero off the grid
+        d = m[: n_sec - j] - k
+        c = np.where((d >= 0) & (d <= n_max), coef[j, np.clip(d, 0, n_max)], 0.0)
+        lost[: n_sec - j] += c[:, :, None] * c[:, None, :] * lost_a[j:]
+    terms = []
+    for n in range(n_sec):
+        ks = _sector_ks(n, n_max)
+        terms.extend(_sector_terms(n, lost[n][np.ix_(ks, ks)], n_max))
+    return SpectralState(terms=tuple(terms))
+
+
+def _loss_reduced(s: SpectralState, coef: np.ndarray) -> SpectralState:
     """Operator sum restricted to the loss-invariant noon span.
 
     Only Kraus branches (k,0) and (0,l) act nontrivially there: losing
@@ -271,10 +333,6 @@ def _loss_reduced(s: SpectralState, t: float, r: float) -> SpectralState:
     no-loss branch (0,0) damps the whole vector coherently.
     """
     n_max = s.n_max
-    coef = _loss_coeff_table(n_max, t, r)
-    sectors = [_vector_sector(v) for _, v in s.terms]
-    if all(n is not None for n in sectors):
-        return _loss_reduced_sectorwise(s, sectors, coef)
     m_dim = 2 * n_max + 1
     idx_a = _reduced_index(n_max, "a")
     idx_b = _reduced_index(n_max, "b")
@@ -352,8 +410,16 @@ def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralSta
     if loss.transmission == 1.0:
         return spec
     t, r = loss.transmission, loss.reflectance
+    coef = _loss_coeff_table(spec.n_max, t, r)
+    sectors = [_photon_sector(v) for _, v in spec.terms]
+    sector_diagonal = all(n is not None for n in sectors)
     if _in_noon_span(spec):
-        out = _loss_reduced(spec, t, r)
+        if sector_diagonal:
+            out = _loss_reduced_sectorwise(spec, sectors, coef)
+        else:
+            out = _loss_reduced(spec, coef)
+    elif sector_diagonal:
+        out = _loss_sector_blocks(spec, sectors, coef)
     else:
         out = _loss_dense(spec, t, r)
     if abs(out.trace() - spec.trace()) > 1e-8:

@@ -11,6 +11,7 @@ from catqfi.channels import (
     NoonSupportError,
     SpectralState,
     _loss_dense,
+    _photon_sector,
     cps_round,
     cps_round_outcome,
     from_pure,
@@ -23,6 +24,7 @@ from catqfi.channels import (
 from catqfi.fock import (
     CatSpec,
     TwoModeState,
+    beam_splitter_5050,
     cat_state,
     coherent,
     extended_entangled_state,
@@ -30,6 +32,7 @@ from catqfi.fock import (
     noon_state,
     product_state,
 )
+from catqfi.qfi import qfi_mixed
 
 RNG = np.random.default_rng(20250808)
 
@@ -41,6 +44,13 @@ def random_state(n_max: int) -> TwoModeState:
 
 def dense(s: SpectralState) -> np.ndarray:
     return s.to_dense()
+
+
+def cat4_pure(alpha: float, beta: float, n_max: int) -> TwoModeState:
+    """4-headed cat and coherent state through the 50:50 beam splitter (Fig. 1 input)."""
+    return beam_splitter_5050(
+        cat_state(CatSpec(4, alpha / sqrt(2)), n_max), coherent(beta / sqrt(2), n_max)
+    ).normalize()
 
 
 def rows_dict(mix):
@@ -96,6 +106,55 @@ def test_loss_reduced_path_matches_dense_route():
     out_fast = loss_channel(state, LossSpec(0.9))
     out_dense = _loss_dense(state, 0.9, 0.1)
     assert np.max(np.abs(dense(out_fast) - dense(out_dense))) < 1e-12
+
+
+def test_photon_sector_of_vectors():
+    def vec(*cells):
+        amps = np.zeros((5, 5), dtype=complex)
+        for i, j in cells:
+            amps[i, j] = 1.0
+        return TwoModeState(amps)
+
+    assert _photon_sector(vec()) is None
+    assert _photon_sector(vec((0, 0))) == 0
+    assert _photon_sector(vec((1, 1), (2, 0), (0, 2))) == 2
+    assert _photon_sector(vec((4, 4), (3, 4))) is None
+    assert _photon_sector(vec((4, 4))) == 8
+    assert _photon_sector(vec((1, 0), (0, 2))) is None
+
+
+def test_loss_sector_blocks_match_dense_route():
+    # phase-averaged cat4 is sector diagonal but off the noon span
+    state = phase_average(cat4_pure(1.0, 0.25, 14))
+    assert any(np.any(v.amps[1:, 1:]) for _, v in state.terms)
+    out_blocks = loss_channel(state, LossSpec(0.9))
+    out_dense = _loss_dense(state, 0.9, 0.1)
+    assert np.max(np.abs(dense(out_blocks) - dense(out_dense))) < 1e-12
+
+
+def test_loss_sector_blocks_keep_trace_and_sectors():
+    state = phase_average(cat4_pure(1.0, 0.7, 14))
+    out = loss_channel(state, LossSpec(0.8))
+    assert out.trace() == pytest.approx(state.trace(), abs=1e-12)
+    assert all(_photon_sector(v) is not None for _, v in out.terms)
+    n_tot = np.indices((15, 15)).sum(axis=0).ravel()
+    assert np.all(dense(out)[n_tot[:, None] != n_tot[None, :]] == 0.0)
+
+
+def test_loss_sector_blocks_semigroup():
+    state = phase_average(cat4_pure(1.0, 0.5, 14))
+    two_step = loss_channel(loss_channel(state, LossSpec(0.8)), LossSpec(0.9))
+    one_step = loss_channel(state, LossSpec(0.72))
+    assert np.max(np.abs(dense(two_step) - dense(one_step))) < 1e-8
+
+
+def test_lossy_cat4_qfi_matches_loss_before_averaging():
+    # loss commutes with the common phase, so averaging first (sector blocks)
+    # and losing first (dense loss on the pure state) give the same state
+    pure = cat4_pure(0.8, 0.4, 16)
+    averaged_first = qfi_mixed(loss_channel(phase_average(pure), LossSpec(0.9)), "n_b")
+    lost_first = qfi_mixed(phase_average(loss_channel(pure, LossSpec(0.9))), "n_b")
+    assert averaged_first == pytest.approx(lost_first, rel=1e-12)
 
 
 def test_loss_ecs_rows_match_analytic_spectrum():

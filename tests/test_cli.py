@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from catqfi import bench
 from catqfi.cli import main
 
 runner = CliRunner()
@@ -64,6 +65,20 @@ def test_qfi_command_phase_averaged_loss():
     payload = json.loads(result.output)
     assert payload["phase_averaged"] is True
     assert payload["qfi_numeric"] == pytest.approx(payload["qfi_closed_form"], rel=1e-8)
+
+
+def test_qfi_command_phase_averaged_cat4():
+    # off the noon span: numeric route only, through the sector-block loss
+    for extra, t in ((("--transmission", "0.9"), 0.9), (("--phase-averaged",), 1.0)):
+        result = invoke("qfi", "--family", "cat4", "--alpha", "1", "--beta", "0.25", *extra)
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["qfi_closed_form"] is None
+        curve = bench.FamilyCurve(
+            "cat4", "cat4", "phase_averaged", beta_ratio=0.25, n_components=4, transmission=t
+        )
+        assert payload["qfi_numeric"] == bench.numeric_point(curve, 1.0)[1]
+        assert payload["delta_phi"] == pytest.approx(payload["qfi_numeric"] ** -0.5, rel=1e-12)
 
 
 def test_qfi_command_two_mode_generator():
@@ -161,6 +176,16 @@ def test_bad_arguments_exit_two():
     assert invoke("qfi", "--family", "ecs").exit_code == 2  # missing --alpha
     assert invoke("sweep", "--figure", "fig9").exit_code == 2
     assert invoke("qfi", "--family", "squeezed", "--alpha", "1").exit_code == 2
+
+
+def test_qfi_transmission_out_of_range_exit_two():
+    for t in ("1.5", "-0.1"):
+        result = invoke("qfi", "--family", "ecs", "--alpha", "1.0", "--transmission", t)
+        assert result.exit_code == 2
+
+
+def test_synthesize_negative_iterations_exit_two():
+    assert invoke("synthesize", "--alpha", "1.0", "-k", "-1").exit_code == 2
 
 
 def test_numeric_failure_exit_three():
