@@ -1,9 +1,10 @@
 """Figure-reproduction sweeps, equal-energy comparison, and the consistency verifier.
 
-Every sweep point is evaluated twice: once from the closed-form module and
-once through the truncated-Fock pipeline (state construction -> channels ->
-QFI engine), and both rows are emitted.  Curves are parameterized by alpha;
-equal-energy comparisons invert N_av(alpha) by bisection on alpha and then
+`FAMILIES` is the one table of state families.  A figure sweep evaluates
+every point twice, once from the closed-form module and once through the
+truncated-Fock pipeline (state construction -> channels -> QFI engine).
+Curves are parameterized by alpha; equal-energy comparisons read the
+closed-form rows only, invert N_av(alpha) by bisection on alpha and then
 evaluate exactly, never by interpolating delta_phi.
 """
 
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field
-from math import inf, sqrt
+from dataclasses import dataclass, field, replace
+from math import inf, isfinite, sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -87,103 +89,189 @@ def default_config(figure: str) -> SweepConfig:
 
 
 # ---------------------------------------------------------------------------
-# family curves
+# the family table
 # ---------------------------------------------------------------------------
+
+
+class ParameterError(ValueError):
+    """An argument outside the domain the family table declares (not a numeric failure)."""
+
+
+def check_amplitude(name: str, value: float, positive: bool = False) -> None:
+    """Amplitudes are finite and >= 0, and > 0 where a ratio to them is formed."""
+    if not (isfinite(value) and value >= 0 and (value > 0 or not positive)):
+        raise ParameterError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value}")
+
+
+@dataclass(frozen=True)
+class Family:
+    """What one state family is, for both routes.
+
+    params: the shape parameters a curve sets, beta_ratio (finite, >= 0, with
+    alpha > 0) and n_components (integer >= 1); heads: the cat heads N the
+    family fixes; build: (curve, alpha, n_max) -> the numeric route's pure
+    state, None where the family has none at alpha (n_max None: the family's
+    cutoff); nav: closed-form N_av = <n_a>; qfi: variant -> closed-form QFI
+    under the variant's standard generator, None where there is none.
+    """
+
+    params: tuple
+    build: Callable
+    nav: Callable
+    qfi: dict
+    heads: int | None = None
+
+
+def _coherent_pair(curve, alpha, n_max):
+    half = coherent(alpha / sqrt(2), default_cutoff(alpha) if n_max is None else n_max)
+    return product_state(half, half)
+
+
+def _cat4_state(curve, alpha, n_max):
+    beta = curve.beta_ratio * alpha
+    if n_max is None:
+        n_max = default_cutoff(sqrt((alpha * alpha + beta * beta) / 2))
+    cat = cat_state(CatSpec(4, alpha / sqrt(2)), n_max)
+    return beam_splitter_5050(cat, coherent(beta / sqrt(2), n_max)).normalize()
+
+
+def _extended_state(curve, alpha, n_max):
+    return extended_entangled_state(curve.heads, alpha, n_max)
+
+
+def _noon_grid(curve, alpha, n_max):
+    n = round(alpha * alpha)
+    integer = abs(alpha * alpha - n) < 1e-9
+    return noon_state(n, max(32, n) if n_max is None else n_max) if integer else None
+
+
+def _half_alpha_sq(curve, alpha):
+    return alpha * alpha / 2
+
+
+def _noon_qfi(curve, alpha):
+    # F = T^n n^2 with n = alpha^2, analytically continued in n
+    return curve.transmission ** (alpha * alpha) * alpha**4
+
+
+def _mixed_qfi(curve, alpha):
+    if curve.transmission == 1.0:
+        return cf.pa_qfi(curve.kind, alpha, n_components=curve.heads)
+    mix = cf.lossy_noon_mixture(curve.kind, alpha, curve.loss, n_cut=default_cutoff(alpha), n_components=curve.heads)
+    return qfi_noon_mixture(mix)
+
+
+# the generators each variant admits, the standard one (that of the closed forms) first
+GENERATORS = {"pure": ("one_mode_b", "two_mode_half"), "phase_averaged": ("n_b", "half_difference")}
+
+# callables take (curve, alpha); phase-averaged coherent and cat4 states leave
+# the noon span {|n,0>, |0,n>} that the closed-form spectra cover
+FAMILIES = {
+    "coherent": Family((), _coherent_pair, _half_alpha_sq, {"pure": lambda c, a: 2 * a * a, "phase_averaged": None}),
+    "cat4": Family(
+        ("beta_ratio",), _cat4_state, lambda c, a: cf.fig1_moments(a, c.beta_ratio * a).n_av,
+        {"pure": lambda c, a: cf.moment_qfi(cf.fig1_moments(a, c.beta_ratio * a)), "phase_averaged": None}, heads=4,
+    ),
+    "ecs": Family(
+        (), _extended_state, lambda c, a: cf.ecs_qfi(a)[1],
+        {"pure": lambda c, a: cf.ecs_qfi(a)[0], "phase_averaged": _mixed_qfi}, heads=1,
+    ),
+    "modified": Family(
+        (), _extended_state, lambda c, a: cf.modified_moments(a).n_av,
+        {"pure": lambda c, a: cf.moment_qfi(cf.modified_moments(a)), "phase_averaged": _mixed_qfi}, heads=2,
+    ),
+    "extended": Family(
+        ("n_components",), _extended_state, lambda c, a: cf.extended_moments(c.n_components, a).n_av,
+        {"pure": lambda c, a: cf.moment_qfi(cf.extended_moments(c.n_components, a)), "phase_averaged": _mixed_qfi},
+    ),
+    "noon": Family((), _noon_grid, _half_alpha_sq, {"pure": _noon_qfi, "phase_averaged": _noon_qfi}),
+}
+
+
+def _family(kind: str) -> Family:
+    if kind not in FAMILIES:
+        raise ParameterError(f"unknown family kind {kind!r}, expected one of {tuple(FAMILIES)}")
+    return FAMILIES[kind]
 
 
 @dataclass(frozen=True)
 class FamilyCurve:
-    """One figure curve: a state family at fixed shape parameters, swept in alpha."""
+    """One figure curve: a state family at shape parameters the table admits, swept in alpha."""
 
     label: str
-    kind: str  # coherent | cat4 | ecs | modified | extended | noon
+    kind: str  # a key of FAMILIES
     variant: str  # pure | phase_averaged
     beta_ratio: float | None = None
     n_components: int | None = None
     transmission: float = 1.0
 
+    def __post_init__(self):
+        family = _family(self.kind)
+        if self.variant not in GENERATORS:
+            raise ParameterError(f"variant must be pure or phase_averaged, got {self.variant!r}")
+        if not 0.0 <= self.transmission <= 1.0 or (self.variant == "pure" and self.transmission != 1.0):
+            raise ParameterError("transmission must lie in [0, 1], and be 1 for a pure state")
+        if "n_components" in family.params:
+            if not (isinstance(self.n_components, int) and self.n_components >= 1):
+                raise ParameterError(f"{self.kind} needs an integer n_components >= 1, got {self.n_components}")
+        elif self.n_components not in (None, family.heads):
+            raise ParameterError(f"{self.kind} takes n_components {family.heads or 'none'}, not {self.n_components}")
+        if ("beta_ratio" in family.params) != (self.beta_ratio is not None):
+            raise ParameterError(f"{self.kind} {'needs' if self.beta_ratio is None else 'takes no'} beta")
+
     @property
     def loss(self) -> LossSpec:
         return LossSpec(self.transmission)
 
+    @property
+    def heads(self) -> int | None:
+        """The cat heads N of the state: fixed by the family, else n_components."""
+        return FAMILIES[self.kind].heads or self.n_components
+
+    def state(self, alpha: float, n_max: int | None = None):
+        """The numeric route's pure state, None where the family has none at alpha (non-integer noon)."""
+        return FAMILIES[self.kind].build(self, alpha, n_max)
+
+
+def point_curve(kind, variant, alpha, beta=None, n_components=None, transmission=1.0) -> FamilyCurve:
+    """The curve of `kind` through one point, every argument checked against the table;
+    cat4's coherent amplitude beta defaults to alpha and is carried as beta/alpha."""
+    takes_beta = "beta_ratio" in _family(kind).params
+    check_amplitude("alpha", alpha, positive=takes_beta)
+    if beta is not None:
+        check_amplitude("beta", beta)
+    beta_ratio = (alpha if beta is None else beta) / alpha if takes_beta else beta
+    return FamilyCurve(kind, kind, variant, beta_ratio, n_components, transmission)
+
 
 def closed_nav(curve: FamilyCurve, alpha: float) -> float:
-    if curve.kind == "coherent":
-        return alpha * alpha / 2
-    if curve.kind == "cat4":
-        return cf.fig1_moments(alpha, curve.beta_ratio * alpha).n_av
-    if curve.kind == "ecs":
-        return cf.ecs_qfi(alpha)[1]
-    if curve.kind == "modified":
-        return cf.modified_moments(alpha).n_av
-    if curve.kind == "extended":
-        return cf.extended_moments(curve.n_components, alpha).n_av
-    if curve.kind == "noon":
-        return alpha * alpha / 2
-    raise ValueError(f"unknown family kind {curve.kind!r}")
+    return FAMILIES[curve.kind].nav(curve, alpha)
 
 
 def closed_qfi(curve: FamilyCurve, alpha: float) -> float:
-    t = curve.transmission
-    if curve.variant == "pure":
-        if curve.kind == "coherent":
-            return 2 * alpha * alpha
-        if curve.kind == "cat4":
-            return cf.moment_qfi(cf.fig1_moments(alpha, curve.beta_ratio * alpha))
-        if curve.kind == "ecs":
-            return cf.ecs_qfi(alpha)[0]
-        if curve.kind == "modified":
-            return cf.moment_qfi(cf.modified_moments(alpha))
-        if curve.kind == "extended":
-            return cf.moment_qfi(cf.extended_moments(curve.n_components, alpha))
-        if curve.kind == "noon":
-            return alpha**4
-        raise ValueError(f"unknown family kind {curve.kind!r}")
-    if curve.kind == "noon":
-        # F = T^n n^2 with n = alpha^2, analytically continued in n
-        return t ** (alpha * alpha) * alpha**4
-    if t == 1.0:
-        return cf.pa_qfi(curve.kind, alpha, n_components=curve.n_components)
-    mix = cf.lossy_noon_mixture(
-        curve.kind, alpha, curve.loss, n_cut=default_cutoff(alpha), n_components=curve.n_components
-    )
-    return qfi_noon_mixture(mix)
+    form = FAMILIES[curve.kind].qfi[curve.variant]
+    if form is None:
+        raise ValueError(f"{curve.label!r} has no closed-form QFI ({curve.variant}, T={curve.transmission})")
+    return form(curve, alpha)
 
 
-def _noon_integer(alpha: float) -> int | None:
-    n = round(alpha * alpha)
-    return n if abs(alpha * alpha - n) < 1e-9 else None
-
-
-def numeric_point(curve: FamilyCurve, alpha: float) -> tuple[float, float] | None:
-    """(N_av, QFI) through the truncated-Fock pipeline; None when the family
-    has no numeric realization at this alpha (non-integer noon)."""
-    if curve.kind == "coherent":
-        n_max = default_cutoff(alpha)
-        state = product_state(coherent(alpha / sqrt(2), n_max), coherent(alpha / sqrt(2), n_max))
-    elif curve.kind == "cat4":
-        beta = curve.beta_ratio * alpha
-        n_max = default_cutoff(sqrt((alpha * alpha + beta * beta) / 2))
-        state = beam_splitter_5050(
-            cat_state(CatSpec(4, alpha / sqrt(2)), n_max), coherent(beta / sqrt(2), n_max)
-        ).normalize()
-    elif curve.kind == "noon":
-        n = _noon_integer(alpha)
-        if n is None:
-            return None
-        state = noon_state(n, max(32, n))
-    else:
-        n_comp = {"ecs": 1, "modified": 2}.get(curve.kind, curve.n_components)
-        state = extended_entangled_state(n_comp, alpha)
+def numeric_point(curve: FamilyCurve, alpha: float, generator: str | None = None) -> tuple[float, float] | None:
+    """(N_av, QFI) through the truncated-Fock pipeline, by default under the
+    variant's standard generator; None when the family has no numeric
+    realization at this alpha (non-integer noon)."""
+    state = curve.state(alpha)
+    if state is None:
+        return None
+    generator = generator or GENERATORS[curve.variant][0]
     nav = number_moment(state, "a", 1)
     if curve.variant == "pure":
-        return nav, qfi_pure(state, "one_mode_b")
+        return nav, qfi_pure(state, generator)
     mixed = phase_average(state)
     if curve.transmission < 1.0:
         mixed = loss_channel(mixed, curve.loss)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateSpectrumWarning)
-        return nav, qfi_mixed(mixed, "n_b")
+        return nav, qfi_mixed(mixed, generator)
 
 
 def figure_curves(cfg: SweepConfig) -> list[FamilyCurve]:
@@ -199,21 +287,11 @@ def figure_curves(cfg: SweepConfig) -> list[FamilyCurve]:
             curves.append(FamilyCurve(label, "cat4", "pure", beta_ratio=ratio, n_components=4))
         return curves
     variant = "pure" if cfg.figure == "fig2a" else "phase_averaged"
-    base = [
-        FamilyCurve("noon", "noon", variant),
-        FamilyCurve("ecs", "ecs", variant, n_components=1),
-        FamilyCurve("modified", "modified", variant, n_components=2),
-    ] + [
-        FamilyCurve(f"extended[N={n}]", "extended", variant, n_components=n)
-        for n in cfg.n_components_list
-    ]
+    base = [FamilyCurve(k, k, variant, n_components=FAMILIES[k].heads) for k in ("noon", "ecs", "modified")]
+    base += [FamilyCurve(f"extended[N={n}]", "extended", variant, n_components=n) for n in cfg.n_components_list]
     if cfg.figure != "fig4":
         return base
-    return [
-        FamilyCurve(c.label, c.kind, c.variant, c.beta_ratio, c.n_components, transmission=t)
-        for t in cfg.transmissions
-        for c in base
-    ]
+    return [replace(c, transmission=t) for t in cfg.transmissions for c in base]
 
 
 def _make_row(cfg: SweepConfig, curve: FamilyCurve, alpha: float, nav: float, f: float, path: str) -> SweepRow:
@@ -231,8 +309,8 @@ def _make_row(cfg: SweepConfig, curve: FamilyCurve, alpha: float, nav: float, f:
     )
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Evaluate each figure curve over the alpha grid by both routes.
+def run_sweep(cfg: SweepConfig, numeric: bool = True) -> list[SweepRow]:
+    """Evaluate each figure curve over the alpha grid in closed form and, with `numeric`, on the grid.
 
     A numeric failure (e.g. cutoff exhaustion) aborts that row with a
     diagnostic on stderr, not the sweep.
@@ -244,7 +322,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
                 rows.append(
                     _make_row(cfg, curve, alpha, closed_nav(curve, alpha), closed_qfi(curve, alpha), "closed_form")
                 )
-                num = numeric_point(curve, alpha)
+                num = numeric_point(curve, alpha) if numeric else None
                 if num is not None:
                     rows.append(_make_row(cfg, curve, alpha, num[0], num[1], "numeric"))
             except (CutoffError, ArithmeticError) as exc:
@@ -277,17 +355,10 @@ def _curve_from_rows(rows: list[SweepRow], family: str, transmission: float | No
     variant = "pure" if ref.figure in ("fig1", "fig2a") else "phase_averaged"
     kind = family.split("[")[0]
     beta_ratio = None
-    if kind == "cat4":
+    if "beta_ratio" in _family(kind).params:
         with_alpha = next(r for r in sel if r.alpha > 0)
         beta_ratio = with_alpha.beta / with_alpha.alpha
-    curve = FamilyCurve(
-        label=family,
-        kind=kind,
-        variant=variant,
-        beta_ratio=beta_ratio,
-        n_components=ref.n_components,
-        transmission=ref.transmission,
-    )
+    curve = FamilyCurve(family, kind, variant, beta_ratio, ref.n_components, ref.transmission)
     closed = sorted((r for r in sel if r.path == "closed_form"), key=lambda r: r.alpha)
     return curve, closed
 
@@ -414,6 +485,14 @@ def mandel_q_ratio_gap(n_components: int, alpha: float) -> tuple[float, float]:
     return ratio, 4.0 * (1.0 + q)
 
 
+def _extended_curve(n_components: int) -> FamilyCurve:
+    """The pure extended state with N heads, named as in the table where a family fixes N."""
+    for kind, family in FAMILIES.items():
+        if family.build is _extended_state and family.heads == n_components:
+            return FamilyCurve(kind, kind, "pure")
+    return FamilyCurve(f"extended[N={n_components}]", "extended", "pure", n_components=n_components)
+
+
 def verify_consistency(
     alphas: tuple = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0),
     beta_ratios: tuple = (0.0, 0.25, 0.5, 1.0),
@@ -436,7 +515,7 @@ def verify_consistency(
     # fig1 entangled states: grid moments vs analytic expressions
     for alpha in alphas:
         for ratio in beta_ratios:
-            curve = FamilyCurve("cat4", "cat4", "pure", beta_ratio=ratio, n_components=4)
+            curve = FamilyCurve("cat4", "cat4", "pure", beta_ratio=ratio)
             nav_n, f_n = numeric_point(curve, alpha)
             add("pure-qfi[cat4]", {"alpha": alpha, "beta_ratio": ratio}, closed_qfi(curve, alpha), f_n)
             add("nav[cat4]", {"alpha": alpha, "beta_ratio": ratio}, closed_nav(curve, alpha), nav_n)
@@ -446,23 +525,16 @@ def verify_consistency(
     # trace-1 numeric route can resolve the comparison at the stated metric)
     for alpha in alphas:
         for n_comp in n_components_list:
-            kind = {1: "ecs", 2: "modified"}.get(n_comp, "extended")
-            label = {1: "ecs", 2: "modified"}.get(n_comp, f"extended[N={n_comp}]")
-            pure = FamilyCurve(label, kind, "pure", n_components=n_comp)
+            pure = _extended_curve(n_comp)
+            label = pure.label
             nav_n, f_n = numeric_point(pure, alpha)
             add(f"pure-qfi[{label}]", {"alpha": alpha}, closed_qfi(pure, alpha), f_n)
             add(f"nav[{label}]", {"alpha": alpha}, closed_nav(pure, alpha), nav_n)
-            pa = FamilyCurve(label, kind, "phase_averaged", n_components=n_comp)
-            mixed_curves = [pa] + [
-                FamilyCurve(label, kind, "phase_averaged", n_components=n_comp, transmission=t)
-                for t in transmissions
-            ]
-            for curve in mixed_curves:
+            for t in (1.0, *transmissions):
+                curve = replace(pure, variant="phase_averaged", transmission=t)
                 f_cf = closed_qfi(curve, alpha)
-                name = "pa-qfi" if curve.transmission == 1.0 else "lossy-qfi"
-                params = {"alpha": alpha}
-                if curve.transmission < 1.0:
-                    params["T"] = curve.transmission
+                name = "pa-qfi" if t == 1.0 else "lossy-qfi"
+                params = {"alpha": alpha} if t == 1.0 else {"alpha": alpha, "T": t}
                 if f_cf < 1e-9:
                     report.notes.append(
                         f"skipped {name}[{label}] {params}: QFI {f_cf:.3e} below the "
@@ -476,29 +548,21 @@ def verify_consistency(
         for t in (1.0,) + tuple(transmissions):
             curve = FamilyCurve("noon", "noon", "phase_averaged", transmission=t)
             alpha = sqrt(float(n))
-            add(
-                "noon-qfi",
-                {"n": n, "T": t},
-                t**n * n * n,
-                numeric_point(curve, alpha)[1],
-                this_tol=1e-12,
-            )
+            add("noon-qfi", {"n": n, "T": t}, t**n * n * n, numeric_point(curve, alpha)[1], this_tol=1e-12)
 
     # phase-reference identity: F_q(phase averaged, n_b) = F_Q2(pure, two-mode +-phi/2)
     for alpha in (0.5, 1.5):
-        for n_comp, label in ((1, "ecs"), (2, "modified"), (4, "extended[N=4]")):
-            state = extended_entangled_state(n_comp, alpha)
-            f_q2 = qfi_pure(state, "two_mode_half")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateSpectrumWarning)
-                f_pa = qfi_mixed(phase_average(state), "n_b")
-            add(f"fq-equals-fq2[{label}]", {"alpha": alpha}, f_q2, f_pa)
+        for n_comp in (1, 2, 4):
+            curve = _extended_curve(n_comp)
+            f_q2 = numeric_point(curve, alpha, "two_mode_half")[1]
+            f_pa = numeric_point(replace(curve, variant="phase_averaged"), alpha)[1]
+            add(f"fq-equals-fq2[{curve.label}]", {"alpha": alpha}, f_q2, f_pa)
 
     # T = 1 loss path is the identity
     for alpha in (0.5, 1.0):
-        pa_curve = FamilyCurve("ecs", "ecs", "phase_averaged", n_components=1)
+        pa_curve = FamilyCurve("ecs", "ecs", "phase_averaged")
         lossless = numeric_point(pa_curve, alpha)[1]
-        t1 = FamilyCurve("ecs", "ecs", "phase_averaged", n_components=1, transmission=1.0)
+        t1 = FamilyCurve("ecs", "ecs", "phase_averaged", transmission=1.0)
         add("t1-identity[ecs]", {"alpha": alpha}, lossless, numeric_point(t1, alpha)[1], this_tol=1e-10)
 
     for n_comp in (2, 4):

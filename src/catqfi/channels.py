@@ -18,11 +18,14 @@ semantics; the test suite cross-checks each against the dense one:
 * sector blocks: a state whose every term lies in one total-photon sector
   (any `phase_average` output) off the noon span is held as blocks
   B[n, k, k'] with k = n_a; loss shifts the blocks and each output block
-  gets its own small eigendecomposition.  Phase-averaged cat4 takes this
-  route (`bench.numeric_point`, `catqfi qfi --family cat4 --transmission`).
+  gets its own small eigendecomposition.  Phase-averaged cat4 and coherent
+  states take this route (`bench.numeric_point`, which also serves
+  `catqfi qfi --family cat4|coherent --transmission`).
 * dense: the full-grid operator sum and one eigendecomposition, for states
   that were not phase averaged (random or pure states, loss applied
   before averaging).  Nothing in the sweeps or the CLI reaches it.
+
+`synthesize_heralded` is the one CPS synthesis loop (`synthesize_extended`, `catqfi synthesize`).
 """
 
 from __future__ import annotations
@@ -516,8 +519,9 @@ def cps_round(s: TwoModeState, varphi: float) -> TwoModeState:
     return cps_round_outcome(s, varphi).state
 
 
-def synthesize_extended(alpha: float, k: int, n_max: int | None = None) -> TwoModeState:
-    """Generate the N = 2^{k+1} extended entangled state.
+def synthesize_heralded(alpha: float, k: int, n_max: int | None = None) -> tuple[TwoModeState, list]:
+    """Generate the N = 2^{k+1} extended entangled state, with each round's
+    (mode a, mode b) herald success probabilities.
 
     Beam-splits two 2-headed cats |C_2(alpha/sqrt2)>, then applies k CPS
     rounds with varphi_j = 2*pi/2^{j+1}.  Heralding is applied mode a
@@ -531,6 +535,14 @@ def synthesize_extended(alpha: float, k: int, n_max: int | None = None) -> TwoMo
         n_max = default_cutoff(alpha)
     half = cat_state(CatSpec(2, alpha / sqrt(2.0)), n_max)
     state = beam_splitter_5050(half, half).normalize()
+    herald_probs = []
     for j in range(1, k + 1):
-        state = cps_round(state, 2.0 * pi / 2 ** (j + 1))
-    return state
+        outcome = cps_round_outcome(state, 2.0 * pi / 2 ** (j + 1))
+        herald_probs.append((outcome.herald_prob_a, outcome.herald_prob_b))
+        state = outcome.state
+    return state, herald_probs
+
+
+def synthesize_extended(alpha: float, k: int, n_max: int | None = None) -> TwoModeState:
+    """The state of `synthesize_heralded` without the herald probabilities."""
+    return synthesize_heralded(alpha, k, n_max)[0]

@@ -9,37 +9,38 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from math import pi, sqrt
+from dataclasses import replace
 
 import click
 import numpy as np
 
 from . import bench
-from .channels import cps_round_outcome
+from .channels import synthesize_heralded
 from .fock import (
     CatSpec,
     CutoffError,
-    beam_splitter_5050,
     cat_state,
     coherent,
     default_cutoff,
     extended_entangled_state,
     fidelity,
     mandel_q,
-    noon_state,
     number_moment,
 )
 
 SINGLE_MODE_FAMILIES = ("coherent", "cat")
 TWO_MODE_FAMILIES = ("ecs", "modified", "extended", "noon")
-QFI_FAMILIES = ("coherent", "cat4", "ecs", "modified", "extended", "noon")
 
 
 def numeric_guard(fn):
+    """Exit 2 for arguments the family table rejects, 3 for numeric failures."""
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except bench.ParameterError as exc:
+            raise click.UsageError(str(exc)) from exc
         except (CutoffError, ArithmeticError, ValueError) as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(3)
@@ -55,20 +56,22 @@ def main():
 @main.command()
 @click.option("--family", type=click.Choice(SINGLE_MODE_FAMILIES + TWO_MODE_FAMILIES), required=True)
 @click.option("--alpha", type=float, required=True)
-@click.option("--n-components", type=int, default=None, help="cat heads N (cat/extended)")
-@click.option("--n-max", type=int, default=None)
+@click.option("--n-components", type=click.IntRange(min=1), default=None, help="cat heads N (cat, default 2; extended)")
+@click.option("--n-max", type=click.IntRange(min=0), default=None)
 @numeric_guard
 def state(family, alpha, n_components, n_max):
     """Dump a constructed state's amplitudes and photon-number moments."""
-    if n_max is None:
-        n_max = default_cutoff(alpha)
-    out = {"family": family, "alpha": alpha, "n_max": n_max}
+    out = {"family": family, "alpha": alpha}
     if family in SINGLE_MODE_FAMILIES:
+        bench.check_amplitude("alpha", alpha)
+        out["n_max"] = n_max = default_cutoff(alpha) if n_max is None else n_max
         if family == "coherent":
+            if n_components is not None:
+                raise click.UsageError("the coherent state takes no --n-components")
             vec = coherent(alpha, n_max)
         else:
-            vec = cat_state(CatSpec(n_components or 2, alpha), n_max)
-            out["n_components"] = n_components or 2
+            out["n_components"] = n_components = n_components or 2
+            vec = cat_state(CatSpec(n_components, alpha), n_max)
         out["norm_sq"] = vec.norm_sq()
         out["mean_n"] = vec.moment(1)
         out["mean_n2"] = vec.moment(2)
@@ -76,19 +79,15 @@ def state(family, alpha, n_components, n_max):
             out["mandel_q"] = mandel_q(vec)
         out["amplitudes"] = [[a.real, a.imag] for a in vec.amps]
     else:
-        if family == "noon":
-            n = round(alpha * alpha)
-            if abs(alpha * alpha - n) > 1e-9:
-                raise ValueError("noon state needs integer n = alpha^2")
-            grid = noon_state(n, max(32, n))
-            out["n"] = n
-        else:
-            n_comp = {"ecs": 1, "modified": 2}.get(family, n_components)
-            if n_comp is None:
-                raise ValueError("extended family needs --n-components")
-            grid = extended_entangled_state(n_comp, alpha, n_max)
-            out["n_components"] = n_comp
+        curve = bench.point_curve(family, "pure", alpha, n_components=n_components)
+        grid = curve.state(alpha, n_max)
+        if grid is None:
+            raise click.UsageError(f"no {family} state on the Fock grid at alpha={alpha}: alpha^2 must be an integer")
         out["n_max"] = grid.n_max
+        if family == "noon":
+            out["n"] = round(alpha * alpha)
+        if curve.heads is not None:
+            out["n_components"] = curve.heads
         out["norm_sq"] = grid.norm_sq()
         for mode in ("a", "b"):
             out[f"mean_n_{mode}"] = number_moment(grid, mode, 1)
@@ -101,14 +100,14 @@ def state(family, alpha, n_components, n_max):
 
 
 @main.command()
-@click.option("--family", type=click.Choice(QFI_FAMILIES), required=True)
+@click.option("--family", type=click.Choice(tuple(bench.FAMILIES)), required=True)
 @click.option("--alpha", type=float, required=True)
-@click.option("--beta", type=float, default=None, help="coherent input amplitude (cat4 only)")
-@click.option("--n-components", type=int, default=None)
+@click.option("--beta", type=float, default=None, help="coherent input amplitude (cat4 only; default alpha)")
+@click.option("--n-components", type=click.IntRange(min=1), default=None, help="cat heads N (extended only)")
 @click.option("--transmission", type=click.FloatRange(0.0, 1.0), default=1.0)
 @click.option(
     "--generator",
-    type=click.Choice(["one_mode_b", "two_mode_half", "n_b", "half_difference"]),
+    type=click.Choice([g for pair in bench.GENERATORS.values() for g in pair]),
     default=None,
     help="defaults to one_mode_b (pure) / n_b (phase averaged)",
 )
@@ -119,89 +118,28 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
     if transmission < 1.0:
         phase_averaged = True
     variant = "phase_averaged" if phase_averaged else "pure"
-    if generator is None:
-        generator = "n_b" if phase_averaged else "one_mode_b"
-    if phase_averaged and generator in ("one_mode_b", "two_mode_half"):
-        raise click.UsageError("phase-averaged states take --generator n_b or half_difference")
-    if not phase_averaged and generator in ("n_b", "half_difference"):
-        raise click.UsageError("pure states take --generator one_mode_b or two_mode_half")
-    beta_ratio = None
-    if family == "cat4":
-        beta_ratio = (beta if beta is not None else alpha) / alpha
-        n_components = 4
-    elif family in ("ecs", "modified"):
-        n_components = {"ecs": 1, "modified": 2}[family]
-    elif family == "extended" and n_components is None:
-        raise click.UsageError("extended family needs --n-components")
-    curve = bench.FamilyCurve(
-        label=family,
-        kind=family,
-        variant=variant,
-        beta_ratio=beta_ratio,
-        n_components=n_components,
-        transmission=transmission,
-    )
-    standard = generator in ("one_mode_b", "n_b")
+    allowed = bench.GENERATORS[variant]
+    generator = generator or allowed[0]
+    if generator not in allowed:
+        raise click.UsageError(f"{variant} states take --generator {' or '.join(allowed)}")
+    curve = bench.point_curve(family, variant, alpha, beta, n_components, transmission)
     result = {
         "family": family,
         "alpha": alpha,
-        "beta": None if beta_ratio is None else beta_ratio * alpha,
-        "n_components": n_components,
+        "beta": None if curve.beta_ratio is None else curve.beta_ratio * alpha,
+        "n_components": curve.heads,
         "transmission": transmission,
         "phase_averaged": phase_averaged,
         "generator": generator,
         "n_av": bench.closed_nav(curve, alpha),
     }
-    # phase-averaged cat4 leaves the noon span, where there is no closed form
-    closed = standard and not (phase_averaged and family == "cat4")
+    closed = generator == allowed[0] and bench.FAMILIES[family].qfi[variant] is not None
     result["qfi_closed_form"] = bench.closed_qfi(curve, alpha) if closed else None
-    num = _numeric_qfi(curve, alpha, generator)
-    result["qfi_numeric"] = num
+    point = bench.numeric_point(curve, alpha, generator)
+    result["qfi_numeric"] = num = None if point is None else point[1]
     ref = result["qfi_closed_form"] if result["qfi_closed_form"] is not None else num
     result["delta_phi"] = bench.delta_phi(ref) if ref is not None else None
     click.echo(json.dumps(result, indent=2))
-
-
-def _numeric_qfi(curve, alpha, generator):
-    point = bench.numeric_point(curve, alpha)
-    if point is None:
-        return None
-    if generator in ("one_mode_b", "n_b"):
-        return point[1]
-    # non-default generator: rebuild the state and evaluate directly
-    import warnings
-
-    from .channels import loss_channel, phase_average
-    from .qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_pure
-
-    state = _build_state(curve, alpha)
-    if curve.variant == "pure":
-        return qfi_pure(state, generator)
-    mixed = phase_average(state)
-    if curve.transmission < 1.0:
-        mixed = loss_channel(mixed, curve.loss)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrumWarning)
-        return qfi_mixed(mixed, generator)
-
-
-def _build_state(curve, alpha):
-    if curve.kind == "coherent":
-        from .fock import product_state
-
-        n_max = default_cutoff(alpha)
-        return product_state(coherent(alpha / sqrt(2), n_max), coherent(alpha / sqrt(2), n_max))
-    if curve.kind == "cat4":
-        beta = curve.beta_ratio * alpha
-        n_max = default_cutoff(sqrt((alpha * alpha + beta * beta) / 2))
-        return beam_splitter_5050(
-            cat_state(CatSpec(4, alpha / sqrt(2)), n_max), coherent(beta / sqrt(2), n_max)
-        ).normalize()
-    if curve.kind == "noon":
-        n = round(alpha * alpha)
-        return noon_state(n, max(32, n))
-    n_comp = {"ecs": 1, "modified": 2}.get(curve.kind, curve.n_components)
-    return extended_entangled_state(n_comp, alpha)
 
 
 @main.command()
@@ -220,13 +158,7 @@ def sweep(figure, out, fmt, alpha_min, alpha_max, alpha_step):
         hi = alpha_max if alpha_max is not None else cfg.alpha_grid[-1]
         step = alpha_step if alpha_step is not None else 0.05
         grid = tuple(np.round(np.arange(lo, hi + 1e-9, step), 10))
-        cfg = bench.SweepConfig(
-            figure=figure,
-            alpha_grid=grid,
-            beta_ratios=cfg.beta_ratios,
-            n_components_list=cfg.n_components_list,
-            transmissions=cfg.transmissions,
-        )
+        cfg = replace(cfg, alpha_grid=grid)
     rows = bench.run_sweep(cfg)
     payload = (
         bench.rows_to_csv(rows)
@@ -247,17 +179,20 @@ def sweep(figure, out, fmt, alpha_min, alpha_max, alpha_step):
 @click.option("--family-b", required=True)
 @click.option("--nav-lo", type=float, required=True)
 @click.option("--nav-hi", type=float, required=True)
-@click.option("--transmission", type=float, default=None)
+@click.option("--transmission", type=click.FloatRange(0.0, 1.0), default=None)
 @numeric_guard
 def crossover(figure, family_a, family_b, nav_lo, nav_hi, transmission):
     """Locate the N_av where two families' delta_phi curves cross."""
-    rows = bench.run_sweep(bench.default_config(figure))
+    cfg = bench.default_config(figure)
+    curves = bench.figure_curves(cfg)
+    at_t = [c.label for c in curves if transmission is None or abs(c.transmission - transmission) < 1e-12]
+    for label in (family_a, family_b):
+        if at_t.count(label) != 1:
+            known = ", ".join(f"{c.label} (T={c.transmission})" for c in curves)
+            raise click.UsageError(f"{label!r} names no single {figure} curve at this --transmission; curves: {known}")
+    rows = bench.run_sweep(cfg, numeric=False)
     nav = bench.find_crossover(rows, family_a, family_b, (nav_lo, nav_hi), transmission)
-    click.echo(
-        json.dumps(
-            {"figure": figure, "family_a": family_a, "family_b": family_b, "crossover_n_av": nav}
-        )
-    )
+    click.echo(json.dumps({"figure": figure, "family_a": family_a, "family_b": family_b, "crossover_n_av": nav}))
 
 
 @main.command()
@@ -266,28 +201,13 @@ def crossover(figure, family_a, family_b, nav_lo, nav_hi, transmission):
 @numeric_guard
 def synthesize(alpha, iterations):
     """Generate the N = 2^(k+1) extended state by CPS heralding; report fidelity."""
-    n_max = default_cutoff(alpha)
-    half = cat_state(CatSpec(2, alpha / sqrt(2.0)), n_max)
-    state = beam_splitter_5050(half, half).normalize()
-    herald_probs = []
-    for j in range(1, iterations + 1):
-        outcome = cps_round_outcome(state, 2.0 * pi / 2 ** (j + 1))
-        herald_probs.append([outcome.herald_prob_a, outcome.herald_prob_b])
-        state = outcome.state
+    bench.check_amplitude("alpha", alpha, positive=True)
+    state, herald_probs = synthesize_heralded(alpha, iterations)
     n_components = 2 ** (iterations + 1)
-    target = extended_entangled_state(n_components, alpha, n_max)
-    click.echo(
-        json.dumps(
-            {
-                "alpha": alpha,
-                "iterations": iterations,
-                "n_components": n_components,
-                "fidelity": fidelity(state, target),
-                "herald_probs": herald_probs,
-            },
-            indent=2,
-        )
-    )
+    target = extended_entangled_state(n_components, alpha, state.n_max)
+    out = {"alpha": alpha, "iterations": iterations, "n_components": n_components,
+           "fidelity": fidelity(state, target), "herald_probs": herald_probs}
+    click.echo(json.dumps(out, indent=2))
 
 
 @main.command()

@@ -35,6 +35,33 @@ def test_sweep_coherent_classical_point():
         assert r.n_av == pytest.approx(0.5, abs=1e-10)
 
 
+def test_sweep_closed_rows_without_numeric_route():
+    cfg = bench.SweepConfig(figure="fig4", alpha_grid=(0.5, 1.0), n_components_list=(4,))
+    full = bench.run_sweep(cfg)
+    assert bench.run_sweep(cfg, numeric=False) == [r for r in full if r.path == "closed_form"]
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs",
+    [
+        ("squeezed", {}),
+        ("ecs", {"variant": "mixed"}),
+        ("ecs", {"n_components": 3}),
+        ("ecs", {"beta_ratio": 0.5}),
+        ("coherent", {"n_components": 1}),
+        ("cat4", {}),
+        ("extended", {}),
+        ("extended", {"n_components": 0}),
+        ("noon", {"transmission": 0.9}),
+        ("noon", {"variant": "phase_averaged", "transmission": 1.5}),
+    ],
+)
+def test_family_curve_rejects_parameters_outside_the_table(kind, kwargs):
+    fields = {"variant": "pure", **kwargs}
+    with pytest.raises(bench.ParameterError):
+        bench.FamilyCurve(kind, kind, **fields)
+
+
 def test_sweep_noon_point_fig2a():
     rows = [r for r in sweep("fig2a", (2.0,)) if r.family == "noon"]
     assert {r.path for r in rows} == {"closed_form", "numeric"}

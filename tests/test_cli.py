@@ -192,3 +192,100 @@ def test_numeric_failure_exit_three():
     result = invoke("state", "--family", "coherent", "--alpha", "3.0", "--n-max", "10")
     assert result.exit_code == 3
     assert "numeric failure" in result.output
+
+
+# every (family, variant) the family table declares, at one alpha, with the
+# phase-averaged variant both lossless and lossy; a family added to the table
+# is covered here without a new test
+CLI_PARAMS = {"beta_ratio": ("--beta", "0.5"), "n_components": ("--n-components", "4")}
+VARIANT_ARGS = {"pure": [()], "phase_averaged": [("--phase-averaged",), ("--transmission", "0.9")]}
+
+
+@pytest.mark.parametrize(
+    "kind, variant, extra",
+    [
+        (kind, variant, extra)
+        for kind, family in bench.FAMILIES.items()
+        for variant in family.qfi
+        for extra in VARIANT_ARGS[variant]
+    ],
+)
+def test_qfi_every_table_family_and_variant(kind, variant, extra):
+    family = bench.FAMILIES[kind]
+    args = [arg for name in family.params for arg in CLI_PARAMS[name]]
+    result = invoke("qfi", "--family", kind, "--alpha", "1.0", *args, *extra)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["qfi_numeric"] > 0
+    if family.qfi[variant] is None:
+        assert payload["qfi_closed_form"] is None
+    else:
+        assert payload["qfi_numeric"] == pytest.approx(payload["qfi_closed_form"], rel=1e-8)
+
+
+def test_qfi_command_phase_averaged_coherent():
+    # no closed form in the table; phase averaging leaves one binomial pure
+    # state per total photon number n, each with 4 Var(n_b) = n, so F = <n> = T alpha^2
+    for extra, t in ((("--phase-averaged",), 1.0), (("--transmission", "0.9"), 0.9)):
+        result = invoke("qfi", "--family", "coherent", "--alpha", "1.3", *extra)
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["qfi_closed_form"] is None
+        assert payload["qfi_numeric"] == pytest.approx(t * 1.3**2, rel=1e-8)
+
+
+def test_qfi_option_the_family_does_not_take_exit_two():
+    result = invoke("qfi", "--family", "ecs", "--alpha", "1", "--beta", "0.5")
+    assert result.exit_code == 2
+    assert "takes no beta" in result.output
+
+
+def test_qfi_n_components_against_fixed_heads_exit_two():
+    result = invoke("qfi", "--family", "cat4", "--alpha", "1.0", "--beta", "0.25", "--n-components", "8")
+    assert result.exit_code == 2
+    assert invoke("qfi", "--family", "coherent", "--alpha", "1", "--n-components", "3").exit_code == 2
+
+
+def test_state_coherent_n_components_exit_two():
+    assert invoke("state", "--family", "coherent", "--alpha", "1.0", "--n-components", "3").exit_code == 2
+
+
+def test_state_cat_zero_components_exit_two():
+    assert invoke("state", "--family", "cat", "--alpha", "-1", "--n-components", "0").exit_code == 2
+    assert invoke("state", "--family", "cat", "--alpha", "-1", "--n-components", "2").exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qfi", "--family", "ecs", "--alpha", "nan"),
+        ("qfi", "--family", "ecs", "--alpha", "inf"),
+        ("qfi", "--family", "ecs", "--alpha", "-1"),
+        ("qfi", "--family", "extended", "--alpha", "1", "--n-components", "0"),
+        ("qfi", "--family", "extended", "--alpha", "1"),
+        ("qfi", "--family", "cat4", "--alpha", "0"),
+        ("qfi", "--family", "cat4", "--alpha", "1", "--beta", "nan"),
+        ("state", "--family", "ecs", "--alpha", "nan"),
+        ("state", "--family", "noon", "--alpha", "1.5"),
+        ("state", "--family", "coherent", "--alpha", "1", "--n-max", "-1"),
+        ("synthesize", "--alpha", "0", "-k", "1"),
+    ],
+)
+def test_argument_outside_family_domain_exit_two(argv):
+    result = invoke(*argv)
+    assert result.exit_code == 2, result.output
+    assert "Error" in result.output
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--figure", "fig4", "--family-a", "ecs", "--family-b", "modified", "--transmission", "1.5"),
+        ("--figure", "fig1", "--family-a", "nosuch", "--family-b", "ecs"),
+        ("--figure", "fig4", "--family-a", "ecs", "--family-b", "modified"),
+        ("--figure", "fig1", "--family-a", "ecs", "--family-b", "coherent", "--transmission", "0.9"),
+    ],
+)
+def test_crossover_bad_arguments_exit_two(extra):
+    result = invoke("crossover", *extra, "--nav-lo", "0.3", "--nav-hi", "1.2")
+    assert result.exit_code == 2, result.output
