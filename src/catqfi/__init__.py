@@ -18,6 +18,7 @@ from .bench import (
     verify_consistency,
 )
 from .channels import (
+    BlockStack,
     CpsOutcome,
     LossSpec,
     NoonMixture,

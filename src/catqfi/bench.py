@@ -399,8 +399,16 @@ def find_crossover(
     transmission: float | None = None,
     tol: float = 1e-4,
 ) -> float:
-    """N_av where the delta_phi curves of two families cross, to `tol` in N_av."""
+    """N_av where the delta_phi curves of two families cross, to `tol` in N_av.
+
+    A bracket that is not lo < hi and two equal families are bad arguments
+    (ParameterError).
+    """
     lo, hi = bracket
+    if not lo < hi:
+        raise ParameterError(f"the N_av bracket must satisfy lo < hi, got {bracket}")
+    if family_a == family_b:
+        raise ParameterError(f"the two families must differ, got {family_a!r} twice")
 
     def gap(n_av: float) -> float:
         return interpolate_at_nav(rows, family_a, n_av, transmission) - interpolate_at_nav(
@@ -558,12 +566,14 @@ def verify_consistency(
             f_pa = numeric_point(replace(curve, variant="phase_averaged"), alpha)[1]
             add(f"fq-equals-fq2[{curve.label}]", {"alpha": alpha}, f_q2, f_pa)
 
-    # T = 1 loss path is the identity
+    # the loss kernel at T = 1 is the identity (numeric_point skips the channel there)
     for alpha in (0.5, 1.0):
         pa_curve = FamilyCurve("ecs", "ecs", "phase_averaged")
         lossless = numeric_point(pa_curve, alpha)[1]
-        t1 = FamilyCurve("ecs", "ecs", "phase_averaged", transmission=1.0)
-        add("t1-identity[ecs]", {"alpha": alpha}, lossless, numeric_point(t1, alpha)[1], this_tol=1e-10)
+        through = loss_channel(phase_average(pa_curve.state(alpha)), LossSpec(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSpectrumWarning)
+            add("t1-identity[ecs]", {"alpha": alpha}, lossless, qfi_mixed(through, "n_b"), this_tol=1e-10)
 
     for n_comp in (2, 4):
         ratio, four_q = mandel_q_ratio_gap(n_comp, 1.0)

@@ -1,36 +1,41 @@
 """Non-unitary maps and state engineering: photon loss, phase averaging, CPS heralding.
 
-Mixed states are kept in spectral form (weights + orthonormal pure
-vectors).  Photon loss on a mode is the operator sum with Kraus operators
+Mixed states are kept in block spectral form: a block holds the grid
+cells it spans (its support), its weights and its orthonormal eigenvectors
+restricted to that support, and the blocks of a `SpectralState` have
+pairwise disjoint supports.  A sector block lies in one total-photon sector
+n = n_a + n_b.  Both QFI generators are diagonal on the Fock grid, so they
+keep every block and the QFI is a sum over blocks (`qfi.qfi_mixed`).
+
+Photon loss on a mode is the operator sum with Kraus operators
 K_k = sqrt(R^k/k!) T^{n/2} a^k, which acts on number states as
 K_k|n> = sqrt(C(n,k) R^k T^{n-k}) |n-k>; the two-mode channel applies it
 independently per mode.  Completeness of the binomial sum makes the
 channel exactly trace preserving on the truncated grid.
 
-`loss_channel` picks one of three routes with the same operator-sum
-semantics; the test suite cross-checks each against the dense one:
+`loss_channel` has two routes with the same operator-sum semantics; the
+test suite cross-checks them:
 
-* noon span {|0,0>} u {|n,0>, |0,n>}: states there stay there, so loss
-  runs in the reduced basis (2*n_max + 1 dimensional), as 2x2 blocks per
-  total photon number when each term lies in one sector.  Phase-averaged
-  ecs, modified, extended and noon states take this route (every lossy
-  sweep row and the CLI for those families).
-* sector blocks: a state whose every term lies in one total-photon sector
-  (any `phase_average` output) off the noon span is held as blocks
-  B[n, k, k'] with k = n_a; loss shifts the blocks and each output block
-  gets its own small eigendecomposition.  Phase-averaged cat4 and coherent
-  states take this route (`bench.numeric_point`, which also serves
-  `catqfi qfi --family cat4|coherent --transmission`).
-* dense: the full-grid operator sum and one eigendecomposition, for states
-  that were not phase averaged (random or pure states, loss applied
-  before averaging).  Nothing in the sweeps or the CLI reaches it.
+* sector blocks: every block lies in one sector (any `phase_average`
+  output, a noon state).  The kernel works on the nonzero density elements
+  (n, k, k') with k = n_a: losing j photons from mode a maps one to
+  (n-j, k-j, k'-j), losing l from mode b maps it to (n-l, k, k').  Each
+  output sector is diagonalized on its support, in batches of equal support
+  size.  Every sweep row, `verify` and the CLI take this route.
+* dense: the full operator sum over the cells the Kraus branches touch and
+  one eigendecomposition, returned as one block.  It serves states that were
+  not phase averaged (random or pure states, loss applied before averaging),
+  which only the tests and the benchmark's loss-before-averaging reference
+  pass in.
 
 `synthesize_heralded` is the one CPS synthesis loop (`synthesize_extended`, `catqfi synthesize`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi, sqrt
 
 import numpy as np
@@ -38,7 +43,9 @@ import numpy as np
 from .fock import CatSpec, CutoffError, TwoModeState, beam_splitter_5050, cat_state, default_cutoff, phase_shift
 
 WEIGHT_FLOOR = 1e-14
-_SPAN_TOL = 1e-14
+# eigenvalues at or below this fraction of their block's trace are dropped, so
+# that tiny sectors keep full relative precision
+BLOCK_FLOOR = 1e-14
 
 
 class NoonSupportError(ValueError):
@@ -61,30 +68,80 @@ class LossSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralState:
-    """Mixed two-mode state as (weight, vector) pairs with orthonormal vectors."""
+class BlockStack:
+    """Diagonal blocks of a mixed state with equal support size m and rank r, stacked.
 
-    terms: tuple
+    Block b spans the grid cells |na[b, i], nb[b, i]> (na, nb: (B, m));
+    weights[b] (r,) are its eigenvalues and the columns of vecs[b] (m, r) its
+    orthonormal eigenvectors restricted to those cells.
+    """
+
+    na: np.ndarray
+    nb: np.ndarray
+    weights: np.ndarray
+    vecs: np.ndarray
 
     @property
-    def n_max(self) -> int:
-        return self.terms[0][1].n_max
+    def sectors(self) -> np.ndarray | None:
+        """Total photon number n_a + n_b of each block, or None if a block spans sectors."""
+        n = self.na + self.nb
+        return n[:, 0] if n.shape[1] and np.all(n == n[:, :1]) else None
+
+
+class _Terms(Sequence):
+    """The (weight, TwoModeState) pairs of a state, each expanded to the full grid on access."""
+
+    def __init__(self, state: SpectralState):
+        self._n_max = state.n_max
+        self._pairs = [(st, b, i) for st in state.stacks for b in range(len(st.na)) for i in range(st.weights.shape[1])]
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, i: int):
+        st, b, j = self._pairs[i]
+        amps = np.zeros((self._n_max + 1, self._n_max + 1), dtype=complex)
+        amps[st.na[b], st.nb[b]] = st.vecs[b, :, j]
+        return float(st.weights[b, j]), TwoModeState(amps)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralState:
+    """Mixed two-mode state as eigenpairs per block, the blocks stacked by shape.
+
+    The blocks' supports are pairwise disjoint.
+    """
+
+    n_max: int
+    stacks: tuple
+
+    @property
+    def terms(self) -> Sequence:
+        """Every (weight, eigenvector) pair, the vector on the full grid: a view for inspection."""
+        return _Terms(self)
 
     def trace(self) -> float:
-        return float(sum(w for w, _ in self.terms))
+        return float(sum(st.weights.sum() for st in self.stacks))
 
     def to_dense(self) -> np.ndarray:
         """Density matrix on the flattened grid basis, for comparisons."""
         dim = (self.n_max + 1) ** 2
         rho = np.zeros((dim, dim), dtype=complex)
-        for w, v in self.terms:
-            flat = v.amps.ravel()
-            rho += w * np.outer(flat, flat.conj())
+        for st in self.stacks:
+            idx = st.na * (self.n_max + 1) + st.nb
+            rho[idx[:, :, None], idx[:, None, :]] += _block_densities(st)
         return rho
 
 
+def _block_densities(st: BlockStack) -> np.ndarray:
+    """rho of every block of a stack on its support: (B, m, m)."""
+    return (st.vecs * st.weights[:, None, :]) @ np.conj(st.vecs).transpose(0, 2, 1)
+
+
 def from_pure(s: TwoModeState) -> SpectralState:
-    return SpectralState(terms=((1.0, s),))
+    na, nb = np.nonzero(s.amps)
+    stack = BlockStack(na[None], nb[None], np.ones((1, 1)), s.amps[na, nb][None, :, None])
+    return SpectralState(s.n_max, (stack,) if na.size else ())
 
 
 @dataclass(frozen=True)
@@ -103,89 +160,102 @@ class NoonMixture:
 
 
 def noon_mixture_to_spectral(mix: NoonMixture, n_max: int) -> SpectralState:
-    """Rebuild the grid-basis spectral form of a noon mixture."""
-    terms = []
+    """Rebuild the block form of a noon mixture: one block per row n, on {|0,n>, |n,0>}."""
+    stacks = []
     for n, lam_p, lam_m in mix.rows:
         if n > n_max:
             raise CutoffError(f"mixture row n={n} exceeds n_max={n_max}")
-        for lam, sign in ((lam_p, 1.0), (lam_m, -1.0)):
-            if lam <= WEIGHT_FLOOR or (n == 0 and sign < 0):
-                continue
-            amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-            if n == 0:
-                amps[0, 0] = 1.0
-            else:
-                amps[n, 0] = 1 / sqrt(2)
-                amps[0, n] = sign * np.exp(1j * n * mix.phi) / sqrt(2)
-            terms.append((float(lam), TwoModeState(amps)))
-    return SpectralState(terms=tuple(terms))
-
-
-def _as_terms(s: TwoModeState | SpectralState):
-    if isinstance(s, TwoModeState):
-        return ((1.0, s),)
-    return s.terms
+        if n == 0:
+            if lam_p > WEIGHT_FLOOR:
+                stacks.append(BlockStack(np.zeros((1, 1), int), np.zeros((1, 1), int), np.array([[lam_p]]), np.ones((1, 1, 1))))
+            continue
+        lam = np.array([lam_p, lam_m], dtype=float)
+        keep = lam > WEIGHT_FLOOR
+        if not keep.any():
+            continue
+        ph = np.exp(1j * n * mix.phi)
+        # columns (|n,0> +- e^{i n phi}|0,n>)/sqrt2 over the cells |0,n>, |n,0>
+        vecs = np.array([[ph, -ph], [1.0, 1.0]]) / sqrt(2)
+        stacks.append(BlockStack(np.array([[0, n]]), np.array([[n, 0]]), lam[None, keep], vecs[None][:, :, keep]))
+    return SpectralState(n_max, tuple(stacks))
 
 
 def phase_average(s: TwoModeState | SpectralState) -> SpectralState:
     """Erase coherences between total-photon-number sectors (Eq.-(3) dephasing).
 
     Uniform averaging of a common phase on both modes keeps exactly the
-    block-diagonal part with respect to n_a + n_b, so the output is
-    assembled sector by sector; pure inputs need no diagonalization
-    (each sector projection is already an eigenvector).
+    block-diagonal part with respect to n_a + n_b, so the output is one
+    block per sector; pure inputs need no diagonalization (each sector
+    projection is already an eigenvector).
     """
-    terms_in = _as_terms(s)
-    n_max = terms_in[0][1].n_max
-    out = []
-    if isinstance(s, TwoModeState):
-        # sector weights of a pure state are exact slice norms: keep them all,
-        # however small, so that feeble high-n sectors stay verifiable
-        for n in range(2 * n_max + 1):
-            ks = _sector_ks(n, n_max)
-            sector = s.amps[ks, n - ks]
-            w = float(np.sum(np.abs(sector) ** 2))
-            if w <= 0.0:
-                continue
-            amps = np.zeros_like(s.amps)
-            amps[ks, n - ks] = sector / sqrt(w)
-            out.append((w, TwoModeState(amps)))
-        return SpectralState(terms=tuple(out))
-    for n in range(2 * n_max + 1):
-        ks = _sector_ks(n, n_max)
-        cols = []
-        for w, v in terms_in:
-            sec = v.amps[ks, n - ks]
-            if np.any(sec):
-                cols.append(sqrt(w) * sec)
-        if not cols:
-            continue
-        mat = np.stack(cols, axis=1)
-        out.extend(_sector_terms(n, mat @ mat.conj().T, n_max))
-    return SpectralState(terms=tuple(out))
+    if isinstance(s, SpectralState):
+        return _sector_state(*_sector_elements(s.stacks), s.n_max)
+    # sector weights of a pure state are exact slice norms: keep them all,
+    # however small, so that feeble high-n sectors stay verifiable
+    p = np.abs(s.amps) ** 2
+    na, nb = np.nonzero(p)
+    n = na + nb
+    order = np.lexsort((na, n))
+    na, nb, n = na[order], nb[order], n[order]
+    weights = np.bincount(n, p[na, nb])
+    m_of = np.bincount(n)
+    stacks = []
+    for m in np.unique(m_of[m_of > 0]):
+        cells = m_of[n] == m
+        ka, kb = na[cells].reshape(-1, m), nb[cells].reshape(-1, m)
+        w = weights[ka[:, 0] + kb[:, 0]]
+        vecs = s.amps[ka, kb] / np.sqrt(w)[:, None]
+        stacks.append(BlockStack(ka, kb, w[:, None], vecs[:, :, None]))
+    return SpectralState(s.n_max, tuple(stacks))
 
 
-def _sector_ks(n: int, n_max: int) -> np.ndarray:
-    """Mode-a photon numbers k of the grid cells |k, n-k> in sector n."""
-    return np.arange(max(0, n - n_max), min(n, n_max) + 1)
+def _sector_elements(stacks) -> list:
+    """Elements (n, k, k', value) = <k, n-k|rho|k', n-k'> of rho's sector-diagonal part (k = n_a).
+
+    Only nonzero elements are listed.
+    """
+    parts = []
+    for st in stacks:
+        rho = _block_densities(st)
+        n = st.na + st.nb
+        b, i, j = np.nonzero((n[:, :, None] == n[:, None, :]) & (rho != 0))
+        parts.append((n[b, i], st.na[b, i], st.na[b, j], rho[b, i, j]))
+    if not parts:
+        return [np.zeros(0, int)] * 3 + [np.zeros(0, complex)]
+    return [np.concatenate(p) for p in zip(*parts)]
 
 
-def _sector_terms(n: int, block: np.ndarray, n_max: int) -> list:
-    """Spectral terms of a sector-n density block indexed by k over `_sector_ks`."""
-    block_trace = float(np.trace(block).real)
-    if block_trace <= 0.0:
-        return []
-    ks = _sector_ks(n, n_max)
-    terms = []
-    vals, vecs = np.linalg.eigh(block)
-    for lam, col in zip(vals, vecs.T):
-        # floor relative to the sector, so tiny sectors keep full precision
-        if lam <= 1e-14 * block_trace:
-            continue
-        amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        amps[ks, n - ks] = col
-        terms.append((float(lam), TwoModeState(amps)))
-    return terms
+def _sector_state(n, k, kp, val, n_max: int) -> SpectralState:
+    """Block form of a sector-diagonal density given by its elements (repeated ones add).
+
+    Each sector's support is the cells with a nonzero diagonal; its block is
+    diagonalized there, in batches of sectors with equal support size.
+    """
+    size, n_sec = n_max + 1, 2 * n_max + 1
+    diag = k == kp
+    occupied = np.bincount(n[diag] * size + k[diag], val[diag].real, n_sec * size).reshape(n_sec, size) > 0
+    inside = occupied[n, k] & occupied[n, kp]
+    n, k, kp, val = n[inside], k[inside], kp[inside], val[inside]
+    m_of = occupied.sum(axis=1)
+    m_max = int(m_of.max(initial=0))
+    local = np.cumsum(occupied, axis=1) - 1  # position of cell k in its sector's support
+    flat = (n * m_max + local[n, k]) * m_max + local[n, kp]
+    length = n_sec * m_max * m_max
+    padded = (np.bincount(flat, val.real, length) + 1j * np.bincount(flat, val.imag, length)).reshape(
+        n_sec, m_max, m_max
+    )
+    stacks = []
+    for m in np.unique(m_of[m_of > 0]):
+        sectors = np.flatnonzero(m_of == m)
+        batch = padded[sectors, :m, :m]
+        vals, vecs = np.linalg.eigh(batch)
+        # eigh sorts ascending, so the kept eigenvalues are each block's largest
+        rank = np.sum(vals > BLOCK_FLOOR * np.trace(batch, axis1=1, axis2=2).real[:, None], axis=1)
+        ks = np.nonzero(occupied[sectors])[1].reshape(-1, m)
+        for r in np.unique(rank[rank > 0]):
+            sel = rank == r
+            stacks.append(BlockStack(ks[sel], sectors[sel, None] - ks[sel], vals[sel, m - r :], vecs[sel, :, m - r :]))
+    return SpectralState(n_max, tuple(stacks))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +263,10 @@ def _sector_terms(n: int, block: np.ndarray, n_max: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _loss_coeff_table(n_max: int, t: float, r: float) -> np.ndarray:
-    """coef[k, m] = sqrt(C(m+k, k) R^k T^m): amplitude for |m+k> -> |m> under K_k."""
+@lru_cache(maxsize=64)
+def _loss_coeff_table(n_max: int, t: float) -> np.ndarray:
+    """coef[k, m] = sqrt(C(m+k, k) R^k T^m): amplitude for |m+k> -> |m> under K_k (read only)."""
+    r = 1.0 - t
     coef = np.zeros((n_max + 1, n_max + 1))
     m = np.arange(n_max + 1, dtype=float)
     coef[0] = t ** (m / 2)
@@ -202,181 +274,44 @@ def _loss_coeff_table(n_max: int, t: float, r: float) -> np.ndarray:
         valid = m + k <= n_max
         # C(m+k, k) = C(m+k-1, k-1) * (m+k)/k
         coef[k, valid] = coef[k - 1, valid] * np.sqrt((m[valid] + k) / k * r)
+    coef.setflags(write=False)
     return coef
 
 
-def _noon_span_mass_outside(v: TwoModeState) -> float:
-    p = np.abs(v.amps) ** 2
-    total = p.sum()
-    span = p[:, 0].sum() + p[0, :].sum() - p[0, 0]
-    return float((total - span) / max(total, 1e-300))
+def _lose(n, k, kp, val, coef: np.ndarray, mode: str):
+    """Loss on one mode of sector-diagonal elements: every Kraus index j at once, outputs unsummed."""
+    # photons in the lossy mode on the ket and the bra side
+    top, top_p = (k, kp) if mode == "a" else (n - k, n - kp)
+    reps = np.minimum(top, top_p) + 1
+    src = np.repeat(np.arange(val.size), reps)
+    j = np.arange(src.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    val = val[src] * coef[j, top[src] - j] * coef[j, top_p[src] - j]
+    if mode == "a":
+        return n[src] - j, k[src] - j, kp[src] - j, val
+    return n[src] - j, k[src], kp[src], val
 
 
-def _in_noon_span(s: SpectralState) -> bool:
-    return all(_noon_span_mass_outside(v) <= _SPAN_TOL for _, v in s.terms)
+def _summed(n, k, kp, val, n_max: int):
+    """Elements with repeated (n, k, k') added and zeros dropped."""
+    size = n_max + 1
+    key, where = np.unique((n * size + k) * size + kp, return_inverse=True)
+    val = np.bincount(where, val.real, key.size) + 1j * np.bincount(where, val.imag, key.size)
+    key, val = key[val != 0], val[val != 0]
+    nk, kp = np.divmod(key, size)
+    n, k = np.divmod(nk, size)
+    return n, k, kp, val
 
 
-def _reduced_index(n_max: int, which: str) -> np.ndarray:
-    """Positions of the |n,0> ('a') or |0,n> ('b') ladder in the reduced basis.
-
-    Reduced basis layout: index 0 is |00>, then 2n-1 is |n,0> and 2n is |0,n>.
-    """
-    ns = np.arange(n_max + 1)
-    off = 1 if which == "a" else 0
-    return np.where(ns == 0, 0, 2 * ns - off)
-
-
-def _photon_sector(v: TwoModeState) -> int | None:
-    """Total photon number n_a + n_b of a vector, or None if it spans sectors."""
-    nonzero = v.amps != 0
-    count = np.count_nonzero(nonzero)
-    if count == 0:
-        return None
-    i, j = divmod(int(nonzero.argmax()), v.n_max + 1)
-    # sector i + j is diagonal n_max - (i + j) of the grid's left-right mirror
-    on_sector = np.count_nonzero(nonzero[:, ::-1].diagonal(v.n_max - i - j))
-    return i + j if on_sector == count else None
-
-
-def _noon_term(n_max: int, n: int, lam: float, ca: complex, cb: complex):
-    amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    if n == 0:
-        amps[0, 0] = 1.0
-    else:
-        amps[n, 0] = ca
-        amps[0, n] = cb
-    return float(lam), TwoModeState(amps)
-
-
-def _loss_reduced_sectorwise(s: SpectralState, sectors: list, coef: np.ndarray) -> SpectralState:
-    """Loss on a state diagonal in total photon number.
-
-    Each Kraus branch maps a sector-n vector into a single lower sector, so
-    the output is block diagonal with 2x2 blocks over {|m,0>, |0,m>}; the
-    blocks are diagonalized individually, which keeps tiny sectors at full
-    relative precision instead of drowning them in the noise floor of one
-    big eigendecomposition.
-    """
+def _loss_sectors(s: SpectralState, coef: np.ndarray) -> SpectralState:
+    """Loss on a state of sector blocks: mode a, then mode b, on the nonzero elements."""
     n_max = s.n_max
-    blocks = np.zeros((n_max + 1, 2, 2), dtype=complex)
-    vacuum = 0.0
-    for (w, v), n in zip(s.terms, sectors):
-        if n == 0:
-            vacuum += w * abs(v.amps[0, 0]) ** 2
-            continue
-        va, vb = v.amps[n, 0], v.amps[0, n]
-        u = sqrt(w) * coef[0, n] * np.array([va, vb])
-        blocks[n] += np.outer(u, u.conj())
-        for k in range(1, n + 1):
-            m = n - k
-            c2 = w * coef[k, m] ** 2
-            if m == 0:
-                vacuum += c2 * (abs(va) ** 2 + abs(vb) ** 2)
-            else:
-                blocks[m, 0, 0] += c2 * abs(va) ** 2
-                blocks[m, 1, 1] += c2 * abs(vb) ** 2
-    terms = []
-    if vacuum > 0.0:
-        terms.append(_noon_term(n_max, 0, vacuum, 1.0, 0.0))
-    for m in range(1, n_max + 1):
-        block = blocks[m]
-        tr = float(block[0, 0].real + block[1, 1].real)
-        if tr <= 0.0:
-            continue
-        vals, vecs = np.linalg.eigh(block)
-        for lam, col in zip(vals, vecs.T):
-            if lam <= 1e-15 * tr:
-                continue
-            terms.append(_noon_term(n_max, m, lam, col[0], col[1]))
-    return SpectralState(terms=tuple(terms))
+    lost_a = _summed(*_lose(*_sector_elements(s.stacks), coef, "a"), n_max)
+    return _sector_state(*_lose(*lost_a, coef, "b"), n_max)
 
 
-def _loss_sector_blocks(s: SpectralState, sectors: list, coef: np.ndarray) -> SpectralState:
-    """Loss on a state diagonal in total photon number, off the noon span.
-
-    The state is held as blocks B[n, k, k'] of |k, n-k><k', n-k'| (k = n_a).
-    Losing j photons from mode a maps block n to n-j and shifts both k
-    indices by j; losing them from mode b maps n to n-j with k fixed.  Each
-    Kraus index is one shifted multiply-add over all blocks, and each output
-    block is diagonalized on its own, as in `phase_average`.
-    """
+def _loss_dense(s: SpectralState, coef: np.ndarray) -> SpectralState:
+    """Loss on any state: every Kraus branch of every eigenvector, one eigendecomposition."""
     n_max = s.n_max
-    n_sec = 2 * n_max + 1
-    k = np.arange(n_max + 1)
-    blocks = np.zeros((n_sec, n_max + 1, n_max + 1), dtype=complex)
-    for (w, v), n in zip(s.terms, sectors):
-        ks = _sector_ks(n, n_max)
-        u = np.zeros(n_max + 1, dtype=complex)
-        u[ks] = v.amps[ks, n - ks]
-        blocks[n] += w * np.outer(u, u.conj())
-    lost_a = np.zeros_like(blocks)
-    for j in range(n_max + 1):
-        # |k, n-k> -> |k-j, n-k>: weight coef[j, k-j]
-        c = coef[j, : n_max + 1 - j]
-        lost_a[: n_sec - j, : n_max + 1 - j, : n_max + 1 - j] += np.outer(c, c) * blocks[j:, j:, j:]
-    lost = np.zeros_like(blocks)
-    m = np.arange(n_sec)[:, None]
-    for j in range(n_max + 1):
-        # |k, n-k> -> |k, n-j-k>: weight coef[j, n-j-k], zero off the grid
-        d = m[: n_sec - j] - k
-        c = np.where((d >= 0) & (d <= n_max), coef[j, np.clip(d, 0, n_max)], 0.0)
-        lost[: n_sec - j] += c[:, :, None] * c[:, None, :] * lost_a[j:]
-    terms = []
-    for n in range(n_sec):
-        ks = _sector_ks(n, n_max)
-        terms.extend(_sector_terms(n, lost[n][np.ix_(ks, ks)], n_max))
-    return SpectralState(terms=tuple(terms))
-
-
-def _loss_reduced(s: SpectralState, coef: np.ndarray) -> SpectralState:
-    """Operator sum restricted to the loss-invariant noon span.
-
-    Only Kraus branches (k,0) and (0,l) act nontrivially there: losing
-    photons from one mode annihilates the opposite ladder, while the
-    no-loss branch (0,0) damps the whole vector coherently.
-    """
-    n_max = s.n_max
-    m_dim = 2 * n_max + 1
-    idx_a = _reduced_index(n_max, "a")
-    idx_b = _reduced_index(n_max, "b")
-    cols = []
-    for w, v in s.terms:
-        va = v.amps[:, 0].copy()
-        vb = v.amps[0, :].copy()
-        vb[0] = 0.0  # vacuum amplitude kept on the a-ladder only
-        sw = sqrt(w)
-        col0 = np.zeros(m_dim, dtype=complex)
-        col0[idx_a] = va * coef[0]
-        col0[idx_b[1:]] = vb[1:] * coef[0, 1:]
-        cols.append(sw * col0)
-        for k in range(1, n_max + 1):
-            for ladder, idx in ((va, idx_a), (vb, idx_b)):
-                shifted = ladder[k:] * coef[k, : n_max + 1 - k]
-                if not np.any(shifted):
-                    continue
-                col = np.zeros(m_dim, dtype=complex)
-                col[idx[: len(shifted)]] = shifted
-                cols.append(sw * col)
-    w_mat = np.stack(cols, axis=1)
-    rho = w_mat @ w_mat.conj().T
-    vals, vecs = np.linalg.eigh(rho)
-    terms = []
-    for lam, col in zip(vals[::-1], vecs.T[::-1]):
-        if lam <= WEIGHT_FLOOR:
-            continue
-        amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        amps[0, 0] = col[0]
-        ns = np.arange(1, n_max + 1)
-        amps[ns, 0] = col[2 * ns - 1]
-        amps[0, ns] = col[2 * ns]
-        terms.append((float(lam), TwoModeState(amps)))
-    return SpectralState(terms=tuple(terms))
-
-
-def _loss_dense(s: SpectralState, t: float, r: float) -> SpectralState:
-    n_max = s.n_max
-    dim = (n_max + 1) ** 2
-    coef = _loss_coeff_table(n_max, t, r)
     cols = []
     for w, v in s.terms:
         sw = sqrt(w)
@@ -392,39 +327,31 @@ def _loss_dense(s: SpectralState, t: float, r: float) -> SpectralState:
                 if nrm < 1e-16:
                     continue
                 cols.append(sw * branch.ravel())
+    if not cols:
+        return SpectralState(n_max, ())
     w_mat = np.stack(cols, axis=1)
+    cells = np.flatnonzero(np.any(w_mat != 0, axis=1))
+    w_mat = w_mat[cells]
     rho = w_mat @ w_mat.conj().T
     vals, vecs = np.linalg.eigh(rho)
-    terms = []
-    for lam, col in zip(vals[::-1], vecs.T[::-1]):
-        if lam <= WEIGHT_FLOOR:
-            continue
-        terms.append((float(lam), TwoModeState(col.reshape(n_max + 1, n_max + 1))))
-    return SpectralState(terms=tuple(terms))
+    keep = vals > BLOCK_FLOOR * np.trace(rho).real
+    na, nb = np.divmod(cells, n_max + 1)
+    return SpectralState(n_max, (BlockStack(na[None], nb[None], vals[None, keep], vecs[None][:, :, keep]),))
 
 
 def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralState:
-    """Equal photon loss on both modes, returned in spectral form.
+    """Equal photon loss on both modes, returned in block form.
 
     Raises CutoffError when the output trace deviates from the input trace
     beyond 1e-8 (a truncation failure, not a rounding issue).
     """
     spec = from_pure(s) if isinstance(s, TwoModeState) else s
-    if loss.transmission == 1.0:
-        return spec
-    t, r = loss.transmission, loss.reflectance
-    coef = _loss_coeff_table(spec.n_max, t, r)
-    sectors = [_photon_sector(v) for _, v in spec.terms]
-    sector_diagonal = all(n is not None for n in sectors)
-    if _in_noon_span(spec):
-        if sector_diagonal:
-            out = _loss_reduced_sectorwise(spec, sectors, coef)
-        else:
-            out = _loss_reduced(spec, coef)
-    elif sector_diagonal:
-        out = _loss_sector_blocks(spec, sectors, coef)
+    t = loss.transmission
+    coef = _loss_coeff_table(spec.n_max, t)
+    if all(st.sectors is not None for st in spec.stacks):
+        out = _loss_sectors(spec, coef)
     else:
-        out = _loss_dense(spec, t, r)
+        out = _loss_dense(spec, coef)
     if abs(out.trace() - spec.trace()) > 1e-8:
         raise CutoffError(
             f"trace loss: {spec.trace():.12f} -> {out.trace():.12f} under T={t}"
@@ -439,22 +366,22 @@ def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralSta
 
 def to_noon_mixture(s: SpectralState, phi: float = 0.0) -> NoonMixture:
     """Re-express a noon-span mixed state in the (|n,0> +- e^{i n phi}|0,n>) basis."""
-    for _, v in s.terms:
-        if _noon_span_mass_outside(v) > 1e-8:
-            raise NoonSupportError(
-                "eigenvector has more than 1e-8 weight outside the noon span"
-            )
     n_max = s.n_max
-    # reduced density matrix over {|00>, |n,0>, |0,n>}
+    # reduced density matrix over the noon span: index 0 is |00>, then
+    # 2n-1 is |n,0> and 2n is |0,n>
     m_dim = 2 * n_max + 1
     rho = np.zeros((m_dim, m_dim), dtype=complex)
-    ns = np.arange(1, n_max + 1)
-    for w, v in s.terms:
-        col = np.zeros(m_dim, dtype=complex)
-        col[0] = v.amps[0, 0]
-        col[2 * ns - 1] = v.amps[ns, 0]
-        col[2 * ns] = v.amps[0, ns]
-        rho += w * np.outer(col, col.conj())
+    for st in s.stacks:
+        for na, nb, w, v in zip(st.na, st.nb, st.weights, st.vecs):
+            on_span = (na == 0) | (nb == 0)
+            p = np.abs(v) ** 2
+            if np.any(p[~on_span].sum(axis=0) > 1e-8 * np.maximum(p.sum(axis=0), 1e-300)):
+                raise NoonSupportError(
+                    "eigenvector has more than 1e-8 weight outside the noon span"
+                )
+            idx = np.where(na[on_span] > 0, 2 * na[on_span] - 1, 2 * nb[on_span])
+            v = v[on_span]
+            rho[np.ix_(idx, idx)] += (v * w) @ v.conj().T
     rows = [(0, float(rho[0, 0].real), 0.0)]
     residual = rho.copy()
     residual[0, 0] = 0.0

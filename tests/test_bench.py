@@ -175,8 +175,17 @@ def fig1_rows():
 
 def test_crossover_identical_families_rejected():
     rows = fig1_rows()
-    with pytest.raises(ValueError):
+    with pytest.raises(bench.ParameterError):
         bench.find_crossover(rows, "ecs", "ecs", (0.3, 1.0))
+
+
+@pytest.mark.parametrize("bracket", [(1.2, 0.1), (1.0, 0.2), (0.5, 0.5), (float("nan"), 1.0)])
+def test_crossover_rejects_bracket_not_increasing(bracket):
+    # a reversed bracket used to skip the bisection and return its midpoint
+    # (0.65 and 0.6 for the first two, where the crossing is at 0.6694)
+    rows = fig1_rows()
+    with pytest.raises(bench.ParameterError):
+        bench.find_crossover(rows, "ecs", "cat4[b=a/4]", bracket)
 
 
 def test_crossover_cat4_quarter_vs_ecs():

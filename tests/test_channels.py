@@ -1,5 +1,6 @@
 """Channel tests: photon loss, phase averaging, noon-basis rows, CPS heralding."""
 
+from dataclasses import replace
 from math import exp, pi, sqrt
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 
 from catqfi import closed_form as cf
 from catqfi.channels import (
+    BlockStack,
     LossSpec,
     NoonSupportError,
     SpectralState,
+    _loss_coeff_table,
     _loss_dense,
-    _photon_sector,
     cps_round,
     cps_round_outcome,
     from_pure,
@@ -46,6 +48,31 @@ def dense(s: SpectralState) -> np.ndarray:
     return s.to_dense()
 
 
+def blocks(s: SpectralState):
+    """(na, nb, weights, vecs) of every block, unstacked."""
+    for st in s.stacks:
+        yield from zip(st.na, st.nb, st.weights, st.vecs)
+
+
+def block(na, nb, weights, vecs) -> BlockStack:
+    """A stack of one block on the cells |na[i], nb[i]>."""
+    return BlockStack(np.array([na]), np.array([nb]), np.array([weights], dtype=float), np.array([vecs], dtype=complex))
+
+
+def sector_weights(s: SpectralState) -> dict:
+    """Total weight per photon-number sector; every block must lie in one sector."""
+    weights = {}
+    for st in s.stacks:
+        assert st.sectors is not None
+        for n, w in zip(st.sectors, st.weights.sum(axis=1)):
+            weights[int(n)] = weights.get(int(n), 0.0) + w
+    return weights
+
+
+def dense_loss(s, t: float) -> SpectralState:
+    return _loss_dense(s, _loss_coeff_table(s.n_max, t))
+
+
 def cat4_pure(alpha: float, beta: float, n_max: int) -> TwoModeState:
     """4-headed cat and coherent state through the 50:50 beam splitter (Fig. 1 input)."""
     return beam_splitter_5050(
@@ -63,12 +90,15 @@ def rows_dict(mix):
 
 
 def test_loss_identity_at_full_transmission():
+    # both routes run at T = 1: the pure state (dense) and its phase average (sector blocks)
     state = extended_entangled_state(2, 1.0)
     out = loss_channel(state, LossSpec(1.0))
-    assert len(out.terms) == 1
-    w, vec = out.terms[0]
-    assert w == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(vec, state) > 1 - 1e-12
+    [(na, nb, w, vecs)] = blocks(out)
+    assert w.shape == (1,)
+    assert w[0] == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(state.amps[na, nb], vecs[:, 0])) ** 2 > 1 - 1e-12
+    averaged = phase_average(state)
+    assert np.max(np.abs(dense(loss_channel(averaged, LossSpec(1.0))) - dense(averaged))) < 1e-14
 
 
 def test_loss_coherent_stays_coherent():
@@ -76,10 +106,11 @@ def test_loss_coherent_stays_coherent():
     state = product_state(coherent(alpha, 40), coherent(0.0, 40))
     out = loss_channel(state, LossSpec(t))
     assert out.trace() == pytest.approx(1.0, abs=1e-10)
-    w, vec = max(out.terms, key=lambda term: term[0])
-    assert w == pytest.approx(1.0, abs=1e-10)
+    na, nb, w, vecs = max(blocks(out), key=lambda b: b[2].max())
+    top = np.argmax(w)
+    assert w[top] == pytest.approx(1.0, abs=1e-10)
     target = product_state(coherent(sqrt(t) * alpha, 40), coherent(0.0, 40))
-    assert fidelity(vec, target) > 1 - 1e-12
+    assert abs(np.vdot(target.amps[na, nb], vecs[:, top])) ** 2 > 1 - 1e-12
 
 
 def test_loss_trace_preserving_on_random_states():
@@ -87,7 +118,7 @@ def test_loss_trace_preserving_on_random_states():
         state = random_state(10)
         out = loss_channel(state, LossSpec(0.8))
         assert out.trace() == pytest.approx(1.0, abs=1e-10)
-        assert all(w >= -1e-14 for w, _ in out.terms)
+        assert all(np.all(st.weights >= -1e-14) for st in out.stacks)
 
 
 def test_loss_semigroup_composition():
@@ -100,43 +131,54 @@ def test_loss_semigroup_composition():
 
 
 def test_loss_reduced_path_matches_dense_route():
-    # sector-diagonal noon-span input: the specialised path must reproduce
-    # the generic operator-sum + eigendecomposition exactly
-    state = phase_average(extended_entangled_state(2, 1.0, 24))
-    out_fast = loss_channel(state, LossSpec(0.9))
-    out_dense = _loss_dense(state, 0.9, 0.1)
-    assert np.max(np.abs(dense(out_fast) - dense(out_dense))) < 1e-12
-
-
-def test_photon_sector_of_vectors():
-    def vec(*cells):
-        amps = np.zeros((5, 5), dtype=complex)
-        for i, j in cells:
-            amps[i, j] = 1.0
-        return TwoModeState(amps)
-
-    assert _photon_sector(vec()) is None
-    assert _photon_sector(vec((0, 0))) == 0
-    assert _photon_sector(vec((1, 1), (2, 0), (0, 2))) == 2
-    assert _photon_sector(vec((4, 4), (3, 4))) is None
-    assert _photon_sector(vec((4, 4))) == 8
-    assert _photon_sector(vec((1, 0), (0, 2))) is None
+    # on the noon span (phase-averaged extended states) the sector-block
+    # kernel must reproduce the generic operator sum + eigendecomposition
+    for n in (1, 2, 4):
+        state = phase_average(extended_entangled_state(n, 1.0, 24))
+        assert all(st.sectors is not None for st in state.stacks)
+        out_blocks = loss_channel(state, LossSpec(0.9))
+        out_dense = dense_loss(state, 0.9)
+        assert np.max(np.abs(dense(out_blocks) - dense(out_dense))) < 1e-12
 
 
 def test_loss_sector_blocks_match_dense_route():
     # phase-averaged cat4 is sector diagonal but off the noon span
     state = phase_average(cat4_pure(1.0, 0.25, 14))
-    assert any(np.any(v.amps[1:, 1:]) for _, v in state.terms)
+    assert any(np.any((na > 0) & (nb > 0)) for na, nb, _, _ in blocks(state))
+    assert all(st.sectors is not None for st in state.stacks)
     out_blocks = loss_channel(state, LossSpec(0.9))
-    out_dense = _loss_dense(state, 0.9, 0.1)
+    out_dense = dense_loss(state, 0.9)
     assert np.max(np.abs(dense(out_blocks) - dense(out_dense))) < 1e-12
+
+
+def test_terms_view_expands_blocks_to_the_grid():
+    state = loss_channel(phase_average(cat4_pure(1.0, 0.5, 14)), LossSpec(0.8))
+    terms = list(state.terms)
+    assert len(terms) == len(state.terms) == sum(st.weights.size for st in state.stacks)
+    rebuilt = sum(w * np.outer(v.amps.ravel(), v.amps.ravel().conj()) for w, v in terms)
+    assert np.max(np.abs(rebuilt - dense(state))) < 1e-14
+
+
+def test_photon_sector_of_vectors():
+    def stack(*cells):
+        na, nb = (np.array([[c[i] for c in cells]], dtype=int).reshape(1, len(cells)) for i in (0, 1))
+        return BlockStack(na, nb, np.ones((1, 1)), np.ones((1, len(cells), 1)))
+
+    assert stack().sectors is None
+    assert stack((0, 0)).sectors.tolist() == [0]
+    assert stack((1, 1), (2, 0), (0, 2)).sectors.tolist() == [2]
+    assert stack((4, 4), (3, 4)).sectors is None
+    assert stack((4, 4)).sectors.tolist() == [8]
+    assert stack((1, 0), (0, 2)).sectors is None
+    two = BlockStack(np.array([[0, 1], [0, 3]]), np.array([[1, 0], [3, 0]]), np.ones((2, 1)), np.ones((2, 2, 1)))
+    assert two.sectors.tolist() == [1, 3]
 
 
 def test_loss_sector_blocks_keep_trace_and_sectors():
     state = phase_average(cat4_pure(1.0, 0.7, 14))
     out = loss_channel(state, LossSpec(0.8))
     assert out.trace() == pytest.approx(state.trace(), abs=1e-12)
-    assert all(_photon_sector(v) is not None for _, v in out.terms)
+    assert all(st.sectors is not None for st in out.stacks)
     n_tot = np.indices((15, 15)).sum(axis=0).ravel()
     assert np.all(dense(out)[n_tot[:, None] != n_tot[None, :]] == 0.0)
 
@@ -154,6 +196,7 @@ def test_lossy_cat4_qfi_matches_loss_before_averaging():
     pure = cat4_pure(0.8, 0.4, 16)
     averaged_first = qfi_mixed(loss_channel(phase_average(pure), LossSpec(0.9)), "n_b")
     lost_first = qfi_mixed(phase_average(loss_channel(pure, LossSpec(0.9))), "n_b")
+    assert len(loss_channel(pure, LossSpec(0.9)).stacks) == 1  # the dense route: one block
     assert averaged_first == pytest.approx(lost_first, rel=1e-12)
 
 
@@ -177,20 +220,16 @@ def test_loss_ecs_rows_match_analytic_spectrum():
 def test_phase_average_noon_unchanged():
     state = noon_state(3, 16)
     out = phase_average(state)
-    assert len(out.terms) == 1
-    w, vec = out.terms[0]
-    assert w == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(vec, state) > 1 - 1e-12
+    [(na, nb, w, vecs)] = blocks(out)
+    assert w.tolist() == pytest.approx([1.0], abs=1e-12)
+    assert abs(np.vdot(state.amps[na, nb], vecs[:, 0])) ** 2 > 1 - 1e-12
 
 
 def test_phase_average_ecs_sector_weights():
     # Poisson-weighted noon mixture; vacuum carries the doubled weight
     a = 1.0
     out = phase_average(extended_entangled_state(1, 1.0, 40))
-    weights = {}
-    for w, vec in out.terms:
-        n = int(round(sum(np.sum(np.abs(vec.amps) ** 2 * grid) for grid in np.indices(vec.amps.shape))))
-        weights[n] = weights.get(n, 0.0) + w
+    weights = sector_weights(out)
     base = exp(-a) / (1 + exp(-a))
     assert weights[0] == pytest.approx(2 * base, abs=1e-10)
     fact = 1.0
@@ -201,9 +240,7 @@ def test_phase_average_ecs_sector_weights():
 
 def test_phase_average_modified_even_selector():
     out = phase_average(extended_entangled_state(2, 1.0, 40))
-    for w, vec in out.terms:
-        p = np.abs(vec.amps) ** 2
-        n = int(round(sum(np.sum(p * grid) for grid in np.indices(p.shape))))
+    for n, w in sector_weights(out).items():
         assert n % 2 == 0
         assert w == pytest.approx(cf.pa_weight("modified", 1.0, n), abs=1e-10)
 
@@ -235,9 +272,8 @@ def test_to_noon_mixture_pure_noon():
 
 
 def test_to_noon_mixture_rejects_off_span_state():
-    amps = np.zeros((9, 9), dtype=complex)
-    amps[1, 1] = 1.0
-    thermal_ish = SpectralState(terms=((0.5, TwoModeState(amps)), (0.5, noon_state(2, 8))))
+    noon = (np.array([0, 2]), np.array([2, 0]), [0.5], [[1 / sqrt(2)], [1 / sqrt(2)]])
+    thermal_ish = SpectralState(8, (block([1], [1], [0.5], [[1.0]]), block(*noon)))
     with pytest.raises(NoonSupportError):
         to_noon_mixture(thermal_ish)
 
@@ -267,10 +303,11 @@ def test_every_phase_averaged_family_is_noon_diagonal():
 
 
 def test_to_noon_mixture_nonzero_phase():
-    from catqfi.fock import phase_shift
-
     state = phase_average(extended_entangled_state(1, 0.9))
-    rotated = SpectralState(terms=tuple((w, phase_shift(v, "b", 0.7)) for w, v in state.terms))
+    rotated = SpectralState(
+        state.n_max,
+        tuple(replace(st, vecs=st.vecs * np.exp(0.7j * st.nb)[:, :, None]) for st in state.stacks),
+    )
     mix = to_noon_mixture(rotated, phi=0.7)
     ref = to_noon_mixture(state, phi=0.0)
     got, want = rows_dict(mix), rows_dict(ref)

@@ -289,3 +289,20 @@ def test_argument_outside_family_domain_exit_two(argv):
 def test_crossover_bad_arguments_exit_two(extra):
     result = invoke("crossover", *extra, "--nav-lo", "0.3", "--nav-hi", "1.2")
     assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize(
+    "family_b, nav_lo, nav_hi",
+    [
+        ("cat4[b=a/4]", "1.2", "0.1"),  # reversed: used to exit 0 with 0.65
+        ("cat4[b=a/4]", "1.0", "0.2"),  # reversed: used to exit 0 with 0.6
+        ("cat4[b=a/4]", "0.5", "0.5"),  # empty
+        ("ecs", "0.2", "1.2"),  # identical families: used to exit 3
+    ],
+)
+def test_crossover_bad_bracket_or_identical_families_exit_two(family_b, nav_lo, nav_hi):
+    result = invoke(
+        "crossover", "--figure", "fig1", "--family-a", "ecs", "--family-b", family_b, "--nav-lo", nav_lo, "--nav-hi", nav_hi
+    )
+    assert result.exit_code == 2, result.output
+    assert "Error" in result.output

@@ -2,7 +2,6 @@
 
 from math import cos, exp, fsum, lgamma, log, sqrt
 
-import numpy as np
 import pytest
 
 from catqfi import closed_form as cf
@@ -179,10 +178,9 @@ def test_pa_weights_sum_to_one():
 
 def test_pa_weights_match_numeric_sectors():
     out = phase_average(extended_entangled_state(4, 1.2))
-    for w, vec in out.terms:
-        p = np.abs(vec.amps) ** 2
-        n = int(round(sum(np.sum(p * g) for g in np.indices(p.shape))))
-        assert w == pytest.approx(cf.pa_weight("extended", 1.2, n, n_components=4), rel=1e-9)
+    for st in out.stacks:
+        for n, w in zip(st.sectors, st.weights[:, 0]):
+            assert w == pytest.approx(cf.pa_weight("extended", 1.2, int(n), n_components=4), rel=1e-9)
 
 
 def test_pa_qfi_noon_square():

@@ -1,11 +1,15 @@
 """QFI engine tests: pure forms, mixed double-sum vs literal form, noon fast path."""
 
+from dataclasses import replace
 from math import exp, sqrt
+
+import warnings
 
 import numpy as np
 import pytest
 
 from catqfi.channels import (
+    BlockStack,
     LossSpec,
     NoonMixture,
     SpectralState,
@@ -26,9 +30,12 @@ from catqfi.qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_noon_mixture, q
 RNG = np.random.default_rng(11)
 
 
-def quiet_qfi_mixed(s, generator="n_b"):
-    import warnings
+def rotated(s: SpectralState, phi: float) -> SpectralState:
+    """e^{i phi n_b} applied to every eigenvector of a block-form state."""
+    return SpectralState(s.n_max, tuple(replace(st, vecs=st.vecs * np.exp(1j * phi * st.nb)[:, :, None]) for st in s.stacks))
 
+
+def quiet_qfi_mixed(s, generator="n_b"):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateSpectrumWarning)
         return qfi_mixed(s, generator)
@@ -115,18 +122,14 @@ def test_qfi_invariant_under_evaluation_point():
         qfi_pure(state, "one_mode_b"), rel=1e-8
     )
     pa = phase_average(state)
-    rotated = SpectralState(terms=tuple((w, phase_shift(v, "b", 0.7)) for w, v in pa.terms))
-    assert quiet_qfi_mixed(rotated, "n_b") == pytest.approx(
+    assert quiet_qfi_mixed(rotated(pa, 0.7), "n_b") == pytest.approx(
         quiet_qfi_mixed(pa, "n_b"), rel=1e-8
     )
 
 
 def test_qfi_lossy_state_invariant_under_evaluation_point():
     lossy = loss_channel(phase_average(extended_entangled_state(2, 1.0)), LossSpec(0.9))
-    rotated = SpectralState(
-        terms=tuple((w, phase_shift(v, "b", 0.7)) for w, v in lossy.terms)
-    )
-    assert quiet_qfi_mixed(rotated, "n_b") == pytest.approx(
+    assert quiet_qfi_mixed(rotated(lossy, 0.7), "n_b") == pytest.approx(
         quiet_qfi_mixed(lossy, "n_b"), rel=1e-8
     )
 
@@ -142,14 +145,26 @@ def test_qfi_invariant_under_global_phase():
 
 
 def test_degenerate_spectrum_warns():
-    half_a = noon_state(1, 8)
-    amps = np.zeros((9, 9), dtype=complex)
-    amps[2, 0] = 1.0
-    from catqfi.fock import TwoModeState
-
-    degenerate = SpectralState(terms=((0.5, half_a), (0.5, TwoModeState(amps))))
+    # one block over |1,0> and |2,0> with two equal weights
+    degenerate = SpectralState(8, (BlockStack(np.array([[1, 2]]), np.array([[0, 0]]), np.array([[0.5, 0.5]]), np.eye(2)[None]),))
     with pytest.warns(DegenerateSpectrumWarning):
         qfi_mixed(degenerate, "n_b")
+
+
+def test_degenerate_weights_in_different_blocks_do_not_warn():
+    # the gap test is per block: n_b never couples two blocks, so equal
+    # weights in separate blocks leave every eigenvector derivative defined
+    split = SpectralState(8, (BlockStack(np.array([[1], [2]]), np.array([[0], [0]]), np.full((2, 1), 0.5), np.ones((2, 1, 1))),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateSpectrumWarning)
+        assert qfi_mixed(split, "n_b") == 0.0
+
+
+def test_qfi_mixed_is_the_sum_of_block_qfis():
+    lossy = loss_channel(phase_average(extended_entangled_state(4, 1.3)), LossSpec(0.85))
+    assert len(lossy.stacks) > 1
+    parts = [quiet_qfi_mixed(SpectralState(lossy.n_max, (st,)), "n_b") for st in lossy.stacks]
+    assert sum(parts) == pytest.approx(quiet_qfi_mixed(lossy, "n_b"), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
