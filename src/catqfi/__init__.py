@@ -24,13 +24,12 @@ from .channels import (
     NoonMixture,
     NoonSupportError,
     SpectralState,
-    cps_round,
     cps_round_outcome,
     from_pure,
     loss_channel,
     noon_mixture_to_spectral,
     phase_average,
-    synthesize_extended,
+    synthesize_heralded,
     to_noon_mixture,
 )
 from .closed_form import (

@@ -3,16 +3,17 @@
 `FAMILIES` is the one table of state families.  A figure sweep evaluates
 every point twice, once from the closed-form module and once through the
 truncated-Fock pipeline (state construction -> channels -> QFI engine).
-Curves are parameterized by alpha; equal-energy comparisons read the
-closed-form rows only, invert N_av(alpha) by bisection on alpha and then
-evaluate exactly, never by interpolating delta_phi.
+Curves are parameterized by alpha.  Equal-energy comparisons take a curve
+and an alpha grid, invert the closed-form N_av(alpha) by bisection on alpha
+and then evaluate exactly, never by interpolating delta_phi.  Sweep rows
+are output only.
 """
 
 from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from math import inf, isfinite, sqrt
 from typing import Callable
 
@@ -37,7 +38,7 @@ from .qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_noon_mixture, qfi_pur
 
 FIGURES = ("fig1", "fig2a", "fig2b", "fig4")
 
-CSV_HEADER = "figure,family,alpha,beta,n_components,transmission,n_av,qfi,delta_phi,path"
+CROSSOVER_TOL = 1e-4  # in N_av
 
 
 def delta_phi(qfi: float) -> float:
@@ -57,6 +58,10 @@ class SweepRow:
     qfi: float
     delta_phi: float
     path: str  # closed_form | numeric
+
+
+ROW_FIELDS = tuple(f.name for f in fields(SweepRow))  # the CSV columns and JSON keys, in order
+CSV_HEADER = ",".join(ROW_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -339,88 +344,60 @@ def run_sweep(cfg: SweepConfig, numeric: bool = True) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 
-def _curve_from_rows(rows: list[SweepRow], family: str, transmission: float | None) -> tuple[FamilyCurve, list[SweepRow]]:
-    sel = [r for r in rows if r.family == family]
-    if transmission is not None:
-        sel = [r for r in sel if abs(r.transmission - transmission) < 1e-12]
-    if not sel:
-        raise ValueError(f"no rows for family {family!r}")
-    t_values = sorted({r.transmission for r in sel})
-    figures = sorted({r.figure for r in sel})
-    if len(t_values) > 1 or len(figures) > 1:
-        raise ValueError(
-            f"family {family!r} is ambiguous in these rows (figures {figures}, T {t_values}); filter first"
-        )
-    ref = sel[0]
-    variant = "pure" if ref.figure in ("fig1", "fig2a") else "phase_averaged"
-    kind = family.split("[")[0]
-    beta_ratio = None
-    if "beta_ratio" in _family(kind).params:
-        with_alpha = next(r for r in sel if r.alpha > 0)
-        beta_ratio = with_alpha.beta / with_alpha.alpha
-    curve = FamilyCurve(family, kind, variant, beta_ratio, ref.n_components, ref.transmission)
-    closed = sorted((r for r in sel if r.path == "closed_form"), key=lambda r: r.alpha)
-    return curve, closed
-
-
-def _invert_nav(curve: FamilyCurve, closed_rows: list[SweepRow], n_av: float) -> float:
-    """Bisection solve of closed_nav(alpha) = n_av over the sampled alpha range."""
-    navs = [r.n_av for r in closed_rows]
+def alpha_solver(curve: FamilyCurve, alpha_grid) -> Callable[[float], float]:
+    """alpha(N_av) on `curve`: the closed N_av is sampled over the grid once and
+    must rise; each call then bisects closed_nav(alpha) = n_av within the grid."""
+    navs = [closed_nav(curve, alpha) for alpha in alpha_grid]
     if any(b - a <= 0 for a, b in zip(navs, navs[1:])):
         raise ValueError(f"N_av is not monotone in alpha for family {curve.label!r}")
-    if not navs[0] <= n_av <= navs[-1]:
-        raise ValueError(
-            f"N_av={n_av} outside the sampled range [{navs[0]:.6g}, {navs[-1]:.6g}] of {curve.label!r}"
-        )
-    lo, hi = closed_rows[0].alpha, closed_rows[-1].alpha
-    for _ in range(200):
-        if hi - lo < 1e-14 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if closed_nav(curve, mid) < n_av:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    alpha_lo, alpha_hi = float(alpha_grid[0]), float(alpha_grid[-1])
+
+    def solve(n_av: float) -> float:
+        if not navs[0] <= n_av <= navs[-1]:
+            raise ValueError(
+                f"N_av={n_av} outside the sampled range [{navs[0]:.6g}, {navs[-1]:.6g}] of {curve.label!r}"
+            )
+        lo, hi = alpha_lo, alpha_hi
+        for _ in range(200):
+            if hi - lo < 1e-14 * max(1.0, hi):
+                break
+            mid = 0.5 * (lo + hi)
+            if closed_nav(curve, mid) < n_av:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    return solve
 
 
-def interpolate_at_nav(rows: list[SweepRow], family: str, n_av: float, transmission: float | None = None) -> float:
-    """delta_phi of a family at a requested N_av, by alpha bisection + exact evaluation."""
-    curve, closed = _curve_from_rows(rows, family, transmission)
-    alpha = _invert_nav(curve, closed, n_av)
-    return delta_phi(closed_qfi(curve, alpha))
+def interpolate_at_nav(curve: FamilyCurve, alpha_grid, n_av: float) -> float:
+    """delta_phi of a curve at a requested N_av, by alpha bisection + exact evaluation."""
+    return delta_phi(closed_qfi(curve, alpha_solver(curve, alpha_grid)(n_av)))
 
 
-def find_crossover(
-    rows: list[SweepRow],
-    family_a: str,
-    family_b: str,
-    bracket: tuple[float, float],
-    transmission: float | None = None,
-    tol: float = 1e-4,
-) -> float:
-    """N_av where the delta_phi curves of two families cross, to `tol` in N_av.
+def find_crossover(curve_a: FamilyCurve, curve_b: FamilyCurve, alpha_grid, bracket: tuple[float, float]) -> float:
+    """N_av where the delta_phi curves of two curves cross, to CROSSOVER_TOL in N_av.
 
-    A bracket that is not lo < hi and two equal families are bad arguments
+    A bracket that is not lo < hi and two equal curves are bad arguments
     (ParameterError).
     """
     lo, hi = bracket
     if not lo < hi:
         raise ParameterError(f"the N_av bracket must satisfy lo < hi, got {bracket}")
-    if family_a == family_b:
-        raise ParameterError(f"the two families must differ, got {family_a!r} twice")
+    if curve_a == curve_b:
+        raise ParameterError(f"the two families must differ, got {curve_a.label!r} twice")
+    solve_a, solve_b = alpha_solver(curve_a, alpha_grid), alpha_solver(curve_b, alpha_grid)
 
     def gap(n_av: float) -> float:
-        return interpolate_at_nav(rows, family_a, n_av, transmission) - interpolate_at_nav(
-            rows, family_b, n_av, transmission
-        )
+        return delta_phi(closed_qfi(curve_a, solve_a(n_av))) - delta_phi(closed_qfi(curve_b, solve_b(n_av)))
 
     g_lo, g_hi = gap(lo), gap(hi)
     if not g_lo * g_hi < 0:
         raise ValueError(
-            f"no sign change of delta_phi({family_a}) - delta_phi({family_b}) over {bracket}"
+            f"no sign change of delta_phi({curve_a.label}) - delta_phi({curve_b.label}) over {bracket}"
         )
-    while hi - lo > tol:
+    while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
         g_mid = gap(mid)
         if g_mid == 0.0:
@@ -506,7 +483,6 @@ def verify_consistency(
     beta_ratios: tuple = (0.0, 0.25, 0.5, 1.0),
     n_components_list: tuple = (1, 2, 4, 8, 16),
     transmissions: tuple = (0.9, 0.85),
-    tol: float = 1e-8,
 ) -> ConsistencyReport:
     """Closed-form vs truncated-Fock cross-validation over the whole grid.
 
@@ -515,7 +491,7 @@ def verify_consistency(
     """
     report = ConsistencyReport()
 
-    def add(name: str, params: dict, expected: float, actual: float, this_tol: float = tol):
+    def add(name: str, params: dict, expected: float, actual: float, this_tol: float = 1e-8):
         report.checks.append(
             CheckResult(name, params, expected, actual, _rel_err(expected, actual), this_tol)
         )
@@ -598,51 +574,16 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.figure,
-                    r.family,
-                    r.alpha,
-                    r.beta,
-                    r.n_components,
-                    r.transmission,
-                    r.n_av,
-                    r.qfi,
-                    r.delta_phi,
-                    r.path,
-                )
-            )
-        )
+    lines = [CSV_HEADER] + [",".join(_fmt(getattr(r, k)) for k in ROW_FIELDS) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_records(rows: list[SweepRow]) -> list[dict]:
-    """JSON-ready records mirroring the CSV schema (non-finite values -> null)."""
-    records = []
-    for r in rows:
-        rec = {
-            "figure": r.figure,
-            "family": r.family,
-            "alpha": _round12(r.alpha),
-            "beta": _round12(r.beta),
-            "n_components": r.n_components,
-            "transmission": _round12(r.transmission),
-            "n_av": _round12(r.n_av),
-            "qfi": _round12(r.qfi),
-            "delta_phi": _round12(r.delta_phi),
-            "path": r.path,
-        }
-        records.append(rec)
-    return records
+    """JSON-ready records mirroring the CSV schema (floats to 12 digits, non-finite -> null)."""
+    return [{k: _json_value(getattr(r, k)) for k in ROW_FIELDS} for r in rows]
 
 
-def _round12(value):
-    if value is None:
-        return None
-    if not np.isfinite(value):
-        return None
-    return float(format(value, ".12g"))
+def _json_value(value):
+    if not isinstance(value, float):
+        return value
+    return float(format(value, ".12g")) if isfinite(value) else None

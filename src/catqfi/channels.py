@@ -28,7 +28,7 @@ test suite cross-checks them:
   which only the tests and the benchmark's loss-before-averaging reference
   pass in.
 
-`synthesize_heralded` is the one CPS synthesis loop (`synthesize_extended`, `catqfi synthesize`).
+`synthesize_heralded` is the one CPS synthesis loop (`catqfi synthesize`).
 """
 
 from __future__ import annotations
@@ -442,10 +442,6 @@ def cps_round_outcome(s: TwoModeState, varphi: float) -> CpsOutcome:
     return CpsOutcome(state=out, herald_prob_a=probs[0], herald_prob_b=probs[1])
 
 
-def cps_round(s: TwoModeState, varphi: float) -> TwoModeState:
-    return cps_round_outcome(s, varphi).state
-
-
 def synthesize_heralded(alpha: float, k: int, n_max: int | None = None) -> tuple[TwoModeState, list]:
     """Generate the N = 2^{k+1} extended entangled state, with each round's
     (mode a, mode b) herald success probabilities.
@@ -468,8 +464,3 @@ def synthesize_heralded(alpha: float, k: int, n_max: int | None = None) -> tuple
         herald_probs.append((outcome.herald_prob_a, outcome.herald_prob_b))
         state = outcome.state
     return state, herald_probs
-
-
-def synthesize_extended(alpha: float, k: int, n_max: int | None = None) -> TwoModeState:
-    """The state of `synthesize_heralded` without the herald probabilities."""
-    return synthesize_heralded(alpha, k, n_max)[0]

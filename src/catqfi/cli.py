@@ -17,6 +17,7 @@ import numpy as np
 from . import bench
 from .channels import synthesize_heralded
 from .fock import (
+    N_MAX_LIMIT,
     CatSpec,
     CutoffError,
     cat_state,
@@ -57,7 +58,7 @@ def main():
 @click.option("--family", type=click.Choice(SINGLE_MODE_FAMILIES + TWO_MODE_FAMILIES), required=True)
 @click.option("--alpha", type=float, required=True)
 @click.option("--n-components", type=click.IntRange(min=1), default=None, help="cat heads N (cat, default 2; extended)")
-@click.option("--n-max", type=click.IntRange(min=0), default=None)
+@click.option("--n-max", type=click.IntRange(min=0, max=N_MAX_LIMIT), default=None)
 @numeric_guard
 def state(family, alpha, n_components, n_max):
     """Dump a constructed state's amplitudes and photon-number moments."""
@@ -185,13 +186,15 @@ def crossover(figure, family_a, family_b, nav_lo, nav_hi, transmission):
     """Locate the N_av where two families' delta_phi curves cross."""
     cfg = bench.default_config(figure)
     curves = bench.figure_curves(cfg)
-    at_t = [c.label for c in curves if transmission is None or abs(c.transmission - transmission) < 1e-12]
+    at_t = [c for c in curves if transmission is None or abs(c.transmission - transmission) < 1e-12]
+    picked = []
     for label in (family_a, family_b):
-        if at_t.count(label) != 1:
+        named = [c for c in at_t if c.label == label]
+        if len(named) != 1:
             known = ", ".join(f"{c.label} (T={c.transmission})" for c in curves)
             raise click.UsageError(f"{label!r} names no single {figure} curve at this --transmission; curves: {known}")
-    rows = bench.run_sweep(cfg, numeric=False)
-    nav = bench.find_crossover(rows, family_a, family_b, (nav_lo, nav_hi), transmission)
+        picked += named
+    nav = bench.find_crossover(*picked, cfg.alpha_grid, (nav_lo, nav_hi))
     click.echo(json.dumps({"figure": figure, "family_a": family_a, "family_b": family_b, "crossover_n_av": nav}))
 
 

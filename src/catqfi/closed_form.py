@@ -226,7 +226,6 @@ def lossy_noon_mixture(
     alpha: float,
     loss: LossSpec,
     n_cut: int,
-    phi: float = 0.0,
     n_components: int | None = None,
 ) -> NoonMixture:
     """Spectral rows (n, lambda+_n, lambda-_n) of the phase-averaged family after loss.
@@ -256,7 +255,7 @@ def lossy_noon_mixture(
             rows.append((m, half, half))
         if n >= 1:
             rows.append((n, t**n, 0.0))
-        mix = NoonMixture(rows=rows, phi=phi)
+        mix = NoonMixture(rows=rows)
         _check_trace(mix)
         return mix
 
@@ -267,7 +266,7 @@ def lossy_noon_mixture(
         for m in range(1, n_cut + 1):
             term *= x * t / m
             rows.append((m, c * term * (exp(r * x) + 1), c * term * (exp(r * x) - 1)))
-        mix = NoonMixture(rows=rows, phi=phi)
+        mix = NoonMixture(rows=rows)
         _check_trace(mix)
         return mix
 
@@ -280,7 +279,7 @@ def lossy_noon_mixture(
             sign = -1.0 if m % 2 else 1.0
             k_loss = exp(r * x) + sign * exp(-r * x)
             rows.append((m, c * term * (k_loss + 1 + sign), c * term * (k_loss - 1 - sign)))
-        mix = NoonMixture(rows=rows, phi=phi)
+        mix = NoonMixture(rows=rows)
         _check_trace(mix)
         return mix
 
@@ -296,7 +295,7 @@ def lossy_noon_mixture(
         lam_minus = term / (2.0 * (1.0 + k)) * (_loss_series(N, x * r, m) if r > 0 else 0.0)
         lam_plus = lam_minus + (term / (1.0 + k) if m % N == 0 else 0.0)
         rows.append((m, lam_plus, lam_minus))
-    mix = NoonMixture(rows=rows, phi=phi)
+    mix = NoonMixture(rows=rows)
     _check_trace(mix)
     return mix
 

@@ -23,6 +23,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammainc
 
 TAIL_TOL = 1e-12
+N_MAX_LIMIT = 2000  # largest cutoff per mode: a complex (n_max+1)^2 grid of 64 MB
 
 
 class CutoffError(RuntimeError):
@@ -91,8 +92,13 @@ class CatSpec:
             raise ValueError("n_components must be >= 1")
 
 
-def truncation_bound(alpha_abs: float, tail_tol: float = TAIL_TOL) -> int:
-    """Smallest n_max with Poisson(|alpha|^2) mass above n_max <= tail_tol, floored at 32.
+def _check_grid_size(n_max: int) -> None:
+    if n_max > N_MAX_LIMIT:
+        raise CutoffError(f"cutoff {n_max} exceeds the grid limit n_max <= {N_MAX_LIMIT}")
+
+
+def truncation_bound(alpha_abs: float) -> int:
+    """Smallest n_max with Poisson(|alpha|^2) mass above n_max <= TAIL_TOL, floored at 32.
 
     P(X > n) for X ~ Poisson(lam) equals the regularized lower incomplete
     gamma function P(n+1, lam).
@@ -103,26 +109,30 @@ def truncation_bound(alpha_abs: float, tail_tol: float = TAIL_TOL) -> int:
     if lam == 0.0:
         return 32
     n = int(lam)
-    while gammainc(n + 1, lam) > tail_tol:
+    _check_grid_size(n)
+    while gammainc(n + 1, lam) > TAIL_TOL:
         n += 1
         if n > lam + 200 * sqrt(lam) + 2000:
             raise CutoffError("Poisson tail scan failed to converge")
     return max(n, 32)
 
 
-def default_cutoff(alpha_abs: float, tail_tol: float = TAIL_TOL) -> int:
-    """Grid size heuristic: max(32, |a|^2 + 10|a| + 20), at least the tail bound."""
+def default_cutoff(alpha_abs: float) -> int:
+    """Grid size heuristic: max(32, |a|^2 + 10|a| + 20), at least the tail bound,
+    at most N_MAX_LIMIT (checked before the tail scan)."""
     a = abs(alpha_abs)
     heuristic = ceil(a * a + 10 * a + 20)
-    return max(32, heuristic, truncation_bound(a, tail_tol))
+    _check_grid_size(heuristic)
+    return max(32, heuristic, truncation_bound(a))
 
 
-def _check_tail(amps: np.ndarray, top_index: int) -> None:
-    n2 = float(np.sum(np.abs(amps) ** 2))
-    if abs(amps[top_index]) ** 2 > TAIL_TOL * n2:
+def _check_tail(amps: np.ndarray, index: int, tail_sq: float) -> None:
+    """CutoffError unless tail_sq = |amp_index|^2 is within TAIL_TOL of the kept
+    norm^2; index is the last grid point (coherent) or the first support point
+    past the grid (cat)."""
+    if tail_sq > TAIL_TOL * float(np.sum(np.abs(amps) ** 2)):
         raise CutoffError(
-            f"cutoff too small: |amps[{top_index}]|^2 = "
-            f"{abs(amps[top_index])**2:.3e} exceeds {TAIL_TOL:g} * norm^2"
+            f"cutoff too small: |amps[{index}]|^2 = {tail_sq:.3e} exceeds {TAIL_TOL:g} * norm^2"
         )
 
 
@@ -141,7 +151,7 @@ def coherent(alpha: complex, n_max: int) -> FockVector:
     ns = np.arange(n_max + 1)
     log_mod = -a2 / 2 + ns * log(abs(alpha)) - 0.5 * np.array([lgamma(n + 1) for n in ns])
     amps = np.exp(log_mod) * np.exp(1j * ns * np.angle(alpha))
-    _check_tail(amps, n_max)
+    _check_tail(amps, n_max, abs(amps[n_max]) ** 2)
     return FockVector(amps)
 
 
@@ -158,11 +168,12 @@ def cat_state(spec: CatSpec, n_max: int) -> FockVector:
         amps[0] = 1.0
         return FockVector(amps)
     a2 = abs(alpha) ** 2
-    ks = np.arange(0, n_max + 1, N)
+    # the support on the grid, then the first point past it, where the dropped mass starts
+    ks = np.arange(0, n_max + N + 1, N)
     log_mod = -a2 / 2 + ks * log(abs(alpha)) - 0.5 * np.array([lgamma(k + 1) for k in ks])
     amps = np.zeros(n_max + 1, dtype=complex)
-    amps[ks] = np.exp(log_mod) * np.exp(1j * ks * np.angle(alpha))
-    _check_tail(amps, int(ks[-1]))
+    amps[ks[:-1]] = np.exp(log_mod[:-1]) * np.exp(1j * ks[:-1] * np.angle(alpha))
+    _check_tail(amps, int(ks[-1]), float(np.exp(2 * log_mod[-1])))
     return FockVector(amps / np.linalg.norm(amps))
 
 
@@ -199,8 +210,8 @@ def beam_splitter_5050(a: FockVector, b: FockVector) -> TwoModeState:
     |(g_a+g_b)/sqrt2> |(g_b-g_a)/sqrt2>, which reproduces the
     (beta +- alpha)/2 branch structure of a cat + coherent input.
     Total photon number is conserved, so the unitary acts sector by sector;
-    sector content falling outside the grid corner is dropped (negligible
-    for tail-adequate inputs, visible as a norm deficit otherwise).
+    sector content falling outside the grid corner is dropped, and a
+    CutoffError is raised when that exceeds TAIL_TOL of the input norm^2.
     """
     if a.n_max != b.n_max:
         raise ValueError(f"mode cutoffs differ: {a.n_max} vs {b.n_max}")
@@ -217,7 +228,12 @@ def beam_splitter_5050(a: FockVector, b: FockVector) -> TwoModeState:
             continue
         w = _bs_sector_unitary(n) @ vec
         out[ks, n - ks] = w[ks]
-    return TwoModeState(out)
+    out_state = TwoModeState(out)
+    in_sq = float(np.sum(np.abs(grid) ** 2))
+    lost = in_sq - out_state.norm_sq()
+    if lost > TAIL_TOL * in_sq:
+        raise CutoffError(f"beam splitter drops {lost:.3e} of norm^2 {in_sq:.3e} beyond the grid corner")
+    return out_state
 
 
 def phase_shift(s: TwoModeState, mode: str, phi: float) -> TwoModeState:
@@ -258,6 +274,7 @@ def noon_state(n: int, n_max: int) -> TwoModeState:
     """(|n,0> + |0,n>)/sqrt(2); the vacuum for n = 0."""
     if n < 0 or n > n_max:
         raise ValueError("need 0 <= n <= n_max")
+    _check_grid_size(n_max)
     amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     if n == 0:
         amps[0, 0] = 1.0

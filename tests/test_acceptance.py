@@ -27,7 +27,7 @@ from catqfi.channels import (
     LossSpec,
     loss_channel,
     phase_average,
-    synthesize_extended,
+    synthesize_heralded,
     to_noon_mixture,
 )
 from catqfi.fock import TwoModeState, extended_entangled_state, fidelity, noon_state
@@ -57,6 +57,14 @@ def sweep(figure, grid, transmissions=None):
         transmissions=transmissions or base.transmissions,
     )
     return bench.run_sweep(cfg)
+
+
+def curves(figure, *labels, transmission=None):
+    """The curves of `figure`'s default config with these labels (at `transmission`), in order."""
+    at_t = [
+        c for c in bench.figure_curves(bench.default_config(figure)) if transmission in (None, c.transmission)
+    ]
+    return [next(c for c in at_t if c.label == label) for label in labels]
 
 
 def test_criterion_1_oracle_equivalence():
@@ -91,18 +99,13 @@ def test_criterion_2_noon_exactness():
 
 
 def test_criterion_3_fig1_enhancement_window():
-    rows = sweep("fig1", tuple(x / 20 for x in range(2, 45)))
+    grid = tuple(x / 20 for x in range(2, 45))
+    cat4, ecs = curves("fig1", "cat4[b=a/4]", "ecs")
     better, worse = [], []
     for nav in (0.3, 0.5):
-        better.append(
-            bench.interpolate_at_nav(rows, "cat4[b=a/4]", nav)
-            < bench.interpolate_at_nav(rows, "ecs", nav)
-        )
-    worse.append(
-        bench.interpolate_at_nav(rows, "cat4[b=a/4]", 1.0)
-        > bench.interpolate_at_nav(rows, "ecs", 1.0)
-    )
-    crossover = bench.find_crossover(rows, "cat4[b=a/4]", "ecs", (0.1, 1.2))
+        better.append(bench.interpolate_at_nav(cat4, grid, nav) < bench.interpolate_at_nav(ecs, grid, nav))
+    worse.append(bench.interpolate_at_nav(cat4, grid, 1.0) > bench.interpolate_at_nav(ecs, grid, 1.0))
+    crossover = bench.find_crossover(cat4, ecs, grid, (0.1, 1.2))
     ok = all(better) and all(worse) and 0.4 <= crossover <= 1.0
     assert report(
         3,
@@ -121,10 +124,11 @@ def test_criterion_4_fig2_strict_ordering():
     checks = [(nav, FIG2_CHAIN) for nav in (0.3, 0.5, 1.0, 1.5)] + [(2.0, FIG2_CHAIN_AT_2)]
     lines = []
     ok = True
+    grid = tuple(x / 20 for x in range(4, 61))
     for figure in ("fig2a", "fig2b"):
-        rows = sweep(figure, tuple(x / 20 for x in range(4, 61)))
+        by_label = dict(zip(FIG2_CHAIN, curves(figure, *FIG2_CHAIN)))
         for nav, chain in checks:
-            values = {fam: bench.interpolate_at_nav(rows, fam, nav) for fam in chain}
+            values = {fam: bench.interpolate_at_nav(by_label[fam], grid, nav) for fam in chain}
             strict = all(values[a] > values[b] for a, b in zip(chain, chain[1:]))
             ok = ok and strict
             lines.append(
@@ -136,9 +140,8 @@ def test_criterion_4_fig2_strict_ordering():
         # extended[N=4] state must sit mostly in its n = 4 sector
         worst_route = 0.0
         alphas = {}
-        for fam in FIG2_CHAIN:
-            curve, closed = bench._curve_from_rows(rows, fam, None)
-            alphas[fam] = alpha = bench._invert_nav(curve, closed, 2.0)
+        for fam, curve in by_label.items():
+            alphas[fam] = alpha = bench.alpha_solver(curve, grid)(2.0)
             f_closed = bench.closed_qfi(curve, alpha)
             nav_numeric, f_numeric = bench.numeric_point(curve, alpha)
             worst_route = max(
@@ -182,7 +185,7 @@ def test_criterion_5_phase_reference_identity():
 def test_criterion_6_generation_scheme():
     fidelities = {}
     for k in (0, 1, 2, 3):
-        built = synthesize_extended(1.0, k)
+        built = synthesize_heralded(1.0, k)[0]
         target = extended_entangled_state(2 ** (k + 1), 1.0, built.n_max)
         fidelities[k] = fidelity(built, target)
     ok = all(f >= 1 - 1e-10 for f in fidelities.values())
@@ -225,8 +228,10 @@ def test_criterion_7_loss_channel_spectra():
 def test_criterion_8_fig4_loss_comparison():
     grid = tuple(x / 10 for x in range(1, 31))
     rows = sweep("fig4", grid, transmissions=(0.9, 0.85))
-    d_mod = bench.interpolate_at_nav(rows, "modified", 1.5, transmission=0.9)
-    d_noon = bench.interpolate_at_nav(rows, "noon", 1.5, transmission=0.9)
+    mod_09, noon_09 = curves("fig4", "modified", "noon", transmission=0.9)
+    mod_085, noon_085 = curves("fig4", "modified", "noon", transmission=0.85)
+    d_mod = bench.interpolate_at_nav(mod_09, grid, 1.5)
+    d_noon = bench.interpolate_at_nav(noon_09, grid, 1.5)
     small_loss_ok = d_mod < d_noon
     mod_rows = [
         r for r in rows if r.family == "modified" and r.transmission == 0.85 and r.path == "closed_form"
@@ -241,8 +246,7 @@ def test_criterion_8_fig4_loss_comparison():
     noon_wins = [
         nav
         for nav in sampled
-        if bench.interpolate_at_nav(rows, "noon", nav, transmission=0.85)
-        < bench.interpolate_at_nav(rows, "modified", nav, transmission=0.85)
+        if bench.interpolate_at_nav(noon_085, grid, nav) < bench.interpolate_at_nav(mod_085, grid, nav)
     ]
     ok = small_loss_ok and len(noon_wins) > 0
     assert report(

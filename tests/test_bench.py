@@ -131,37 +131,50 @@ def test_sweep_config_validation():
 # ---------------------------------------------------------------------------
 
 
+def curve(figure, label, transmission=None):
+    """The one curve of `figure` named `label` (at `transmission` where the figure plots several)."""
+    (found,) = [
+        c
+        for c in bench.figure_curves(bench.default_config(figure))
+        if c.label == label and transmission in (None, c.transmission)
+    ]
+    return found
+
+
 def test_interpolate_exact_sample_matches_row():
-    rows = sweep("fig2a", (0.8, 1.0, 1.2))
-    target = next(r for r in rows if r.family == "ecs" and r.alpha == 1.0 and r.path == "closed_form")
-    got = bench.interpolate_at_nav(rows, "ecs", target.n_av)
+    grid = (0.8, 1.0, 1.2)
+    target = next(r for r in sweep("fig2a", grid) if r.family == "ecs" and r.alpha == 1.0 and r.path == "closed_form")
+    got = bench.interpolate_at_nav(curve("fig2a", "ecs"), grid, target.n_av)
     assert got == pytest.approx(target.delta_phi, abs=1e-12)
 
 
 def test_interpolate_ecs_known_point():
-    rows = sweep("fig2a", (0.8, 1.0, 1.2))
-    got = bench.interpolate_at_nav(rows, "ecs", 0.36552928931500245)
+    got = bench.interpolate_at_nav(curve("fig2a", "ecs"), (0.8, 1.0, 1.2), 0.36552928931500245)
     assert got == pytest.approx(1 / sqrt(2.3897876691314965), abs=1e-10)
 
 
 def test_interpolate_noon_analytic():
-    rows = sweep("fig2a", (1.5, 1.8, 2.0))
     # N_av = 1.5 -> n = 3 -> delta_phi = 1/3
-    assert bench.interpolate_at_nav(rows, "noon", 1.5) == pytest.approx(1 / 3, abs=1e-10)
+    assert bench.interpolate_at_nav(curve("fig2a", "noon"), (1.5, 1.8, 2.0), 1.5) == pytest.approx(1 / 3, abs=1e-10)
 
 
 def test_interpolate_out_of_range():
-    rows = sweep("fig2a", (0.8, 1.0))
     with pytest.raises(ValueError):
-        bench.interpolate_at_nav(rows, "ecs", 50.0)
+        bench.interpolate_at_nav(curve("fig2a", "ecs"), (0.8, 1.0), 50.0)
 
 
-def test_interpolate_ambiguous_family_needs_filter():
-    rows = sweep("fig4", (0.8, 1.0), transmissions=(0.9, 0.85))
-    with pytest.raises(ValueError):
-        bench.interpolate_at_nav(rows, "modified", 0.2)
-    value = bench.interpolate_at_nav(rows, "modified", 0.2, transmission=0.9)
-    assert value > 0
+def test_interpolate_nav_must_rise_over_the_grid():
+    with pytest.raises(ValueError, match="not monotone"):
+        bench.interpolate_at_nav(curve("fig2a", "ecs"), (1.0, 0.8), 0.3)
+
+
+def test_interpolate_lossy_curve():
+    # each fig4 curve carries its transmission: loss lowers the QFI at equal N_av
+    grid = (0.8, 1.0)
+    lossless = bench.interpolate_at_nav(curve("fig2b", "modified"), grid, 0.2)
+    assert lossless < bench.interpolate_at_nav(curve("fig4", "modified", 0.9), grid, 0.2) < (
+        bench.interpolate_at_nav(curve("fig4", "modified", 0.85), grid, 0.2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -169,40 +182,36 @@ def test_interpolate_ambiguous_family_needs_filter():
 # ---------------------------------------------------------------------------
 
 
-def fig1_rows():
-    return sweep("fig1", tuple(x / 20 for x in range(2, 45, 2)))
+FIG1_GRID = tuple(x / 20 for x in range(2, 45, 2))
 
 
 def test_crossover_identical_families_rejected():
-    rows = fig1_rows()
+    ecs = curve("fig1", "ecs")
     with pytest.raises(bench.ParameterError):
-        bench.find_crossover(rows, "ecs", "ecs", (0.3, 1.0))
+        bench.find_crossover(ecs, ecs, FIG1_GRID, (0.3, 1.0))
 
 
 @pytest.mark.parametrize("bracket", [(1.2, 0.1), (1.0, 0.2), (0.5, 0.5), (float("nan"), 1.0)])
 def test_crossover_rejects_bracket_not_increasing(bracket):
     # a reversed bracket used to skip the bisection and return its midpoint
     # (0.65 and 0.6 for the first two, where the crossing is at 0.6694)
-    rows = fig1_rows()
     with pytest.raises(bench.ParameterError):
-        bench.find_crossover(rows, "ecs", "cat4[b=a/4]", bracket)
+        bench.find_crossover(curve("fig1", "ecs"), curve("fig1", "cat4[b=a/4]"), FIG1_GRID, bracket)
 
 
 def test_crossover_cat4_quarter_vs_ecs():
-    rows = fig1_rows()
-    nav = bench.find_crossover(rows, "cat4[b=a/4]", "ecs", (0.1, 1.2))
+    nav = bench.find_crossover(curve("fig1", "cat4[b=a/4]"), curve("fig1", "ecs"), FIG1_GRID, (0.1, 1.2))
     assert 0.4 <= nav <= 1.0
 
 
 def test_crossover_modified_never_beats_ecs_backwards():
     # modified is strictly better than the ECS over N_av in [1, 3]: no root
-    rows = sweep("fig2a", tuple(x / 10 for x in range(8, 31, 2)))
+    grid = tuple(x / 10 for x in range(8, 31, 2))
+    modified, ecs = curve("fig2a", "modified"), curve("fig2a", "ecs")
     for nav in (1.0, 1.5, 2.0, 2.5, 3.0):
-        assert bench.interpolate_at_nav(rows, "modified", nav) < bench.interpolate_at_nav(
-            rows, "ecs", nav
-        )
+        assert bench.interpolate_at_nav(modified, grid, nav) < bench.interpolate_at_nav(ecs, grid, nav)
     with pytest.raises(ValueError):
-        bench.find_crossover(rows, "modified", "ecs", (1.0, 3.0))
+        bench.find_crossover(modified, ecs, grid, (1.0, 3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ from catqfi.channels import (
     SpectralState,
     _loss_coeff_table,
     _loss_dense,
-    cps_round,
     cps_round_outcome,
     from_pure,
     loss_channel,
     noon_mixture_to_spectral,
     phase_average,
-    synthesize_extended,
+    synthesize_heralded,
     to_noon_mixture,
 )
 from catqfi.fock import (
@@ -330,7 +329,7 @@ def test_cps_zero_phase_is_identity():
 
 def test_cps_vacuum_fixed_point():
     vac = product_state(coherent(0.0, 12), coherent(0.0, 12))
-    out = cps_round(vac, 1.1)
+    out = cps_round_outcome(vac, 1.1).state
     assert abs(out.amps[0, 0] - 1.0) < 1e-14
 
 
@@ -342,7 +341,7 @@ def test_cps_round_heralds_four_headed_cat():
     amps[:, 0] += plus
     amps[0, :] += plus
     state = TwoModeState(amps).normalize()
-    out = cps_round(state, pi / 2)
+    out = cps_round_outcome(state, pi / 2).state
     target = extended_entangled_state(4, alpha, n_max)
     assert fidelity(out, target) > 1 - 1e-10
 
@@ -351,18 +350,18 @@ def test_cps_zero_norm_branch():
     amps = np.zeros((9, 9), dtype=complex)
     amps[1, 0] = 1.0  # single photon in mode a
     with pytest.raises(ValueError):
-        cps_round(TwoModeState(amps), pi)
+        cps_round_outcome(TwoModeState(amps), pi)
 
 
 def test_synthesize_matches_cat_built_target():
     for k in (0, 1, 2):
-        built = synthesize_extended(1.0, k)
+        built = synthesize_heralded(1.0, k)[0]
         target = extended_entangled_state(2 ** (k + 1), 1.0, built.n_max)
         assert fidelity(built, target) > 1 - 1e-10
 
 
 def test_synthesize_herald_probabilities_in_range():
-    state = synthesize_extended(0.8, 0)
+    state = synthesize_heralded(0.8, 0)[0]
     outcome = cps_round_outcome(state, pi / 2)
     assert 0 < outcome.herald_prob_a <= 1
     assert 0 < outcome.herald_prob_b <= 1
@@ -373,6 +372,6 @@ def test_synthesize_herald_probabilities_in_range():
 
 def test_synthesize_validates_arguments():
     with pytest.raises(ValueError):
-        synthesize_extended(1.0, -1)
+        synthesize_heralded(1.0, -1)
     with pytest.raises(ValueError):
-        synthesize_extended(0.0, 1)
+        synthesize_heralded(0.0, 1)

@@ -1,6 +1,7 @@
 """CLI surface tests: commands, output encodings, exit codes."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -232,6 +233,36 @@ def test_qfi_command_phase_averaged_coherent():
         payload = json.loads(result.output)
         assert payload["qfi_closed_form"] is None
         assert payload["qfi_numeric"] == pytest.approx(t * 1.3**2, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "n_components, alpha, extra",
+    [("32", "5", ()), ("32", "5", ("--phase-averaged",)), ("32", "5", ("--transmission", "0.9")), ("64", "7", ())],
+)
+def test_qfi_many_heads_at_large_alpha_both_routes(n_components, alpha, extra):
+    # the cat support comes in steps of N, so the grid 0..95 at alpha = 5
+    # ends on a support point (64) whose weight is above TAIL_TOL; the mass
+    # actually dropped starts at 96
+    result = invoke("qfi", "--family", "extended", "--n-components", n_components, "--alpha", alpha, *extra)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["qfi_numeric"] == pytest.approx(payload["qfi_closed_form"], rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["ecs", "coherent", "noon"])
+def test_qfi_grid_beyond_limit_exit_three(family):
+    t0 = time.perf_counter()
+    result = invoke("qfi", "--family", family, "--alpha", "1e6" if family != "noon" else "1000")
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 3, result.output
+    assert "grid limit" in result.output
+
+
+def test_state_n_max_beyond_limit_exit_two():
+    t0 = time.perf_counter()
+    result = invoke("state", "--family", "coherent", "--alpha", "1", "--n-max", "2001")
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 2, result.output
 
 
 def test_qfi_option_the_family_does_not_take_exit_two():

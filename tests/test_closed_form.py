@@ -5,7 +5,7 @@ from math import cos, exp, fsum, lgamma, log, sqrt
 import pytest
 
 from catqfi import closed_form as cf
-from catqfi.channels import LossSpec, loss_channel, phase_average, synthesize_extended, to_noon_mixture
+from catqfi.channels import LossSpec, loss_channel, phase_average, synthesize_heralded, to_noon_mixture
 from catqfi.fock import CutoffError, beam_splitter_5050, CatSpec, cat_state, coherent, extended_entangled_state, number_moment
 from catqfi.qfi import qfi_pure
 
@@ -125,7 +125,7 @@ def test_modified_moments_unit_intensity():
 
 def test_modified_qfi_matches_synthesized_state():
     for alpha in (0.7, 1.0):
-        state = synthesize_extended(alpha, 0)
+        state = synthesize_heralded(alpha, 0)[0]
         assert cf.moment_qfi(cf.modified_moments(alpha)) == pytest.approx(
             qfi_pure(state, "one_mode_b"), rel=1e-9
         )

@@ -4,6 +4,7 @@ Expected values are produced by test-local oracles (direct series sums,
 coherent-state algebra) rather than by the functions under test.
 """
 
+import time
 from math import cos, exp, factorial, fsum, lgamma, log, pi, sqrt
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from catqfi import closed_form as cf
 from catqfi.fock import (
+    N_MAX_LIMIT,
     CatSpec,
     CutoffError,
     FockVector,
@@ -23,6 +25,7 @@ from catqfi.fock import (
     noon_state,
     number_moment,
     phase_shift,
+    default_cutoff,
     product_state,
     truncation_bound,
 )
@@ -83,12 +86,12 @@ def test_norm_after_normalize():
 def test_truncation_bound_floor():
     assert truncation_bound(0.0) == 32
     # Poisson(1) crosses 1e-12 at n = 14, below the floor
-    assert truncation_bound(1.0, 1e-12) == 32
+    assert truncation_bound(1.0) == 32
 
 
 def test_truncation_bound_tail_oracle():
     for alpha in (2.0, 3.0):
-        bound = truncation_bound(alpha, 1e-12)
+        bound = truncation_bound(alpha)
         lam = alpha * alpha
         assert poisson_tail(bound, lam) <= 1e-12
         if bound > 32:
@@ -98,6 +101,23 @@ def test_truncation_bound_tail_oracle():
 def test_truncation_bound_monotone():
     assert truncation_bound(2.0) >= truncation_bound(1.0)
     assert truncation_bound(3.0) >= truncation_bound(2.0)
+
+
+@pytest.mark.parametrize("alpha", [45.0, 1000.0, 1e6])
+def test_cutoff_beyond_grid_limit_raises_before_allocating(alpha):
+    # default_cutoff(1000) would be 1,010,020: a two-mode grid of ~15,200 GiB
+    t0 = time.perf_counter()
+    with pytest.raises(CutoffError, match="grid limit"):
+        default_cutoff(alpha)
+    with pytest.raises(CutoffError, match="grid limit"):
+        truncation_bound(alpha)
+    assert time.perf_counter() - t0 < 1.0
+    assert default_cutoff(39.0) <= N_MAX_LIMIT
+
+
+def test_noon_state_beyond_grid_limit_raises():
+    with pytest.raises(CutoffError, match="grid limit"):
+        noon_state(N_MAX_LIMIT + 1, N_MAX_LIMIT + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +166,24 @@ def test_cat_equals_coherent_superposition():
     total /= np.linalg.norm(total)
     cat = cat_state(CatSpec(N, alpha), 40)
     assert abs(np.vdot(total, cat.amps)) ** 2 > 1 - 1e-12
+
+
+@pytest.mark.parametrize("n_components, alpha", [(32, 5.0), (64, 7.0)])
+def test_cat_tail_check_weighs_the_first_point_past_the_grid(n_components, alpha):
+    # the support comes in steps of N: at N = 32, alpha = 5 the grid 0..95 keeps
+    # 0, 32, 64 and drops 96 onwards, whose weight is far below TAIL_TOL
+    n_max = default_cutoff(alpha)
+    vec = cat_state(CatSpec(n_components, alpha), n_max)
+    first_dropped = (n_max // n_components + 1) * n_components
+    dropped = exp(-alpha * alpha + first_dropped * log(alpha * alpha) - lgamma(first_dropped + 1))
+    assert dropped < 1e-12 * exp(-alpha * alpha)
+    assert vec.norm_sq() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n_components, alpha, n_max", [(32, 5.0, 63), (32, 5.0, 40), (2, 3.0, 10), (4, 2.0, 13)])
+def test_cat_cutoff_too_small(n_components, alpha, n_max):
+    with pytest.raises(CutoffError):
+        cat_state(CatSpec(n_components, alpha), n_max)
 
 
 def test_cat_mean_photon_two_routes():
@@ -200,6 +238,19 @@ def test_beam_splitter_coherent_branches():
 def test_beam_splitter_dimension_mismatch():
     with pytest.raises(ValueError):
         beam_splitter_5050(coherent(0.3, 16), coherent(0.3, 20))
+
+
+def test_beam_splitter_corner_truncation_raises():
+    # both inputs pass their own tail check at n_max = 28, but the output
+    # sectors n > 28 spill 4.7e-8 of the norm past the grid corner
+    n_max = 28
+    cat = cat_state(CatSpec(4, 3 / sqrt(2)), n_max)
+    coh = coherent(3 / sqrt(2), n_max)
+    with pytest.raises(CutoffError, match="grid corner"):
+        beam_splitter_5050(cat, coh)
+    wide = default_cutoff(3 / sqrt(2))
+    out = beam_splitter_5050(cat_state(CatSpec(4, 3 / sqrt(2)), wide), coherent(3 / sqrt(2), wide))
+    assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_beam_splitter_preserves_sector_masses():
