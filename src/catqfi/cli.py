@@ -42,7 +42,7 @@ def numeric_guard(fn):
             return fn(*args, **kwargs)
         except bench.ParameterError as exc:
             raise click.UsageError(str(exc)) from exc
-        except (CutoffError, ArithmeticError, ValueError) as exc:
+        except (CutoffError, ArithmeticError, ValueError, MemoryError) as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(3)
 
@@ -158,6 +158,11 @@ def sweep(figure, out, fmt, alpha_min, alpha_max, alpha_step):
         lo = alpha_min if alpha_min is not None else cfg.alpha_grid[0]
         hi = alpha_max if alpha_max is not None else cfg.alpha_grid[-1]
         step = alpha_step if alpha_step is not None else 0.05
+        bench.check_amplitude("--alpha-min", lo)
+        bench.check_amplitude("--alpha-max", hi)
+        bench.check_amplitude("--alpha-step", step, positive=True)
+        if lo > hi:
+            raise click.UsageError(f"--alpha-min {lo} exceeds --alpha-max {hi}")
         grid = tuple(np.round(np.arange(lo, hi + 1e-9, step), 10))
         cfg = replace(cfg, alpha_grid=grid)
     rows = bench.run_sweep(cfg)

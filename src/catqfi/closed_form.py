@@ -65,6 +65,8 @@ def _cat_series(n_components: int, x: float, order: int = 0) -> float:
         total += term * (m_idx**order if order else 1.0)
         if term * max(m_idx**order, 1) < _SERIES_RTOL * abs(total):
             return total
+        if term == 0.0 and m_idx > x:  # underflowed past the peak: every later term is 0 too
+            return total
     raise ArithmeticError("cat series failed to converge within 5000 terms")
 
 

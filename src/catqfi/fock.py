@@ -10,17 +10,23 @@ Conventions fixed here and relied on everywhere else:
   * the 50:50 beam splitter maps coherent amplitudes
         (g_a, g_b)  ->  ((g_a+g_b)/sqrt(2), (g_b-g_a)/sqrt(2))
   * the phase shifter on a mode multiplies amplitudes by e^{i*phi*n}
+
+The beam splitter conserves total photon number, so it acts on each
+sector n = n_a + n_b as an (n+1) x (n+1) real orthogonal block.  The block
+is exp(pi/4 * G) for the real antisymmetric tridiagonal generator
+G = a^dag b - a b^dag; the similarity diag(i^k) turns i*G into a real
+symmetric tridiagonal matrix, whose eigendecomposition (numpy.linalg.eigh)
+gives the block exactly.  Blocks up to a fixed byte budget are cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, lgamma, log, pi, sqrt
+from itertools import accumulate
+from math import ceil, exp, lgamma, log, pi, sqrt
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammainc
 
 TAIL_TOL = 1e-12
 N_MAX_LIMIT = 2000  # largest cutoff per mode: a complex (n_max+1)^2 grid of 64 MB
@@ -100,8 +106,9 @@ def _check_grid_size(n_max: int) -> None:
 def truncation_bound(alpha_abs: float) -> int:
     """Smallest n_max with Poisson(|alpha|^2) mass above n_max <= TAIL_TOL, floored at 32.
 
-    P(X > n) for X ~ Poisson(lam) equals the regularized lower incomplete
-    gamma function P(n+1, lam).
+    The pmf is built from k = floor(lam)+1 on (started in log space, then
+    by the ratio lam/k) until the rest of the tail lies far below TAIL_TOL's
+    last bit; the tails P(X > n) are summed smallest terms first.
     """
     if alpha_abs < 0:
         raise ValueError("alpha_abs must be >= 0")
@@ -110,11 +117,14 @@ def truncation_bound(alpha_abs: float) -> int:
         return 32
     n = int(lam)
     _check_grid_size(n)
-    while gammainc(n + 1, lam) > TAIL_TOL:
-        n += 1
-        if n > lam + 200 * sqrt(lam) + 2000:
-            raise CutoffError("Poisson tail scan failed to converge")
-    return max(n, 32)
+    pmf = [exp(-lam + (n + 1) * log(lam) - lgamma(n + 2))]
+    while pmf[-1] > TAIL_TOL * 1e-17:
+        pmf.append(pmf[-1] * lam / (n + 1 + len(pmf)))
+    tails = list(accumulate(reversed(pmf)))[::-1]  # tails[i] = P(X > n + i)
+    for i, tail in enumerate(tails):
+        if tail <= TAIL_TOL:
+            return max(n + i, 32)
+    raise CutoffError("Poisson tail scan failed to converge")
 
 
 def default_cutoff(alpha_abs: float) -> int:
@@ -183,24 +193,36 @@ def product_state(a: FockVector, b: FockVector) -> TwoModeState:
     return TwoModeState(np.outer(a.amps, b.amps))
 
 
-@lru_cache(maxsize=512)
-def _bs_sector_unitary(n: int) -> np.ndarray:
-    """50:50 beam-splitter block on the total-photon-number-n sector.
+# blocks of sectors 0.._BS_CACHED_MAX take sum (n+1)^2 * 8 bytes <= _BS_CACHE_BYTES
+_BS_CACHE_BYTES = 64 * 2**20
+_BS_CACHED_MAX = 291
 
-    exp(theta*(a^dag b - a b^dag)) restricted to span{|k, n-k>} is the
-    exponential of a real antisymmetric tridiagonal generator; i*G is made
-    real symmetric by the diagonal similarity diag(i^k), so the block is
-    built from an exact tridiagonal eigendecomposition.
+
+def _bs_sector_unitary(n: int) -> np.ndarray:
+    """50:50 beam-splitter block on the total-photon-number-n sector (read only).
+
+    Blocks up to _BS_CACHED_MAX are cached; larger ones are built per call.
     """
+    return _bs_cached_block(n) if n <= _BS_CACHED_MAX else _bs_block(n)
+
+
+def _bs_block(n: int) -> np.ndarray:
+    """exp(pi/4 * G) on span{|k, n-k>}, G = a^dag b - a b^dag (see the module docstring)."""
     if n == 0:
-        return np.ones((1, 1))
-    k = np.arange(n)
-    off = np.sqrt((k + 1.0) * (n - k))  # <k+1|G|k> with G = a^dag b - a b^dag
-    w, v = eigh_tridiagonal(np.zeros(n + 1), off)
-    d = 1j ** np.arange(n + 1)
-    # U = D V exp(-i*theta*w) V^T D^dag, theta = pi/4; result is real orthogonal
-    u = (d[:, None] * v) @ (np.exp(-1j * (pi / 4) * w)[:, None] * (v.T * d.conj()[None, :]))
-    return np.ascontiguousarray(u.real)
+        u = np.ones((1, 1))
+    else:
+        k = np.arange(n)
+        off = np.sqrt((k + 1.0) * (n - k))  # <k+1|G|k> with G = a^dag b - a b^dag
+        w, v = np.linalg.eigh(np.diag(off, -1))
+        d = 1j ** np.arange(n + 1)
+        # U = D V exp(-i*theta*w) V^T D^dag; result is real orthogonal
+        u = (d[:, None] * v) @ (np.exp(-1j * (pi / 4) * w)[:, None] * (v.T * d.conj()[None, :]))
+        u = np.ascontiguousarray(u.real)
+    u.setflags(write=False)
+    return u
+
+
+_bs_cached_block = lru_cache(maxsize=None)(_bs_block)
 
 
 def beam_splitter_5050(a: FockVector, b: FockVector) -> TwoModeState:

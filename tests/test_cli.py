@@ -6,7 +6,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from catqfi import bench
+from catqfi import bench, fock
 from catqfi.cli import main
 
 runner = CliRunner()
@@ -195,6 +195,26 @@ def test_numeric_failure_exit_three():
     assert "numeric failure" in result.output
 
 
+def test_out_of_memory_exit_three(monkeypatch):
+    def no_memory(n):
+        raise MemoryError("Unable to allocate a sector block")
+
+    monkeypatch.setattr(fock, "_bs_sector_unitary", no_memory)
+    result = invoke("qfi", "--family", "cat4", "--alpha", "1.0")
+    assert result.exit_code == 3, result.output
+    assert "numeric failure: Unable to allocate a sector block" in result.output
+
+
+def test_qfi_a_million_heads_ends_in_under_five_seconds():
+    # the cat support 0, 10^6, ... leaves only the vacuum at alpha = 2: F = 0 by both routes
+    t0 = time.perf_counter()
+    result = invoke("qfi", "--family", "extended", "--n-components", "1000000", "--alpha", "2")
+    assert time.perf_counter() - t0 < 5.0
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["qfi_closed_form"] == payload["qfi_numeric"] == 0.0
+
+
 # every (family, variant) the family table declares, at one alpha, with the
 # phase-averaged variant both lossless and lossy; a family added to the table
 # is covered here without a new test
@@ -300,6 +320,13 @@ def test_state_cat_zero_components_exit_two():
         ("state", "--family", "noon", "--alpha", "1.5"),
         ("state", "--family", "coherent", "--alpha", "1", "--n-max", "-1"),
         ("synthesize", "--alpha", "0", "-k", "1"),
+        ("sweep", "--figure", "fig2a", "--alpha-step", "0"),
+        ("sweep", "--figure", "fig2a", "--alpha-step", "-0.1"),
+        ("sweep", "--figure", "fig2a", "--alpha-step", "inf"),
+        ("sweep", "--figure", "fig2a", "--alpha-min", "nan"),
+        ("sweep", "--figure", "fig2a", "--alpha-max", "inf"),
+        ("sweep", "--figure", "fig2a", "--alpha-min", "-1", "--alpha-max", "0.2"),
+        ("sweep", "--figure", "fig2a", "--alpha-min", "2", "--alpha-max", "1"),
     ],
 )
 def test_argument_outside_family_domain_exit_two(argv):

@@ -1,5 +1,6 @@
 """Closed-form module tests against series oracles and the grid pipeline."""
 
+import time
 from math import cos, exp, fsum, lgamma, log, sqrt
 
 import pytest
@@ -47,6 +48,15 @@ def test_k_sum_matches_direct_series():
             assert cf.k_sum(n_comp, alpha) == pytest.approx(
                 series_k_oracle(n_comp, alpha), rel=1e-14
             )
+
+
+def test_cat_series_stops_when_the_first_term_underflows():
+    # 4^10000/10000! underflows to 0, so the running sum never grows; the
+    # series used to run all 5000 x N inner steps and raise
+    t0 = time.perf_counter()
+    assert cf._cat_series(10**4, 4.0, 2) == 0.0
+    assert cf._cat_series(10**4, 4.0, 0) == 1.0
+    assert time.perf_counter() - t0 < 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,18 @@ Expected values are produced by test-local oracles (direct series sums,
 coherent-state algebra) rather than by the functions under test.
 """
 
+import os
+import subprocess
+import sys
 import time
 from math import cos, exp, factorial, fsum, lgamma, log, pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from catqfi import closed_form as cf
+from catqfi import fock
 from catqfi.fock import (
     N_MAX_LIMIT,
     CatSpec,
@@ -96,6 +101,22 @@ def test_truncation_bound_tail_oracle():
         assert poisson_tail(bound, lam) <= 1e-12
         if bound > 32:
             assert poisson_tail(bound - 1, lam) > 1e-12
+
+
+@pytest.mark.parametrize(
+    "alphas",
+    [np.sqrt(np.arange(1991)), np.arange(1001) / 100],
+    ids=["sqrt_k_to_1990", "grid_0.01_to_10"],
+)
+def test_truncation_bound_matches_tail_oracle_everywhere(alphas):
+    for alpha in alphas:
+        bound, lam = truncation_bound(alpha), alpha * alpha
+        if lam == 0.0:
+            assert bound == 32
+            continue
+        assert poisson_tail(bound, lam) <= 1e-12, alpha
+        if bound > 32:
+            assert poisson_tail(bound - 1, lam) > 1e-12, alpha
 
 
 def test_truncation_bound_monotone():
@@ -217,6 +238,46 @@ def test_cat_is_nth_order_annihilation_eigenstate():
 # ---------------------------------------------------------------------------
 # beam splitter
 # ---------------------------------------------------------------------------
+
+
+def _bs_block_tridiagonal_reference(n: int) -> np.ndarray:
+    """The sector block from scipy's tridiagonal eigensolver, the construction numpy's eigh replaced."""
+    from scipy.linalg import eigh_tridiagonal
+
+    if n == 0:
+        return np.ones((1, 1))
+    k = np.arange(n)
+    w, v = eigh_tridiagonal(np.zeros(n + 1), np.sqrt((k + 1.0) * (n - k)))
+    d = 1j ** np.arange(n + 1)
+    u = (d[:, None] * v) @ (np.exp(-1j * (pi / 4) * w)[:, None] * (v.T * d.conj()[None, :]))
+    return u.real
+
+
+def test_bs_blocks_match_tridiagonal_reference():
+    pytest.importorskip("scipy")
+    for n in range(261):
+        block = fock._bs_block(n)
+        assert np.max(np.abs(block - _bs_block_tridiagonal_reference(n))) <= 1e-14, n
+        assert not block.flags.writeable
+
+
+def test_bs_block_cache_is_bounded_in_bytes(monkeypatch):
+    cached_bytes = sum((n + 1) ** 2 * 8 for n in range(fock._BS_CACHED_MAX + 1))
+    assert cached_bytes <= fock._BS_CACHE_BYTES <= 64 * 2**20
+    # past the cached range a block is built per call and not kept
+    monkeypatch.setattr(fock, "_BS_CACHED_MAX", 3)
+    fock._bs_cached_block.cache_clear()
+    for n in range(6):
+        fock._bs_sector_unitary(n)
+    assert fock._bs_cached_block.cache_info().currsize == 4
+    assert np.array_equal(fock._bs_sector_unitary(5), fock._bs_block(5))
+
+
+def test_import_loads_neither_scipy_nor_numpy_ma():
+    code = "import sys, catqfi.cli; print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(fock.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_beam_splitter_vacuum():
