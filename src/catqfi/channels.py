@@ -13,20 +13,28 @@ K_k|n> = sqrt(C(n,k) R^k T^{n-k}) |n-k>; the two-mode channel applies it
 independently per mode.  Completeness of the binomial sum makes the
 channel exactly trace preserving on the truncated grid.
 
+A `SpectralState` may hold a batch of states, its points: every block
+carries the index of the point it belongs to, and the grid is that of the
+largest cutoff in the batch.  `phase_average` of a sequence of pure states
+builds such a batch, and `loss_channel` and `qfi.qfi_mixed` act on each
+point as if it were alone, so one pass of numpy kernels serves a whole
+chunk of a curve's alpha grid.  Sectors are then keyed (point, n).
+
 `loss_channel` has two routes with the same operator-sum semantics; the
 test suite cross-checks them:
 
 * sector blocks: every block lies in one sector (any `phase_average`
   output, a noon state).  The kernel works on the nonzero density elements
-  (n, k, k') with k = n_a: losing j photons from mode a maps one to
-  (n-j, k-j, k'-j), losing l from mode b maps it to (n-l, k, k').  Each
-  output sector is diagonalized on its support, in batches of equal support
-  size.  Every sweep row, `verify` and the CLI take this route.
+  (point, n, k, k') with k = n_a: losing j photons from mode a maps one to
+  (point, n-j, k-j, k'-j), losing l from mode b maps it to
+  (point, n-l, k, k').  Each output sector is diagonalized on its support,
+  in batches of equal support size.  Every sweep row, `verify` and the CLI
+  take this route.
 * dense: the full operator sum over the cells the Kraus branches touch and
-  one eigendecomposition, returned as one block.  It serves states that were
-  not phase averaged (random or pure states, loss applied before averaging),
-  which only the tests and the benchmark's loss-before-averaging reference
-  pass in.
+  one eigendecomposition, returned as one block.  It serves one state that
+  was not phase averaged (random or pure states, loss applied before
+  averaging), which only the tests and the benchmark's
+  loss-before-averaging reference pass in.
 
 `synthesize_heralded` is the one CPS synthesis loop (`catqfi synthesize`).
 """
@@ -73,13 +81,19 @@ class BlockStack:
 
     Block b spans the grid cells |na[b, i], nb[b, i]> (na, nb: (B, m));
     weights[b] (r,) are its eigenvalues and the columns of vecs[b] (m, r) its
-    orthonormal eigenvectors restricted to those cells.
+    orthonormal eigenvectors restricted to those cells.  point[b] is the
+    batch state the block belongs to (all 0 when omitted).
     """
 
     na: np.ndarray
     nb: np.ndarray
     weights: np.ndarray
     vecs: np.ndarray
+    point: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.point is None:
+            object.__setattr__(self, "point", np.zeros(len(self.na), dtype=int))
 
     @property
     def sectors(self) -> np.ndarray | None:
@@ -109,11 +123,13 @@ class _Terms(Sequence):
 class SpectralState:
     """Mixed two-mode state as eigenpairs per block, the blocks stacked by shape.
 
-    The blocks' supports are pairwise disjoint.
+    A batch of `points` states when points > 1; n_max is the largest cutoff
+    in the batch.  The supports of one point's blocks are pairwise disjoint.
     """
 
     n_max: int
     stacks: tuple
+    points: int = 1
 
     @property
     def terms(self) -> Sequence:
@@ -123,8 +139,17 @@ class SpectralState:
     def trace(self) -> float:
         return float(sum(st.weights.sum() for st in self.stacks))
 
+    def point_traces(self) -> np.ndarray:
+        """The trace of each point of the batch: (points,)."""
+        traces = np.zeros(self.points)
+        for st in self.stacks:
+            traces += np.bincount(st.point, st.weights.sum(axis=1), self.points)
+        return traces
+
     def to_dense(self) -> np.ndarray:
-        """Density matrix on the flattened grid basis, for comparisons."""
+        """Density matrix on the flattened grid basis of a one-point state, for comparisons."""
+        if self.points != 1:
+            raise ValueError(f"to_dense takes one point, got a batch of {self.points}")
         dim = (self.n_max + 1) ** 2
         rho = np.zeros((dim, dim), dtype=complex)
         for st in self.stacks:
@@ -188,82 +213,125 @@ def noon_mixture_to_spectral(mix: NoonMixture, n_max: int) -> SpectralState:
     return SpectralState(n_max, tuple(stacks))
 
 
-def phase_average(s: TwoModeState | SpectralState) -> SpectralState:
+def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> SpectralState:
     """Erase coherences between total-photon-number sectors (Eq.-(3) dephasing).
 
     Uniform averaging of a common phase on both modes keeps exactly the
     block-diagonal part with respect to n_a + n_b, so the output is one
     block per sector; pure inputs need no diagonalization (each sector
-    projection is already an eigenvector).
+    projection is already an eigenvector).  A sequence of pure states, which
+    may differ in cutoff, is averaged as one batch with a point per state.
     """
     if isinstance(s, SpectralState):
-        return _sector_state(*_sector_elements(s.stacks), s.n_max)
+        return _sector_state(*_sector_elements(s.stacks, s.n_max), s.n_max, s.points)
+    batch = [s] if isinstance(s, TwoModeState) else list(s)
+    n_max = max(st.n_max for st in batch)
+    n_sec = 2 * n_max + 1
     # sector weights of a pure state are exact slice norms: keep them all,
     # however small, so that feeble high-n sectors stay verifiable
-    p = np.abs(s.amps) ** 2
-    na, nb = np.nonzero(p)
-    n = na + nb
-    order = np.lexsort((na, n))
-    na, nb, n = na[order], nb[order], n[order]
-    weights = np.bincount(n, p[na, nb])
-    m_of = np.bincount(n)
+    cells = [np.nonzero(np.abs(st.amps) ** 2) for st in batch]
+    point = np.repeat(np.arange(len(batch)), [na.size for na, _ in cells])
+    na = np.concatenate([na for na, _ in cells])
+    nb = np.concatenate([nb for _, nb in cells])
+    amps = np.concatenate([st.amps[c] for st, c in zip(batch, cells)])
+    sec = point * n_sec + na + nb  # sector (point, n)
+    order = np.lexsort((na, sec))
+    na, nb, sec, amps = na[order], nb[order], sec[order], amps[order]
+    weights = np.bincount(sec, np.abs(amps) ** 2)
+    m_of = np.bincount(sec)
     stacks = []
     for m in _positive_values(m_of):
-        cells = m_of[n] == m
-        ka, kb = na[cells].reshape(-1, m), nb[cells].reshape(-1, m)
-        w = weights[ka[:, 0] + kb[:, 0]]
-        vecs = s.amps[ka, kb] / np.sqrt(w)[:, None]
-        stacks.append(BlockStack(ka, kb, w[:, None], vecs[:, :, None]))
-    return SpectralState(s.n_max, tuple(stacks))
+        in_m = m_of[sec] == m
+        ka, kb = na[in_m].reshape(-1, m), nb[in_m].reshape(-1, m)
+        block_sec = sec[in_m][::m]
+        w = weights[block_sec]
+        vecs = amps[in_m].reshape(-1, m) / np.sqrt(w)[:, None]
+        stacks.append(BlockStack(ka, kb, w[:, None], vecs[:, :, None], block_sec // n_sec))
+    return SpectralState(n_max, tuple(stacks), len(batch))
 
 
-def _sector_elements(stacks) -> list:
-    """Elements (n, k, k', value) = <k, n-k|rho|k', n-k'> of rho's sector-diagonal part (k = n_a).
+def _sector_elements(stacks, n_max: int) -> list:
+    """Elements (sector, k, k', value) = <k, n-k|rho|k', n-k'> of rho's sector-diagonal part (k = n_a).
 
-    Only nonzero elements are listed.
+    The sector (point, n) is keyed point * (2 n_max + 1) + n.  Only nonzero
+    elements are listed.
     """
     parts = []
     for st in stacks:
         rho = _block_densities(st)
         n = st.na + st.nb
         b, i, j = np.nonzero((n[:, :, None] == n[:, None, :]) & (rho != 0))
-        parts.append((n[b, i], st.na[b, i], st.na[b, j], rho[b, i, j]))
+        parts.append((st.point[b] * (2 * n_max + 1) + n[b, i], st.na[b, i], st.na[b, j], rho[b, i, j]))
     if not parts:
         return [np.zeros(0, int)] * 3 + [np.zeros(0, complex)]
     return [np.concatenate(p) for p in zip(*parts)]
 
 
-def _sector_state(n, k, kp, val, n_max: int) -> SpectralState:
+def _cell_positions(sec, k, kp, val, n_max: int, points: int):
+    """The occupied cells, and each element's ket and bra cells as positions among them.
+
+    A cell (point, n, k) is occupied where its summed diagonal is positive;
+    `occupied` holds the keys (point * (2 n_max + 1) + n) * (n_max + 1) + k
+    ascending, so grouped by sector.  inside marks the elements whose two
+    cells are both occupied.  The cells are indexed densely only where the
+    (points x sectors x cells) box is no larger than the element list, so
+    memory follows the elements.
+    """
+    size = n_max + 1
+    cell, cell_p = sec * size + k, sec * size + kp
+    diag = k == kp
+    box = points * (2 * n_max + 1) * size
+    if box <= cell.size:
+        occupied = np.flatnonzero(np.bincount(cell[diag], val[diag].real, box) > 0)
+        index = np.full(box, -1)
+        index[occupied] = np.arange(occupied.size)
+        i, j = index[cell], index[cell_p]
+        return occupied, i, j, (i >= 0) & (j >= 0)
+    keys, where = np.unique(cell[diag], return_inverse=True)
+    occupied = keys[np.bincount(where, val[diag].real, keys.size) > 0]
+    i, j = np.searchsorted(occupied, cell), np.searchsorted(occupied, cell_p)
+    inside = (i < occupied.size) & (j < occupied.size)
+    inside[inside] = (occupied[i[inside]] == cell[inside]) & (occupied[j[inside]] == cell_p[inside])
+    return occupied, i, j, inside
+
+
+def _sector_state(sec, k, kp, val, n_max: int, points: int) -> SpectralState:
     """Block form of a sector-diagonal density given by its elements (repeated ones add).
 
     Each sector's support is the cells with a nonzero diagonal; its block is
     diagonalized there, in batches of sectors with equal support size.
     """
-    size, n_sec = n_max + 1, 2 * n_max + 1
-    diag = k == kp
-    occupied = np.bincount(n[diag] * size + k[diag], val[diag].real, n_sec * size).reshape(n_sec, size) > 0
-    inside = occupied[n, k] & occupied[n, kp]
-    n, k, kp, val = n[inside], k[inside], kp[inside], val[inside]
-    m_of = occupied.sum(axis=1)
-    m_max = int(m_of.max(initial=0))
-    local = np.cumsum(occupied, axis=1) - 1  # position of cell k in its sector's support
-    flat = (n * m_max + local[n, k]) * m_max + local[n, kp]
-    length = n_sec * m_max * m_max
-    padded = (np.bincount(flat, val.real, length) + 1j * np.bincount(flat, val.imag, length)).reshape(
-        n_sec, m_max, m_max
-    )
+    size = n_max + 1
+    occupied, i, j, inside = _cell_positions(sec, k, kp, val, n_max, points)
+    i, j, val = i[inside], j[inside], val[inside]
+    occ_sec, occ_k = np.divmod(occupied, size)
+    first = np.flatnonzero(np.diff(occ_sec, prepend=-1))  # each sector's first occupied cell
+    m_of = np.diff(first, append=occupied.size)
+    block = np.repeat(np.arange(first.size), m_of)  # sector ordinal of each occupied cell
+    local = np.arange(occupied.size) - first[block]  # position of the cell in its sector's support
+    # the sectors' (m, m) blocks laid end to end, grouped by m and ascending within a group
+    order = np.argsort(m_of, kind="stable")
+    start = np.empty_like(m_of)
+    start[order] = np.cumsum(m_of[order] ** 2) - m_of[order] ** 2
+    row = start[block] + local * m_of[block]  # where each occupied cell's row of its block starts
+    flat = row[i] + local[j]
+    length = int(np.sum(m_of**2))
+    blocks = np.bincount(flat, val.real, length) + 1j * np.bincount(flat, val.imag, length)
     stacks = []
     for m in _positive_values(m_of):
-        sectors = np.flatnonzero(m_of == m)
-        batch = padded[sectors, :m, :m]
+        in_m = np.flatnonzero(m_of == m)
+        batch = blocks[start[in_m[0]] : start[in_m[0]] + in_m.size * m * m].reshape(-1, m, m)
         vals, vecs = np.linalg.eigh(batch)
         # eigh sorts ascending, so the kept eigenvalues are each block's largest
         rank = np.sum(vals > BLOCK_FLOOR * np.trace(batch, axis1=1, axis2=2).real[:, None], axis=1)
-        ks = np.nonzero(occupied[sectors])[1].reshape(-1, m)
+        ks = occ_k[first[in_m][:, None] + np.arange(m)]
+        p_of, n_of = np.divmod(occ_sec[first[in_m]], 2 * n_max + 1)
         for r in _positive_values(rank):
             sel = rank == r
-            stacks.append(BlockStack(ks[sel], sectors[sel, None] - ks[sel], vals[sel, m - r :], vecs[sel, :, m - r :]))
-    return SpectralState(n_max, tuple(stacks))
+            stacks.append(
+                BlockStack(ks[sel], n_of[sel, None] - ks[sel], vals[sel, m - r :], vecs[sel, :, m - r :], p_of[sel])
+            )
+    return SpectralState(n_max, tuple(stacks), points)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +341,11 @@ def _sector_state(n, k, kp, val, n_max: int) -> SpectralState:
 
 @lru_cache(maxsize=64)
 def _loss_coeff_table(n_max: int, t: float) -> np.ndarray:
-    """coef[k, m] = sqrt(C(m+k, k) R^k T^m): amplitude for |m+k> -> |m> under K_k (read only)."""
+    """coef[k, m] = sqrt(C(m+k, k) R^k T^m): amplitude for |m+k> -> |m> under K_k (read only).
+
+    No entry depends on n_max, so the table of a batch's largest cutoff
+    serves every point of it.
+    """
     r = 1.0 - t
     coef = np.zeros((n_max + 1, n_max + 1))
     m = np.arange(n_max + 1, dtype=float)
@@ -286,39 +358,48 @@ def _loss_coeff_table(n_max: int, t: float) -> np.ndarray:
     return coef
 
 
-def _lose(n, k, kp, val, coef: np.ndarray, mode: str):
-    """Loss on one mode of sector-diagonal elements: every Kraus index j at once, outputs unsummed."""
+def _lose(sec, k, kp, val, coef: np.ndarray, mode: str, n_max: int):
+    """Loss on one mode of sector-diagonal elements: every Kraus index j at once, outputs unsummed.
+
+    Losing j photons keeps the point and lowers n by j, so the sector key drops by j.
+    """
     # photons in the lossy mode on the ket and the bra side
-    top, top_p = (k, kp) if mode == "a" else (n - k, n - kp)
+    if mode == "a":
+        top, top_p = k, kp
+    else:
+        n = sec % (2 * n_max + 1)
+        top, top_p = n - k, n - kp
     reps = np.minimum(top, top_p) + 1
     src = np.repeat(np.arange(val.size), reps)
     j = np.arange(src.size) - np.repeat(np.cumsum(reps) - reps, reps)
     val = val[src] * coef[j, top[src] - j] * coef[j, top_p[src] - j]
     if mode == "a":
-        return n[src] - j, k[src] - j, kp[src] - j, val
-    return n[src] - j, k[src], kp[src], val
+        return sec[src] - j, k[src] - j, kp[src] - j, val
+    return sec[src] - j, k[src], kp[src], val
 
 
-def _summed(n, k, kp, val, n_max: int):
-    """Elements with repeated (n, k, k') added and zeros dropped."""
+def _summed(sec, k, kp, val, n_max: int):
+    """Elements with repeated (sector, k, k') added and zeros dropped."""
     size = n_max + 1
-    key, where = np.unique((n * size + k) * size + kp, return_inverse=True)
+    key, where = np.unique((sec * size + k) * size + kp, return_inverse=True)
     val = np.bincount(where, val.real, key.size) + 1j * np.bincount(where, val.imag, key.size)
     key, val = key[val != 0], val[val != 0]
-    nk, kp = np.divmod(key, size)
-    n, k = np.divmod(nk, size)
-    return n, k, kp, val
+    sec_k, kp = np.divmod(key, size)
+    sec, k = np.divmod(sec_k, size)
+    return sec, k, kp, val
 
 
 def _loss_sectors(s: SpectralState, coef: np.ndarray) -> SpectralState:
     """Loss on a state of sector blocks: mode a, then mode b, on the nonzero elements."""
     n_max = s.n_max
-    lost_a = _summed(*_lose(*_sector_elements(s.stacks), coef, "a"), n_max)
-    return _sector_state(*_lose(*lost_a, coef, "b"), n_max)
+    lost_a = _summed(*_lose(*_sector_elements(s.stacks, n_max), coef, "a", n_max), n_max)
+    return _sector_state(*_lose(*lost_a, coef, "b", n_max), n_max, s.points)
 
 
 def _loss_dense(s: SpectralState, coef: np.ndarray) -> SpectralState:
-    """Loss on any state: every Kraus branch of every eigenvector, one eigendecomposition."""
+    """Loss on any one state: every Kraus branch of every eigenvector, one eigendecomposition."""
+    if s.points != 1:
+        raise ValueError(f"dense loss takes one point, got a batch of {s.points}")
     n_max = s.n_max
     cols = []
     for w, v in s.terms:
@@ -350,8 +431,8 @@ def _loss_dense(s: SpectralState, coef: np.ndarray) -> SpectralState:
 def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralState:
     """Equal photon loss on both modes, returned in block form.
 
-    Raises CutoffError when the output trace deviates from the input trace
-    beyond 1e-8 (a truncation failure, not a rounding issue).
+    Raises CutoffError when the output trace of any point deviates from its
+    input trace beyond 1e-8 (a truncation failure, not a rounding issue).
     """
     spec = from_pure(s) if isinstance(s, TwoModeState) else s
     t = loss.transmission
@@ -360,10 +441,12 @@ def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralSta
         out = _loss_sectors(spec, coef)
     else:
         out = _loss_dense(spec, coef)
-    if abs(out.trace() - spec.trace()) > 1e-8:
-        raise CutoffError(
-            f"trace loss: {spec.trace():.12f} -> {out.trace():.12f} under T={t}"
-        )
+    before, after = spec.point_traces(), out.point_traces()
+    bad = np.flatnonzero(np.abs(after - before) > 1e-8)
+    if bad.size:
+        p = bad[0]
+        where = f" at point {p}" if spec.points > 1 else ""
+        raise CutoffError(f"trace loss{where}: {before[p]:.12f} -> {after[p]:.12f} under T={t}")
     return out
 
 

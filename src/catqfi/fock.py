@@ -103,8 +103,11 @@ def _check_grid_size(n_max: int) -> None:
         raise CutoffError(f"cutoff {n_max} exceeds the grid limit n_max <= {N_MAX_LIMIT}")
 
 
+@lru_cache(maxsize=1024)
 def truncation_bound(alpha_abs: float) -> int:
     """Smallest n_max with Poisson(|alpha|^2) mass above n_max <= TAIL_TOL, floored at 32.
+
+    Memoized: a sweep asks for the same few amplitudes many times.
 
     The pmf is built from k = floor(lam)+1 on (started in log space, then
     by the ratio lam/k) until the rest of the tail lies far below TAIL_TOL's
@@ -232,8 +235,10 @@ def beam_splitter_5050(a: FockVector, b: FockVector) -> TwoModeState:
     |(g_a+g_b)/sqrt2> |(g_b-g_a)/sqrt2>, which reproduces the
     (beta +- alpha)/2 branch structure of a cat + coherent input.
     Total photon number is conserved, so the unitary acts sector by sector;
-    sector content falling outside the grid corner is dropped, and a
-    CutoffError is raised when that exceeds TAIL_TOL of the input norm^2.
+    both input and output lie in the grid corner, so only the corner's
+    rows and columns of each block are used.  The content the block sends
+    outside the corner is dropped, and a CutoffError is raised when that
+    exceeds TAIL_TOL of the input norm^2.
     """
     if a.n_max != b.n_max:
         raise ValueError(f"mode cutoffs differ: {a.n_max} vs {b.n_max}")
@@ -241,15 +246,12 @@ def beam_splitter_5050(a: FockVector, b: FockVector) -> TwoModeState:
     grid = np.outer(a.amps, b.amps)
     out = np.zeros_like(grid)
     for n in range(2 * n_max + 1):
-        k_lo = max(0, n - n_max)
-        k_hi = min(n, n_max)
-        ks = np.arange(k_lo, k_hi + 1)
-        vec = np.zeros(n + 1, dtype=complex)
-        vec[ks] = grid[ks, n - ks]
-        if not np.any(vec):
+        k_lo, k_hi = max(0, n - n_max), min(n, n_max) + 1
+        ks = np.arange(k_lo, k_hi)
+        vec = grid[ks, n - ks]
+        if not vec.any():
             continue
-        w = _bs_sector_unitary(n) @ vec
-        out[ks, n - ks] = w[ks]
+        out[ks, n - ks] = _bs_sector_unitary(n)[k_lo:k_hi, k_lo:k_hi] @ vec
     out_state = TwoModeState(out)
     in_sq = float(np.sum(np.abs(grid) ** 2))
     lost = in_sq - out_state.norm_sq()

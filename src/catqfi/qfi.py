@@ -14,7 +14,8 @@ evaluates, per block of the state's block form, both the gap-safe double sum
 |i'> = iG|i>.  The two must agree to 1e-8 on every block; the double-sum
 value is the one returned.  Both generators are diagonal in the Fock grid,
 so they never couple two blocks and F is the sum of the blocks' values
-(Liu et al., J. Phys. A 53, 023001 (2020)).
+(Liu et al., J. Phys. A 53, 023001 (2020)); a batch state's blocks are
+evaluated together and their values summed per point.
 """
 
 from __future__ import annotations
@@ -68,15 +69,16 @@ def _generator_grid(n_max: int, generator: str) -> np.ndarray:
     raise ValueError(f"generator must be one of {GENERATORS}, got {generator!r}")
 
 
-def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float:
+def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float | np.ndarray:
     """QFI of a block-form mixed state under rho -> e^{iG phi} rho e^{-iG phi}.
 
     G is diagonal on the grid, so it maps each block's support into itself:
     F is the sum of the blocks' QFIs, and blocks of equal shape are
-    evaluated together.
+    evaluated together.  A float for a one-point state, else the QFI of
+    each point of the batch, (points,).
     """
     g_grid = _generator_grid(s.n_max, generator)
-    total = 0.0
+    totals = np.zeros(s.points)
     for st in s.stacks:
         lam, v = st.weights, st.vecs
         ordered = np.sort(lam, axis=1)
@@ -114,8 +116,13 @@ def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float:
             raise ArithmeticError(
                 f"mixed-QFI forms disagree: {f_sum[bad[0]]!r} vs {f_lit[bad[0]]!r}"
             )
-        total += float(np.sum(f_sum))
-    return max(total, 0.0)
+        # np.sum over each run of one point's blocks, as over a one-point
+        # stack, so that a point's QFI does not depend on its batch
+        cuts = (np.flatnonzero(st.point[1:] != st.point[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(f_sum)]):
+            totals[st.point[lo]] += f_sum[lo:hi].sum()
+    totals = np.maximum(totals, 0.0)
+    return float(totals[0]) if s.points == 1 else totals
 
 
 def qfi_noon_mixture(mix: NoonMixture) -> float:

@@ -1,6 +1,7 @@
 """Sweep machinery tests: rows, equal-energy lookup, crossover, verifier, encodings."""
 
 import json
+from dataclasses import replace
 from math import sqrt
 
 import pytest
@@ -124,6 +125,58 @@ def test_sweep_config_validation():
         bench.SweepConfig(figure="fig1", alpha_grid=())
     with pytest.raises(ValueError):
         bench.SweepConfig(figure="fig1", alpha_grid=(1.0, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the numeric route a curve at a time
+# ---------------------------------------------------------------------------
+
+
+def rel_close(batch, alone, tol=1e-14):
+    """Both None, or (N_av, QFI) pairs within tol relative."""
+    if batch is None or alone is None:
+        return batch is alone
+    return all(abs(b - a) <= tol * max(abs(a), 1e-300) for b, a in zip(batch, alone))
+
+
+@pytest.mark.parametrize("figure", ["fig2b", "fig4"])
+def test_numeric_points_match_numeric_point_on_every_curve(figure):
+    cfg = bench.default_config(figure)
+    for curve in bench.figure_curves(cfg):
+        batch = bench.numeric_points(curve, cfg.alpha_grid)
+        assert len(batch) == len(cfg.alpha_grid)
+        for alpha, got in zip(cfg.alpha_grid, batch):
+            assert rel_close(got, bench.numeric_point(curve, alpha)), (curve.label, alpha)
+
+
+def test_numeric_points_batch_of_mixed_cutoffs():
+    curve = bench.FamilyCurve("ecs", "ecs", "phase_averaged", transmission=0.85)
+    alphas = (0.5, 3.0)
+    assert [curve.state(a).n_max for a in alphas] == [32, 59]
+    for got, alpha in zip(bench.numeric_points(curve, alphas), alphas):
+        assert rel_close(got, bench.numeric_point(curve, alpha))
+
+
+def test_sweep_chunk_failure_drops_only_its_row(monkeypatch, capsys):
+    chunk = bench._SWEEP_CHUNK
+    grid = tuple(round(0.2 + 0.05 * i, 10) for i in range(2 * chunk + 3))
+    healthy = sweep("fig4", grid, n_components_list=(4,), transmissions=(0.9,))
+    capsys.readouterr()
+    bad_alpha = grid[chunk + 2]  # inside the second chunk
+    ecs = bench.FAMILIES["ecs"]
+
+    def failing(curve, alpha, n_max):
+        if alpha == bad_alpha:
+            raise bench.CutoffError("injected")
+        return ecs.build(curve, alpha, n_max)
+
+    monkeypatch.setitem(bench.FAMILIES, "ecs", replace(ecs, build=failing))
+    rows = sweep("fig4", grid, n_components_list=(4,), transmissions=(0.9,))
+    aborted = [line for line in capsys.readouterr().err.splitlines() if "sweep row aborted" in line]
+    assert aborted == [f"sweep row aborted: ecs alpha={bad_alpha} T=0.9: injected"]
+    dropped = [r for r in healthy if r.family == "ecs" and r.alpha == bad_alpha and r.path == "numeric"]
+    assert len(dropped) == 1
+    assert rows == [r for r in healthy if r is not dropped[0]]
 
 
 # ---------------------------------------------------------------------------

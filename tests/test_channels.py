@@ -6,6 +6,7 @@ from math import exp, pi, sqrt
 import numpy as np
 import pytest
 
+from catqfi import channels
 from catqfi import closed_form as cf
 from catqfi.channels import (
     BlockStack,
@@ -24,6 +25,7 @@ from catqfi.channels import (
 )
 from catqfi.fock import (
     CatSpec,
+    CutoffError,
     TwoModeState,
     beam_splitter_5050,
     cat_state,
@@ -187,6 +189,56 @@ def test_loss_sector_blocks_semigroup():
     two_step = loss_channel(loss_channel(state, LossSpec(0.8)), LossSpec(0.9))
     one_step = loss_channel(state, LossSpec(0.72))
     assert np.max(np.abs(dense(two_step) - dense(one_step))) < 1e-8
+
+
+def test_loss_trace_check_is_per_point(monkeypatch):
+    # defects of +d and -d on the two points cancel in the batch total
+    state = extended_entangled_state(1, 1.0, 32)
+    batch = phase_average([state, state])
+    exact = channels._loss_sectors
+
+    def skewed(s, coef):
+        out = exact(s, coef)
+        first, *rest = out.stacks
+        weights = first.weights.copy()
+        weights[np.flatnonzero(first.point == 0)[0], -1] += 1e-6
+        weights[np.flatnonzero(first.point == 1)[0], -1] -= 1e-6
+        return SpectralState(out.n_max, (replace(first, weights=weights), *rest), out.points)
+
+    monkeypatch.setattr(channels, "_loss_sectors", skewed)
+    lost = skewed(batch, _loss_coeff_table(batch.n_max, 0.9))
+    assert lost.trace() == pytest.approx(batch.trace(), abs=1e-12)
+    assert np.all(np.abs(lost.point_traces() - batch.point_traces()) > 1e-8)
+    with pytest.raises(CutoffError, match="at point 0"):
+        loss_channel(batch, LossSpec(0.9))
+
+
+def test_loss_coefficients_do_not_depend_on_the_table_size():
+    # a batch reads every point's coefficients from the table of its largest cutoff
+    small, large = _loss_coeff_table(32, 0.85), _loss_coeff_table(59, 0.85)
+    k, m = np.indices(small.shape)
+    assert np.array_equal(small[k + m <= 32], large[:33, :33][k + m <= 32])
+
+
+def test_dense_loss_rejects_a_batch():
+    batch = phase_average([noon_state(2, 8), noon_state(3, 8)])
+    with pytest.raises(ValueError, match="one point"):
+        dense_loss(batch, 0.9)
+
+
+def test_phase_average_batch_keeps_each_point():
+    states = [extended_entangled_state(2, 0.7, 32), cat4_pure(1.0, 0.5, 40)]
+    batch = phase_average(states)
+    assert (batch.points, batch.n_max) == (2, 40)
+    assert batch.point_traces() == pytest.approx([1.0, 1.0], abs=1e-12)
+    for p, state in enumerate(states):
+        alone = phase_average(state)
+        mine = [
+            (st.na[b], st.nb[b], st.weights[b], st.vecs[b]) for st in batch.stacks for b in np.flatnonzero(st.point == p)
+        ]
+        assert len(mine) == sum(len(st.na) for st in alone.stacks)
+        for got, want in zip(mine, blocks(alone)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_lossy_cat4_qfi_matches_loss_before_averaging():

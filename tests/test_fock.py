@@ -331,6 +331,28 @@ def test_beam_splitter_preserves_sector_masses():
     assert np.max(np.abs(sector_masses(before) - sector_masses(after))) < 1e-10
 
 
+def test_beam_splitter_corner_block_matches_full_sector_product():
+    # the reference pads each sector to n + 1 cells and applies the whole block
+    a, b = cat_state(CatSpec(4, 2.0), 50), coherent(1.0 - 0.5j, 50)
+    grid = np.outer(a.amps, b.amps)
+    expected = np.zeros_like(grid)
+    for n in range(101):
+        ks = np.arange(max(0, n - 50), min(n, 50) + 1)
+        vec = np.zeros(n + 1, dtype=complex)
+        vec[ks] = grid[ks, n - ks]
+        expected[ks, n - ks] = (fock._bs_sector_unitary(n) @ vec)[ks]
+    assert np.max(np.abs(beam_splitter_5050(a, b).amps - expected)) <= 1e-15
+
+
+def test_truncation_bound_memo_is_bounded():
+    truncation_bound.cache_clear()
+    first = truncation_bound(2.5)
+    assert truncation_bound(2.5) == first
+    info = truncation_bound.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+    assert info.maxsize is not None
+
+
 def test_beam_splitter_cat_moment_matches_closed_form():
     alpha = beta = 1.0
     out = beam_splitter_5050(

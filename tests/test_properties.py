@@ -1,9 +1,11 @@
 """Property tests of the block form: loss and phase averaging on drawn states (n_max <= 12).
 
 Each state is drawn twice over: as a pure state (loss takes the dense
-route) and phase averaged (loss takes the sector-block route).
+route) and phase averaged (loss takes the sector-block route).  Batches of
+drawn sector-diagonal states must behave as their points do alone.
 """
 
+from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -105,3 +107,37 @@ def test_block_qfi_matches_dense_qfi(state, t, generator):
     for s in (loss_channel(phase_average(state), LossSpec(t)), loss_channel(state, LossSpec(t))):
         expected = dense_qfi(s, generator)
         assert abs(qfi_mixed(s, generator) - expected) <= 1e-8 * max(1.0, expected)
+
+
+@st.composite
+def sector_diagonal_states(draw) -> SpectralState:
+    """A phase-averaged drawn state, of rank one per sector or (lost first) of higher rank."""
+    state = draw(pure_states)
+    if draw(st.booleans()):
+        return phase_average(loss_channel(state, LossSpec(draw(transmissions))))
+    return phase_average(state)
+
+
+def batch_of(states) -> SpectralState:
+    """The states as the points of one batch, on the largest cutoff."""
+    stacks = tuple(
+        replace(blocks, point=np.full(len(blocks.na), p)) for p, s in enumerate(states) for blocks in s.stacks
+    )
+    return SpectralState(max(s.n_max for s in states), stacks, len(states))
+
+
+@given(st.lists(sector_diagonal_states(), min_size=2, max_size=4), transmissions)
+def test_loss_on_a_batch_is_loss_on_each_point(states, t):
+    batch = batch_of(states)
+    lost = loss_channel(batch, LossSpec(t))
+    assert lost.points == len(states)
+    for p, state in enumerate(states):
+        alone = loss_channel(state, LossSpec(t))
+        assert abs(lost.point_traces()[p] - alone.trace()) <= 1e-14
+        mine = [(b.na[i], b.nb[i], b.weights[i], b.vecs[i]) for b in lost.stacks for i in np.flatnonzero(b.point == p)]
+        theirs = [(b.na[i], b.nb[i], b.weights[i], b.vecs[i]) for b in alone.stacks for i in range(len(b.na))]
+        assert len(mine) == len(theirs)
+        for (na, nb, w, v), (na_1, nb_1, w_1, v_1) in zip(mine, theirs):
+            assert np.array_equal(na, na_1) and np.array_equal(nb, nb_1)
+            assert w.shape == w_1.shape and np.max(np.abs(w - w_1)) <= 1e-14
+            assert np.max(np.abs((v * w) @ v.conj().T - (v_1 * w_1) @ v_1.conj().T)) <= 1e-14
