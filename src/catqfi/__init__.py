@@ -38,6 +38,7 @@ from .closed_form import (
     extended_moments,
     fig1_moments,
     k_sum,
+    lossy_noon_ladder,
     lossy_noon_mixture,
     modified_moments,
     moment_qfi,

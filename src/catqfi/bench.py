@@ -161,8 +161,8 @@ def _noon_qfi(curve, alpha):
 
 def _mixed_qfi(curve, alpha):
     if curve.transmission == 1.0:
-        return cf.pa_qfi(curve.kind, alpha, n_components=curve.heads)
-    mix = cf.lossy_noon_mixture(curve.kind, alpha, curve.loss, n_cut=default_cutoff(alpha), n_components=curve.heads)
+        return cf.pa_qfi(curve.heads, alpha)
+    mix = cf.lossy_noon_mixture(curve.heads, alpha, curve.loss, n_cut=default_cutoff(alpha))
     return qfi_noon_mixture(mix)
 
 

@@ -5,27 +5,30 @@ cross-validation.  Everything here is evaluated from explicit formulas or
 direct series summation, never from grid numerics, so agreement with the
 fock/channels/qfi pipeline is a genuine two-route check.
 
-Series over the support of an N-component cat (photon numbers N*m) stop
-when a term falls below 1e-16 of the running sum, with a hard cap of 5000
-terms.
+The phase-averaged forms (`pa_weight`, `pa_qfi`, `lossy_noon_mixture`) take
+the head count N of the extended state (|C_N>|0> + |0>|C_N>)/sqrt(M): the
+entangled coherent state is N = 1 and the modified entangled state N = 2.
+The noon state's loss spectrum is `lossy_noon_ladder`, a function of its
+photon number n.
 
-The symbol K is overloaded in this problem: the cat-tail sum
-sum_m x^{N m}/(N m)!  (here `k_sum`) and the loss factor
-e^{R x} +- e^{-R x} appearing in the lossy spectra (kept inline).
+Series over the support of an N-component cat (photon numbers N*m) stop
+when a term falls below 1e-16 of the running sum or underflows to 0, with a
+hard cap of 5000 terms.  K is the cat-tail sum sum_m x^{N m}/(N m)!
+(`k_sum`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, cosh, exp, sin, sqrt
+from math import cos, exp, inf, ldexp, log, sin, sqrt
 
 from .channels import LossSpec, NoonMixture
 from .fock import CutoffError
 
 _SERIES_RTOL = 1e-16
 _SERIES_CAP = 5000
-
-FAMILIES = ("noon", "ecs", "modified", "extended")
+_SHIFT_STEP = 900  # a shifted series divides its terms by 2^900 whenever they pass 2^900
+_SHIFT_AT = 2.0**_SHIFT_STEP
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,20 @@ def moment_qfi(m: MomentPair) -> float:
     return 4.0 * (m.mean_nb2 - m.mean_nb**2)
 
 
-def _cat_series(n_components: int, x: float, order: int = 0) -> float:
-    """sum_m (N m)^order * x^{N m} / (N m)!  evaluated by term recurrence."""
+def _shift(x: float) -> int:
+    """The power of 2 that keeps a cat series in double range: e^x / 2^shift <= e^600."""
+    return max(0, int((x - 600.0) / log(2.0)) + 1)
+
+
+def _cat_series(n_components: int, x: float, order: int = 0, shift: int = 0) -> float:
+    """2^-shift * sum_m (N m)^order * x^{N m} / (N m)!  evaluated by term recurrence.
+
+    The factor 2^-shift is taken from the terms as they grow, so a ratio of
+    two series with the same shift stays finite where the sums themselves
+    would overflow.
+    """
+    if n_components < 1:
+        raise ValueError("n_components must be >= 1")
     if x < 0:
         raise ValueError("series argument must be >= 0")
     if x == 0.0:
@@ -57,16 +72,24 @@ def _cat_series(n_components: int, x: float, order: int = 0) -> float:
     N = n_components
     term = 1.0  # x^0/0!
     total = 0.0 if order else 1.0
+    big = _SHIFT_AT if shift else inf
     m_idx = 0
     for _ in range(_SERIES_CAP):
         m_idx += N
         for j in range(m_idx - N + 1, m_idx + 1):
             term *= x / j
-        total += term * (m_idx**order if order else 1.0)
-        if term * max(m_idx**order, 1) < _SERIES_RTOL * abs(total):
-            return total
-        if term == 0.0 and m_idx > x:  # underflowed past the peak: every later term is 0 too
-            return total
+            if term > big:
+                step = min(shift, _SHIFT_STEP)
+                term, total, shift = ldexp(term, -step), ldexp(total, -step), shift - step
+                big = _SHIFT_AT if shift else inf
+            elif term == 0.0:  # underflowed: this and every later term is 0
+                return ldexp(total, -shift)
+        weight = m_idx**order
+        total += term * weight
+        if total == inf:
+            raise OverflowError(f"cat series exceeds double range at |alpha|^2 = {x:g}")
+        if term * weight < _SERIES_RTOL * total:
+            return ldexp(total, -shift)
     raise ArithmeticError("cat series failed to converge within 5000 terms")
 
 
@@ -77,8 +100,6 @@ def k_sum(n_components: int, alpha: float) -> float:
 
 def normalization(n_components: int, alpha: float) -> float:
     """Normalization M_N of the N-headed cat: M_N = N^2 e^{-|alpha|^2} K."""
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     N = n_components
@@ -131,50 +152,28 @@ def extended_moments(n_components: int, alpha: float) -> MomentPair:
     Reduces to the entangled coherent state at N = 1 and to the modified
     entangled state at N = 2.
     """
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
     x = alpha * alpha
-    k = _cat_series(n_components, x, order=0)
-    pref = 1.0 / (2.0 * (1.0 + k))
-    nb = pref * _cat_series(n_components, x, order=1)
-    nb2 = pref * _cat_series(n_components, x, order=2)
+    shift = _shift(x)
+    pref = 1.0 / (2.0 * (ldexp(1.0, -shift) + _cat_series(n_components, x, 0, shift)))
+    nb = pref * _cat_series(n_components, x, 1, shift)
+    nb2 = pref * _cat_series(n_components, x, 2, shift)
     return MomentPair(mean_nb=nb, mean_nb2=nb2, n_av=nb)
 
 
-def _check_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+def pa_weight(n_components: int, alpha: float, n: int) -> float:
+    """Weight of the photon-number-n noon sector of the phase-averaged N-headed state.
 
-
-def pa_weight(family: str, alpha: float, n: int, n_components: int | None = None) -> float:
-    """Weight of the photon-number-n noon sector of the phase-averaged state.
-
-    The n = 0 sector is reported as the full vacuum weight (the noon 'ket'
-    at n = 0 is unnormalized, collapsing both branches onto |00>).
+    Only multiples of N are occupied.  The n = 0 sector is reported as the
+    full vacuum weight (the noon 'ket' at n = 0 is unnormalized, collapsing
+    both branches onto |00>).
     """
-    _check_family(family)
     if n < 0:
         raise ValueError("n must be >= 0")
     x = alpha * alpha
-    if family == "noon":
-        raise ValueError("the noon state has a single sector; no weight profile")
-    if family == "ecs":
-        base = exp(-x) / (1 + exp(-x))
-        if n == 0:
-            return 2 * base
-        w = base
-        for j in range(1, n + 1):
-            w *= x / j
-        return w
-    if family == "modified":
-        n_components = 2
-    if n_components is None:
-        raise ValueError("extended family needs n_components")
-    N = n_components
-    k = _cat_series(N, x, order=0)
+    k = _cat_series(n_components, x)
     if n == 0:
         return 2.0 / (1.0 + k)
-    if n % N != 0:
+    if n % n_components != 0:
         return 0.0
     w = 1.0 / (1.0 + k)
     for j in range(1, n + 1):
@@ -182,23 +181,11 @@ def pa_weight(family: str, alpha: float, n: int, n_components: int | None = None
     return w
 
 
-def pa_qfi(family: str, alpha: float, n_components: int | None = None) -> float:
-    """QFI of the phase-averaged family under a one-mode shift.
-
-    noon uses the equal-energy identification n = |alpha|^2 (analytic in n).
-    """
-    _check_family(family)
+def pa_qfi(n_components: int, alpha: float) -> float:
+    """QFI of the phase-averaged N-headed state under n_b: sum_m (N m)^2 x^{N m}/(N m)! / (1 + K)."""
     x = alpha * alpha
-    if family == "noon":
-        return x * x
-    if family == "ecs":
-        return x * (1 + x) / (1 + exp(-x))
-    if family == "modified":
-        return x * (1 + x + (x - 1) * exp(-2 * x)) / (1 + exp(-x)) ** 2
-    if n_components is None:
-        raise ValueError("extended family needs n_components")
-    k = _cat_series(n_components, x, order=0)
-    return _cat_series(n_components, x, order=2) / (1.0 + k)
+    shift = _shift(x)
+    return _cat_series(n_components, x, 2, shift) / (ldexp(1.0, -shift) + _cat_series(n_components, x, 0, shift))
 
 
 def _loss_series(n_components: int, x_r: float, m: int) -> float:
@@ -211,6 +198,8 @@ def _loss_series(n_components: int, x_r: float, m: int) -> float:
     term = 1.0
     for j in range(1, j0 + 1):
         term *= x_r / j
+        if term == 0.0:  # underflowed: this and every later term is 0
+            return 0.0
     total = 0.0
     j_idx = j0
     for _ in range(_SERIES_CAP):
@@ -219,84 +208,55 @@ def _loss_series(n_components: int, x_r: float, m: int) -> float:
             return total
         for j in range(j_idx + 1, j_idx + N + 1):
             term *= x_r / j
+            if term == 0.0:
+                return total
         j_idx += N
     raise ArithmeticError("loss series failed to converge within 5000 terms")
 
 
-def lossy_noon_mixture(
-    family: str,
-    alpha: float,
-    loss: LossSpec,
-    n_cut: int,
-    n_components: int | None = None,
-) -> NoonMixture:
-    """Spectral rows (n, lambda+_n, lambda-_n) of the phase-averaged family after loss.
+def lossy_noon_mixture(n_components: int, alpha: float, loss: LossSpec, n_cut: int) -> NoonMixture:
+    """Spectral rows (n, lambda+_n, lambda-_n) of the phase-averaged N-headed state after loss.
 
-    Evaluates the per-family analytic eigenvalue expressions; the vacuum row
+    Evaluates the analytic eigenvalue expressions up to n_cut; the vacuum row
     carries the doubled weight of the unnormalized n = 0 noon projector and
     lambda-_0 (a zero eigenvector) is dropped.
     """
-    _check_family(family)
     t, r = loss.transmission, loss.reflectance
     x = alpha * alpha
-    rows: list[tuple[int, float, float]] = []
-
-    if family == "noon":
-        n = round(x)
-        if abs(x - n) > 1e-9:
-            raise ValueError("lossy noon rows need integer n = alpha^2")
-        if n > n_cut:
-            raise CutoffError("n_cut below the noon photon number")
-        # binomial loss ladder: the top sector keeps its coherence, all
-        # lower sectors split evenly between the +- branches
-        rows.append((0, r**n if n > 0 else 1.0, 0.0))
-        w = 1.0
-        for m in range(1, n):
-            w *= (n - m + 1) / m
-            half = 0.5 * w * t**m * r ** (n - m)
-            rows.append((m, half, half))
-        if n >= 1:
-            rows.append((n, t**n, 0.0))
-        mix = NoonMixture(rows=rows)
-        _check_trace(mix)
-        return mix
-
-    if family == "ecs":
-        c = 1.0 / (2.0 * (1.0 + exp(x)))
-        rows.append((0, (exp(r * x) + 1) / (1 + exp(x)), 0.0))
-        term = 1.0  # (x T)^m / m!
-        for m in range(1, n_cut + 1):
-            term *= x * t / m
-            rows.append((m, c * term * (exp(r * x) + 1), c * term * (exp(r * x) - 1)))
-        mix = NoonMixture(rows=rows)
-        _check_trace(mix)
-        return mix
-
-    if family == "modified":
-        c = exp(-x) / (2.0 * (1 + exp(-x)) ** 2)
-        rows.append((0, 2 * c * (2 * cosh(r * x) + 2), 0.0))
-        term = 1.0
-        for m in range(1, n_cut + 1):
-            term *= x * t / m
-            sign = -1.0 if m % 2 else 1.0
-            k_loss = exp(r * x) + sign * exp(-r * x)
-            rows.append((m, c * term * (k_loss + 1 + sign), c * term * (k_loss - 1 - sign)))
-        mix = NoonMixture(rows=rows)
-        _check_trace(mix)
-        return mix
-
-    if n_components is None:
-        raise ValueError("extended family needs n_components")
     N = n_components
-    k = _cat_series(N, x, order=0)
-    k_r = _cat_series(N, x * r, order=0) if r > 0 else 1.0
-    rows.append((0, (1.0 + k_r) / (1.0 + k), 0.0))
+    k = _cat_series(N, x)
+    k_r = _cat_series(N, x * r)
+    # the loss series depends on m only through m mod N: one per class that occurs
+    tails = [_loss_series(N, x * r, c) for c in range(1, min(N, n_cut) + 1)]
+    rows = [(0, (1.0 + k_r) / (1.0 + k), 0.0)]
     term = 1.0
     for m in range(1, n_cut + 1):
         term *= x * t / m
-        lam_minus = term / (2.0 * (1.0 + k)) * (_loss_series(N, x * r, m) if r > 0 else 0.0)
+        lam_minus = term / (2.0 * (1.0 + k)) * tails[(m - 1) % N]
         lam_plus = lam_minus + (term / (1.0 + k) if m % N == 0 else 0.0)
         rows.append((m, lam_plus, lam_minus))
+    mix = NoonMixture(rows=rows)
+    _check_trace(mix)
+    return mix
+
+
+def lossy_noon_ladder(n: int, loss: LossSpec) -> NoonMixture:
+    """Spectral rows of the noon state (|n,0> + |0,n>)/sqrt2 after loss: the binomial ladder.
+
+    The top sector keeps its coherence; every lower sector splits evenly
+    between the +- branches.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"the noon photon number must be an integer >= 0, got {n!r}")
+    t, r = loss.transmission, loss.reflectance
+    rows = [(0, r**n, 0.0)]
+    w = 1.0
+    for m in range(1, n):
+        w *= (n - m + 1) / m
+        half = 0.5 * w * t**m * r ** (n - m)
+        rows.append((m, half, half))
+    if n >= 1:
+        rows.append((n, t**n, 0.0))
     mix = NoonMixture(rows=rows)
     _check_trace(mix)
     return mix

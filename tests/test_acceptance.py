@@ -17,7 +17,6 @@ evaluation routes there.
 
 import time
 import warnings
-from math import sqrt
 
 import numpy as np
 
@@ -87,7 +86,7 @@ def test_criterion_2_noon_exactness():
         for t in (1.0, 0.9, 0.85):
             expected = t**n * n * n
             closed = qfi_noon_mixture(
-                cf.lossy_noon_mixture("noon", sqrt(float(n)), LossSpec(t), n_cut=max(12, n))
+                cf.lossy_noon_ladder(n, LossSpec(t))
             )
             lossy = loss_channel(phase_average(noon_state(n, max(32, n))), LossSpec(t))
             numeric = quiet_qfi_mixed(lossy, "n_b")
@@ -147,7 +146,7 @@ def test_criterion_4_fig2_strict_ordering():
             worst_route = max(
                 worst_route, abs(f_numeric - f_closed) / f_closed, abs(nav_numeric - 2.0) / 2.0
             )
-        weight = cf.pa_weight("extended", alphas["extended[N=4]"], 4, 4)
+        weight = cf.pa_weight(4, alphas["extended[N=4]"], 4)
         ok = ok and weight > 0.5 and worst_route <= 1e-8
         lines.append(
             f"{figure} N_av=2.0: extended[N=4] n=4 sector weight {weight:.3f} > 0.5; "
@@ -201,15 +200,12 @@ def test_criterion_7_loss_channel_spectra():
     worst_row = 0.0
     worst_trace = 0.0
     cases = 0
-    for family, n_comp in (("ecs", 1), ("modified", 2), ("extended", 4)):
+    for n_comp in (1, 2, 4):  # ecs, modified, extended[N=4]
         for alpha in (0.5, 1.0):
             for t in (0.9, 0.85):
                 state = extended_entangled_state(n_comp, alpha)
                 pipeline = to_noon_mixture(loss_channel(phase_average(state), LossSpec(t)))
-                analytic = cf.lossy_noon_mixture(
-                    family, alpha, LossSpec(t), n_cut=state.n_max,
-                    n_components=n_comp if family == "extended" else None,
-                )
+                analytic = cf.lossy_noon_mixture(n_comp, alpha, LossSpec(t), n_cut=state.n_max)
                 got = {n: (lp, lm) for n, lp, lm in pipeline.rows}
                 for n, lam_p, lam_m in analytic.rows:
                     gp, gm = got.get(n, (0.0, 0.0))

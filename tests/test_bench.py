@@ -6,7 +6,7 @@ from math import sqrt
 
 import pytest
 
-from catqfi import bench
+from catqfi import bench, channels, fock, qfi
 from catqfi import closed_form as cf
 
 
@@ -61,6 +61,38 @@ def test_family_curve_rejects_parameters_outside_the_table(kind, kwargs):
     fields = {"variant": "pure", **kwargs}
     with pytest.raises(bench.ParameterError):
         bench.FamilyCurve(kind, kind, **fields)
+
+
+# the grid route's numerics, by defining module
+GRID_FUNCTIONS = {
+    fock: ("cat_state", "coherent", "beam_splitter_5050", "extended_entangled_state", "noon_state"),
+    channels: ("phase_average", "loss_channel"),
+    qfi: ("qfi_mixed", "qfi_pure"),
+}
+
+
+def test_closed_forms_never_call_grid_numerics(monkeypatch):
+    def grid_call(*args, **kwargs):
+        raise AssertionError("a closed form reached the grid route")
+
+    for module, names in GRID_FUNCTIONS.items():
+        for name in names:
+            for holder in (module, bench, cf):
+                if hasattr(holder, name):
+                    monkeypatch.setattr(holder, name, grid_call)
+    checked = 0
+    for kind, family in bench.FAMILIES.items():
+        n_components = 4 if "n_components" in family.params else None
+        for variant, form in family.qfi.items():
+            for t in (1.0, 0.9) if variant == "phase_averaged" else (1.0,):
+                curve = bench.point_curve(kind, variant, 1.0, n_components=n_components, transmission=t)
+                assert bench.closed_nav(curve, 1.0) > 0
+                if form is not None:
+                    assert bench.closed_qfi(curve, 1.0) > 0
+                    checked += 1
+    assert checked == 14  # 6 closed pure QFIs, and 4 phase-averaged ones at two T each
+    with pytest.raises(AssertionError, match="grid route"):
+        bench.numeric_point(curve, 1.0)
 
 
 def test_sweep_noon_point_fig2a():

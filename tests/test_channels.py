@@ -254,7 +254,7 @@ def test_lossy_cat4_qfi_matches_loss_before_averaging():
 def test_loss_ecs_rows_match_analytic_spectrum():
     state = extended_entangled_state(1, 1.0)
     pipeline = to_noon_mixture(loss_channel(phase_average(state), LossSpec(0.9)))
-    analytic = cf.lossy_noon_mixture("ecs", 1.0, LossSpec(0.9), n_cut=state.n_max)
+    analytic = cf.lossy_noon_mixture(1, 1.0, LossSpec(0.9), n_cut=state.n_max)
     got, want = rows_dict(pipeline), rows_dict(analytic)
     for n in set(got) | set(want):
         gp, gm = got.get(n, (0.0, 0.0))
@@ -293,7 +293,7 @@ def test_phase_average_modified_even_selector():
     out = phase_average(extended_entangled_state(2, 1.0, 40))
     for n, w in sector_weights(out).items():
         assert n % 2 == 0
-        assert w == pytest.approx(cf.pa_weight("modified", 1.0, n), abs=1e-10)
+        assert w == pytest.approx(cf.pa_weight(2, 1.0, n), abs=1e-10)
 
 
 def test_phase_average_idempotent():

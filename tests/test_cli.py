@@ -205,10 +205,14 @@ def test_out_of_memory_exit_three(monkeypatch):
     assert "numeric failure: Unable to allocate a sector block" in result.output
 
 
-def test_qfi_a_million_heads_ends_in_under_five_seconds():
-    # the cat support 0, 10^6, ... leaves only the vacuum at alpha = 2: F = 0 by both routes
+@pytest.mark.parametrize(
+    "n_components, extra", [("1000000", ()), ("10000000", ("--transmission", "0.9"))], ids=["pure", "lossy-1e7"]
+)
+def test_qfi_a_million_heads_ends_in_under_five_seconds(n_components, extra):
+    # the cat support 0, N, ... leaves only the vacuum at alpha = 2: F = 0 by both routes;
+    # the series stop where their terms underflow, not after N steps each
     t0 = time.perf_counter()
-    result = invoke("qfi", "--family", "extended", "--n-components", "1000000", "--alpha", "2")
+    result = invoke("qfi", "--family", "extended", "--n-components", n_components, "--alpha", "2", *extra)
     assert time.perf_counter() - t0 < 5.0
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)

@@ -5,6 +5,7 @@ from math import cos, exp, fsum, lgamma, log, sqrt
 
 import pytest
 
+from catqfi import bench
 from catqfi import closed_form as cf
 from catqfi.channels import LossSpec, loss_channel, phase_average, synthesize_heralded, to_noon_mixture
 from catqfi.fock import CutoffError, beam_splitter_5050, CatSpec, cat_state, coherent, extended_entangled_state, number_moment
@@ -172,17 +173,17 @@ def test_moment_pair_validates():
 
 def test_pa_weight_modified_odd_vanishes():
     for n in (1, 3, 5, 9):
-        assert cf.pa_weight("modified", 1.0, n) == 0.0
+        assert cf.pa_weight(2, 1.0, n) == 0.0
 
 
 def test_pa_weight_extended_non_multiple_vanishes():
-    assert cf.pa_weight("extended", 1.0, 6, n_components=4) == 0.0
-    assert cf.pa_weight("extended", 1.0, 8, n_components=4) > 0.0
+    assert cf.pa_weight(4, 1.0, 6) == 0.0
+    assert cf.pa_weight(4, 1.0, 8) > 0.0
 
 
 def test_pa_weights_sum_to_one():
-    for family, n_comp in (("ecs", None), ("modified", None), ("extended", 4)):
-        total = fsum(cf.pa_weight(family, 1.0, n, n_components=n_comp) for n in range(0, 80))
+    for n_comp in (1, 2, 4):  # ecs, modified, extended[N=4]
+        total = fsum(cf.pa_weight(n_comp, 1.0, n) for n in range(0, 80))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -190,16 +191,17 @@ def test_pa_weights_match_numeric_sectors():
     out = phase_average(extended_entangled_state(4, 1.2))
     for st in out.stacks:
         for n, w in zip(st.sectors, st.weights[:, 0]):
-            assert w == pytest.approx(cf.pa_weight("extended", 1.2, int(n), n_components=4), rel=1e-9)
+            assert w == pytest.approx(cf.pa_weight(4, 1.2, int(n)), rel=1e-9)
 
 
 def test_pa_qfi_noon_square():
-    assert cf.pa_qfi("noon", 2.0) == pytest.approx(16.0)
+    curve = bench.FamilyCurve("noon", "noon", "phase_averaged")
+    assert bench.closed_qfi(curve, 2.0) == pytest.approx(16.0)
 
 
 def test_pa_qfi_analytic_values():
-    assert cf.pa_qfi("ecs", 1.0) == pytest.approx(1.4621171572600098, abs=1e-14)
-    assert cf.pa_qfi("modified", 1.0) == pytest.approx(1.068893290777046, abs=1e-14)
+    assert cf.pa_qfi(1, 1.0) == pytest.approx(1.4621171572600098, abs=1e-14)
+    assert cf.pa_qfi(2, 1.0) == pytest.approx(1.068893290777046, abs=1e-14)
 
 
 def test_pa_qfi_extended_vs_engine():
@@ -210,12 +212,35 @@ def test_pa_qfi_extended_vs_engine():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateSpectrumWarning)
         engine = qfi_mixed(state, "n_b")
-    assert cf.pa_qfi("extended", 1.0, n_components=4) == pytest.approx(engine, rel=1e-8)
+    assert cf.pa_qfi(4, 1.0) == pytest.approx(engine, rel=1e-8)
 
 
 def test_pa_qfi_unknown_family():
+    # no cat has zero heads: each N-headed form rejects N = 0 before summing
     with pytest.raises(ValueError):
-        cf.pa_qfi("squeezed", 1.0)
+        cf.pa_qfi(0, 1.0)
+    with pytest.raises(ValueError):
+        cf.pa_weight(0, 1.0, 2)
+    with pytest.raises(ValueError):
+        cf.lossy_noon_mixture(0, 1.0, LossSpec(0.9), n_cut=12)
+
+
+@pytest.mark.parametrize("alpha", [27.0, 40.0])
+def test_n_headed_forms_where_the_series_leave_double_range(alpha):
+    # e^{alpha^2} overflows a double; a shifted series divides it out as it sums
+    x = alpha * alpha
+    assert cf.pa_qfi(1, alpha) == pytest.approx(x * (1 + x) / (1 + exp(-x)), rel=1e-13)
+    assert cf.pa_qfi(2, alpha) == pytest.approx(x * (1 + x + (x - 1) * exp(-2 * x)) / (1 + exp(-x)) ** 2, rel=1e-13)
+    w = [exp(3 * m * log(x) - lgamma(3 * m + 1) - x) for m in range(1, 1000)]
+    oracle = fsum((3 * m) ** 2 * wm for m, wm in enumerate(w, 1)) / (2 * exp(-x) + fsum(w))
+    assert cf.pa_qfi(3, alpha) == pytest.approx(oracle, rel=1e-12)
+    f, nav = cf.ecs_qfi(alpha)
+    one = cf.extended_moments(1, alpha)
+    assert cf.moment_qfi(one) == pytest.approx(f, rel=1e-10)
+    assert one.n_av == pytest.approx(nav, rel=1e-10)
+    # the lossy rows take no shift: past double range they raise, not return NaN
+    with pytest.raises(ArithmeticError):
+        cf.lossy_noon_mixture(1, alpha, LossSpec(0.9), n_cut=2000)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +249,19 @@ def test_pa_qfi_unknown_family():
 
 
 def test_lossy_mixture_full_transmission_kills_minus_branch():
-    mix = cf.lossy_noon_mixture("ecs", 1.0, LossSpec(1.0), n_cut=40)
+    mix = cf.lossy_noon_mixture(1, 1.0, LossSpec(1.0), n_cut=40)
     for n, lam_p, lam_m in mix.rows:
         assert lam_m == 0.0
-        assert lam_p == pytest.approx(cf.pa_weight("ecs", 1.0, n), rel=1e-12)
+        assert lam_p == pytest.approx(cf.pa_weight(1, 1.0, n), rel=1e-12)
 
 
 @pytest.mark.parametrize("family,n_comp", [("ecs", None), ("modified", None), ("extended", 4)])
 def test_lossy_mixture_matches_channel_pipeline(family, n_comp):
     alpha, t = 1.0, 0.9
-    state = extended_entangled_state(n_comp or {"ecs": 1, "modified": 2}[family], alpha)
+    heads = n_comp or {"ecs": 1, "modified": 2}[family]
+    state = extended_entangled_state(heads, alpha)
     pipeline = to_noon_mixture(loss_channel(phase_average(state), LossSpec(t)))
-    analytic = cf.lossy_noon_mixture(family, alpha, LossSpec(t), n_cut=state.n_max, n_components=n_comp)
+    analytic = cf.lossy_noon_mixture(heads, alpha, LossSpec(t), n_cut=state.n_max)
     got = {n: (lp, lm) for n, lp, lm in pipeline.rows}
     for n, lam_p, lam_m in analytic.rows:
         gp, gm = got.get(n, (0.0, 0.0))
@@ -246,9 +272,10 @@ def test_lossy_mixture_matches_channel_pipeline(family, n_comp):
 
 def test_lossy_mixture_trace_guard():
     with pytest.raises(CutoffError):
-        cf.lossy_noon_mixture("ecs", 2.0, LossSpec(0.9), n_cut=3)
+        cf.lossy_noon_mixture(1, 2.0, LossSpec(0.9), n_cut=3)
 
 
 def test_lossy_noon_requires_integer():
-    with pytest.raises(ValueError):
-        cf.lossy_noon_mixture("noon", 1.3, LossSpec(0.9), n_cut=12)
+    for n in (-1, 1.3):
+        with pytest.raises(ValueError):
+            cf.lossy_noon_ladder(n, LossSpec(0.9))

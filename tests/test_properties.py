@@ -2,7 +2,9 @@
 
 Each state is drawn twice over: as a pure state (loss takes the dense
 route) and phase averaged (loss takes the sector-block route).  Batches of
-drawn sector-diagonal states must behave as their points do alone.
+drawn sector-diagonal states must behave as their points do alone.  Points
+drawn inside the family table's domain must give the same QFI and N_av by
+the closed forms and by the grid route.
 """
 
 from dataclasses import replace
@@ -10,9 +12,10 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catqfi import bench
 from catqfi.channels import LossSpec, SpectralState, loss_channel, phase_average
 from catqfi.fock import CatSpec, TwoModeState, beam_splitter_5050, cat_state, coherent, extended_entangled_state
 from catqfi.qfi import qfi_mixed
@@ -141,3 +144,37 @@ def test_loss_on_a_batch_is_loss_on_each_point(states, t):
             assert np.array_equal(na, na_1) and np.array_equal(nb, nb_1)
             assert w.shape == w_1.shape and np.max(np.abs(w - w_1)) <= 1e-14
             assert np.max(np.abs((v * w) @ v.conj().T - (v_1 * w_1) @ v_1.conj().T)) <= 1e-14
+
+
+# every (family, variant) of the table with a closed QFI
+CLOSED_ENTRIES = [
+    (kind, variant) for kind, family in bench.FAMILIES.items() for variant, form in family.qfi.items() if form
+]
+
+
+@st.composite
+def table_points(draw) -> tuple:
+    """(curve, alpha) of an entry with a closed QFI: alpha <= 2.5, beta/alpha in [0, 1],
+    N <= 8, T in {1} or [0.8, 1); noon at integer n = alpha^2, where the grid holds it."""
+    kind, variant = draw(st.sampled_from(CLOSED_ENTRIES))
+    params = bench.FAMILIES[kind].params
+    beta_ratio = draw(st.floats(0.0, 1.0)) if "beta_ratio" in params else None
+    n_components = draw(st.integers(1, 8)) if "n_components" in params else None
+    t = 1.0
+    if variant == "phase_averaged":
+        t = draw(st.one_of(st.just(1.0), st.floats(0.8, 1.0, exclude_max=True)))
+    alpha = sqrt(draw(st.integers(1, 6))) if kind == "noon" else draw(st.floats(0.01, 2.5))
+    return bench.FamilyCurve(kind, kind, variant, beta_ratio, n_components, t), alpha
+
+
+@settings(max_examples=100)
+@given(table_points())
+def test_closed_forms_match_the_grid_route(point):
+    # verify's rule: relative error with a 1e-6 floor, and no QFI check below
+    # 1e-9, where the state is the vacuum to double precision
+    curve, alpha = point
+    nav, f = bench.numeric_point(curve, alpha)
+    assert bench._rel_err(bench.closed_nav(curve, alpha), nav) <= 1e-8
+    f_closed = bench.closed_qfi(curve, alpha)
+    if f_closed >= 1e-9:
+        assert bench._rel_err(f_closed, f) <= 1e-8

@@ -182,7 +182,7 @@ def test_qfi_noon_lossy_noon_damping():
 
     for n in (1, 2, 5, 8):
         for t in (1.0, 0.9, 0.85):
-            mix = cf.lossy_noon_mixture("noon", sqrt(float(n)), LossSpec(t), n_cut=max(12, n))
+            mix = cf.lossy_noon_ladder(n, LossSpec(t))
             assert qfi_noon_mixture(mix) == pytest.approx(t**n * n * n, abs=1e-12)
 
 
@@ -213,5 +213,5 @@ def test_lossy_pipeline_equals_fast_path():
 
     state = extended_entangled_state(1, 1.0)
     lossy = loss_channel(phase_average(state), LossSpec(0.9))
-    mix = cf.lossy_noon_mixture("ecs", 1.0, LossSpec(0.9), n_cut=state.n_max)
+    mix = cf.lossy_noon_mixture(1, 1.0, LossSpec(0.9), n_cut=state.n_max)
     assert quiet_qfi_mixed(lossy, "n_b") == pytest.approx(qfi_noon_mixture(mix), rel=1e-8)
