@@ -21,19 +21,16 @@ from .channels import (
     BlockStack,
     CpsOutcome,
     LossSpec,
-    NoonMixture,
-    NoonSupportError,
     SpectralState,
     cps_round_outcome,
     from_pure,
     loss_channel,
-    noon_mixture_to_spectral,
     phase_average,
     synthesize_heralded,
-    to_noon_mixture,
 )
 from .closed_form import (
     MomentPair,
+    NoonMixture,
     ecs_qfi,
     extended_moments,
     fig1_moments,
@@ -63,8 +60,7 @@ from .fock import (
     overlap,
     phase_shift,
     product_state,
-    truncation_bound,
 )
-from .qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_noon_mixture, qfi_pure
+from .qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_pure
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .fock import (
     number_moment,
     product_state,
 )
-from .qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_noon_mixture, qfi_pure
+from .qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_pure
 
 FIGURES = ("fig1", "fig2a", "fig2b", "fig4")
 
@@ -159,18 +159,15 @@ def _noon_qfi(curve, alpha):
     return curve.transmission ** (alpha * alpha) * alpha**4
 
 
-def _mixed_qfi(curve, alpha):
-    if curve.transmission == 1.0:
-        return cf.pa_qfi(curve.heads, alpha)
-    mix = cf.lossy_noon_mixture(curve.heads, alpha, curve.loss, n_cut=default_cutoff(alpha))
-    return qfi_noon_mixture(mix)
+def _pa_qfi(curve, alpha):
+    return cf.pa_qfi(curve.heads, alpha, curve.transmission)
 
 
 # the generators each variant admits, the standard one (that of the closed forms) first
 GENERATORS = {"pure": ("one_mode_b", "two_mode_half"), "phase_averaged": ("n_b", "half_difference")}
 
 # callables take (curve, alpha); phase-averaged coherent and cat4 states leave
-# the noon span {|n,0>, |0,n>} that the closed-form spectra cover
+# the noon span {|n,0>, |0,n>} on which `cf.pa_qfi` is summed
 FAMILIES = {
     "coherent": Family((), _coherent_pair, _half_alpha_sq, {"pure": lambda c, a: 2 * a * a, "phase_averaged": None}),
     "cat4": Family(
@@ -179,15 +176,15 @@ FAMILIES = {
     ),
     "ecs": Family(
         (), _extended_state, lambda c, a: cf.ecs_qfi(a)[1],
-        {"pure": lambda c, a: cf.ecs_qfi(a)[0], "phase_averaged": _mixed_qfi}, heads=1,
+        {"pure": lambda c, a: cf.ecs_qfi(a)[0], "phase_averaged": _pa_qfi}, heads=1,
     ),
     "modified": Family(
         (), _extended_state, lambda c, a: cf.modified_moments(a).n_av,
-        {"pure": lambda c, a: cf.moment_qfi(cf.modified_moments(a)), "phase_averaged": _mixed_qfi}, heads=2,
+        {"pure": lambda c, a: cf.moment_qfi(cf.modified_moments(a)), "phase_averaged": _pa_qfi}, heads=2,
     ),
     "extended": Family(
         ("n_components",), _extended_state, lambda c, a: cf.extended_moments(c.n_components, a).n_av,
-        {"pure": lambda c, a: cf.moment_qfi(cf.extended_moments(c.n_components, a)), "phase_averaged": _mixed_qfi},
+        {"pure": lambda c, a: cf.moment_qfi(cf.extended_moments(c.n_components, a)), "phase_averaged": _pa_qfi},
     ),
     "noon": Family((), _noon_grid, _half_alpha_sq, {"pure": _noon_qfi, "phase_averaged": _noon_qfi}),
 }

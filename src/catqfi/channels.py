@@ -50,14 +50,9 @@ import numpy as np
 
 from .fock import CatSpec, CutoffError, TwoModeState, beam_splitter_5050, cat_state, default_cutoff, phase_shift
 
-WEIGHT_FLOOR = 1e-14
 # eigenvalues at or below this fraction of their block's trace are dropped, so
 # that tiny sectors keep full relative precision
 BLOCK_FLOOR = 1e-14
-
-
-class NoonSupportError(ValueError):
-    """State has weight outside span{|n,0>, |0,n>} beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -146,17 +141,6 @@ class SpectralState:
             traces += np.bincount(st.point, st.weights.sum(axis=1), self.points)
         return traces
 
-    def to_dense(self) -> np.ndarray:
-        """Density matrix on the flattened grid basis of a one-point state, for comparisons."""
-        if self.points != 1:
-            raise ValueError(f"to_dense takes one point, got a batch of {self.points}")
-        dim = (self.n_max + 1) ** 2
-        rho = np.zeros((dim, dim), dtype=complex)
-        for st in self.stacks:
-            idx = st.na * (self.n_max + 1) + st.nb
-            rho[idx[:, :, None], idx[:, None, :]] += _block_densities(st)
-        return rho
-
 
 def _block_densities(st: BlockStack) -> np.ndarray:
     """rho of every block of a stack on its support: (B, m, m)."""
@@ -175,42 +159,6 @@ def from_pure(s: TwoModeState) -> SpectralState:
     na, nb = np.nonzero(s.amps)
     stack = BlockStack(na[None], nb[None], np.ones((1, 1)), s.amps[na, nb][None, :, None])
     return SpectralState(s.n_max, (stack,) if na.size else ())
-
-
-@dataclass(frozen=True)
-class NoonMixture:
-    """Mixture diagonal in the basis (|n,0> +- e^{i n phi}|0,n>)/sqrt(2).
-
-    rows holds (n, lambda+_n, lambda-_n); the n = 0 row carries the whole
-    vacuum weight in lambda+ (lambda- pairs with a zero vector there).
-    """
-
-    rows: tuple | list
-    phi: float = 0.0
-
-    def trace(self) -> float:
-        return float(sum(lp + lm for _, lp, lm in self.rows))
-
-
-def noon_mixture_to_spectral(mix: NoonMixture, n_max: int) -> SpectralState:
-    """Rebuild the block form of a noon mixture: one block per row n, on {|0,n>, |n,0>}."""
-    stacks = []
-    for n, lam_p, lam_m in mix.rows:
-        if n > n_max:
-            raise CutoffError(f"mixture row n={n} exceeds n_max={n_max}")
-        if n == 0:
-            if lam_p > WEIGHT_FLOOR:
-                stacks.append(BlockStack(np.zeros((1, 1), int), np.zeros((1, 1), int), np.array([[lam_p]]), np.ones((1, 1, 1))))
-            continue
-        lam = np.array([lam_p, lam_m], dtype=float)
-        keep = lam > WEIGHT_FLOOR
-        if not keep.any():
-            continue
-        ph = np.exp(1j * n * mix.phi)
-        # columns (|n,0> +- e^{i n phi}|0,n>)/sqrt2 over the cells |0,n>, |n,0>
-        vecs = np.array([[ph, -ph], [1.0, 1.0]]) / sqrt(2)
-        stacks.append(BlockStack(np.array([[0, n]]), np.array([[n, 0]]), lam[None, keep], vecs[None][:, :, keep]))
-    return SpectralState(n_max, tuple(stacks))
 
 
 def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> SpectralState:
@@ -440,53 +388,6 @@ def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralSta
         where = f" at point {p}" if spec.points > 1 else ""
         raise CutoffError(f"trace loss{where}: {before[p]:.12f} -> {after[p]:.12f} under T={t}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# noon-basis spectral rows
-# ---------------------------------------------------------------------------
-
-
-def to_noon_mixture(s: SpectralState, phi: float = 0.0) -> NoonMixture:
-    """Re-express a noon-span mixed state in the (|n,0> +- e^{i n phi}|0,n>) basis."""
-    n_max = s.n_max
-    # reduced density matrix over the noon span: index 0 is |00>, then
-    # 2n-1 is |n,0> and 2n is |0,n>
-    m_dim = 2 * n_max + 1
-    rho = np.zeros((m_dim, m_dim), dtype=complex)
-    for st in s.stacks:
-        for na, nb, w, v in zip(st.na, st.nb, st.weights, st.vecs):
-            on_span = (na == 0) | (nb == 0)
-            p = np.abs(v) ** 2
-            if np.any(p[~on_span].sum(axis=0) > 1e-8 * np.maximum(p.sum(axis=0), 1e-300)):
-                raise NoonSupportError(
-                    "eigenvector has more than 1e-8 weight outside the noon span"
-                )
-            idx = np.where(na[on_span] > 0, 2 * na[on_span] - 1, 2 * nb[on_span])
-            v = v[on_span]
-            rho[np.ix_(idx, idx)] += (v * w) @ v.conj().T
-    rows = [(0, float(rho[0, 0].real), 0.0)]
-    residual = rho.copy()
-    residual[0, 0] = 0.0
-    for n in range(1, n_max + 1):
-        ia, ib = 2 * n - 1, 2 * n
-        ph = np.exp(1j * n * phi)
-        # v+- = (|n,0> +- e^{i n phi} |0,n>)/sqrt2, so
-        # <v+-|rho|v+-> = (rho_aa + rho_bb)/2 +- Re(e^{i n phi} rho_ab)
-        avg = 0.5 * (rho[ia, ia] + rho[ib, ib]).real
-        coh = float((ph * rho[ia, ib]).real)
-        rows.append((n, avg + coh, avg - coh))
-        # off-diagonality in the +- basis within this sector
-        residual[ia, ia] = residual[ib, ib] = 0.0
-        intra = 0.5 * abs(rho[ia, ia] - rho[ib, ib]) + abs((ph * rho[ia, ib]).imag)
-        residual[ia, ib] = residual[ib, ia] = intra
-    off_diag = float(np.max(np.abs(residual)))
-    if off_diag > 1e-8:
-        raise NoonSupportError(
-            f"state is not diagonal in the noon(+-, phi={phi}) basis: "
-            f"residual {off_diag:.3e}"
-        )
-    return NoonMixture(rows=tuple(rows), phi=phi)
 
 
 # ---------------------------------------------------------------------------

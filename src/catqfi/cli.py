@@ -124,6 +124,9 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
     if generator not in allowed:
         raise click.UsageError(f"{variant} states take --generator {' or '.join(allowed)}")
     curve = bench.point_curve(family, variant, alpha, beta, n_components, transmission)
+    # the grid route first: past the grid limit it fails at once, where a
+    # closed-form series would run to its term cap
+    point = bench.numeric_point(curve, alpha, generator)
     result = {
         "family": family,
         "alpha": alpha,
@@ -136,7 +139,6 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
     }
     closed = generator == allowed[0] and bench.FAMILIES[family].qfi[variant] is not None
     result["qfi_closed_form"] = bench.closed_qfi(curve, alpha) if closed else None
-    point = bench.numeric_point(curve, alpha, generator)
     result["qfi_numeric"] = num = None if point is None else point[1]
     ref = result["qfi_closed_form"] if result["qfi_closed_form"] is not None else num
     result["delta_phi"] = bench.delta_phi(ref) if ref is not None else None

@@ -8,8 +8,11 @@ fock/channels/qfi pipeline is a genuine two-route check.
 The phase-averaged forms (`pa_weight`, `pa_qfi`, `lossy_noon_mixture`) take
 the head count N of the extended state (|C_N>|0> + |0>|C_N>)/sqrt(M): the
 entangled coherent state is N = 1 and the modified entangled state N = 2.
-The noon state's loss spectrum is `lossy_noon_ladder`, a function of its
-photon number n.
+`pa_qfi` also takes the transmission T of equal per-mode loss and is the
+one phase-averaged QFI at every T.  The spectral rows of the lossy states,
+`lossy_noon_mixture` and, for the noon state of photon number n,
+`lossy_noon_ladder`, are `NoonMixture`s; the tests check the grid route and
+`pa_qfi` against them.
 
 Series over the support of an N-component cat (photon numbers N*m) stop
 when a term falls below 1e-16 of the running sum or underflows to 0, with a
@@ -22,13 +25,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import cos, exp, inf, ldexp, log, sin, sqrt
 
-from .channels import LossSpec, NoonMixture
+from .channels import LossSpec
 from .fock import CutoffError
 
 _SERIES_RTOL = 1e-16
 _SERIES_CAP = 5000
 _SHIFT_STEP = 900  # a shifted series divides its terms by 2^900 whenever they pass 2^900
 _SHIFT_AT = 2.0**_SHIFT_STEP
+
+
+@dataclass(frozen=True)
+class NoonMixture:
+    """Mixture diagonal in the basis (|n,0> +- |0,n>)/sqrt(2).
+
+    rows holds (n, lambda+_n, lambda-_n); the n = 0 row carries the whole
+    vacuum weight in lambda+ (lambda- pairs with a zero vector there).
+    """
+
+    rows: tuple | list
+
+    def trace(self) -> float:
+        return float(sum(lp + lm for _, lp, lm in self.rows))
 
 
 @dataclass(frozen=True)
@@ -181,11 +198,21 @@ def pa_weight(n_components: int, alpha: float, n: int) -> float:
     return w
 
 
-def pa_qfi(n_components: int, alpha: float) -> float:
-    """QFI of the phase-averaged N-headed state under n_b: sum_m (N m)^2 x^{N m}/(N m)! / (1 + K)."""
+def pa_qfi(n_components: int, alpha: float, transmission: float = 1.0) -> float:
+    """QFI under n_b of the phase-averaged N-headed state after loss of transmission T.
+
+    F = S2(x T) / ((1 + K(x)) K(x R)) with x = |alpha|^2, R = 1 - T and
+    S2(y) = sum_m (N m)^2 y^{N m}/(N m)!: the sum over the rows of
+    `lossy_noon_mixture` with N | m, the only ones where lambda+ != lambda-.
+    Each series carries its own power-of-2 shift; they are divided one at a
+    time and the net power applied last, so no intermediate leaves double
+    range.  At T = 1, K(0) = 1 and F = S2(x)/(1 + K(x)).
+    """
     x = alpha * alpha
-    shift = _shift(x)
-    return _cat_series(n_components, x, 2, shift) / (ldexp(1.0, -shift) + _cat_series(n_components, x, 0, shift))
+    x_t, x_r = x * transmission, x * (1.0 - transmission)
+    s_t, s, s_r = _shift(x_t), _shift(x), _shift(x_r)
+    f = _cat_series(n_components, x_t, 2, s_t) / (ldexp(1.0, -s) + _cat_series(n_components, x, 0, s))
+    return ldexp(f / _cat_series(n_components, x_r, 0, s_r), s_t - s - s_r)
 
 
 def _loss_series(n_components: int, x_r: float, m: int) -> float:

@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .channels import NoonMixture, SpectralState
+from .channels import SpectralState
 from .fock import TwoModeState
 
 # Pairs with l_i + l_j at or below this contribute zero.  The double-sum
@@ -123,18 +123,3 @@ def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float | np.ndarray:
             totals[st.point[lo]] += f_sum[lo:hi].sum()
     totals = np.maximum(totals, 0.0)
     return float(totals[0]) if s.points == 1 else totals
-
-
-def qfi_noon_mixture(mix: NoonMixture) -> float:
-    """Fast path for noon-diagonal mixtures: F = sum n^2 (l+ - l-)^2/(l+ + l-).
-
-    This reduction is validated against qfi_mixed on reconstructed states in
-    the test suite before being trusted anywhere.
-    """
-    total = 0.0
-    for n, lam_p, lam_m in mix.rows:
-        pair = lam_p + lam_m
-        if pair <= 0.0:
-            continue
-        total += n * n * (lam_p - lam_m) ** 2 / pair
-    return total

@@ -65,7 +65,7 @@ def test_family_curve_rejects_parameters_outside_the_table(kind, kwargs):
 
 # the grid route's numerics, by defining module
 GRID_FUNCTIONS = {
-    fock: ("cat_state", "coherent", "beam_splitter_5050", "extended_entangled_state", "noon_state"),
+    fock: ("cat_state", "coherent", "beam_splitter_5050", "extended_entangled_state", "noon_state", "default_cutoff"),
     channels: ("phase_average", "loss_channel"),
     qfi: ("qfi_mixed", "qfi_pure"),
 }

@@ -1,4 +1,4 @@
-"""Channel tests: photon loss, phase averaging, noon-basis rows, CPS heralding."""
+"""Channel tests: photon loss, phase averaging, noon-basis rows (tests/noon_basis.py), CPS heralding."""
 
 from dataclasses import replace
 from math import exp, pi, sqrt
@@ -11,17 +11,14 @@ from catqfi import closed_form as cf
 from catqfi.channels import (
     BlockStack,
     LossSpec,
-    NoonSupportError,
     SpectralState,
     _loss_coeff_table,
     _loss_dense,
     cps_round_outcome,
     from_pure,
     loss_channel,
-    noon_mixture_to_spectral,
     phase_average,
     synthesize_heralded,
-    to_noon_mixture,
 )
 from catqfi.fock import (
     CatSpec,
@@ -36,6 +33,7 @@ from catqfi.fock import (
     product_state,
 )
 from catqfi.qfi import qfi_mixed
+from noon_basis import NoonSupportError, noon_mixture_to_spectral, to_dense, to_noon_mixture
 
 RNG = np.random.default_rng(20250808)
 
@@ -46,7 +44,7 @@ def random_state(n_max: int) -> TwoModeState:
 
 
 def dense(s: SpectralState) -> np.ndarray:
-    return s.to_dense()
+    return to_dense(s)
 
 
 def blocks(s: SpectralState):

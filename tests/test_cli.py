@@ -2,6 +2,7 @@
 
 import json
 import time
+from math import exp
 
 import pytest
 from click.testing import CliRunner
@@ -273,13 +274,37 @@ def test_qfi_many_heads_at_large_alpha_both_routes(n_components, alpha, extra):
     assert payload["qfi_numeric"] == pytest.approx(payload["qfi_closed_form"], rel=1e-12)
 
 
-@pytest.mark.parametrize("family", ["ecs", "coherent", "noon"])
-def test_qfi_grid_beyond_limit_exit_three(family):
+@pytest.mark.parametrize(
+    "family,extra",
+    [
+        ("ecs", ()),
+        ("coherent", ()),
+        ("noon", ()),
+        ("ecs", ("--phase-averaged",)),
+        ("modified", ("--phase-averaged",)),
+        ("extended", ("--n-components", "4", "--phase-averaged")),
+        ("ecs", ("--transmission", "0.9")),
+        ("modified", ("--transmission", "0.9")),
+        ("extended", ("--n-components", "4", "--transmission", "0.9")),
+    ],
+    ids=["ecs", "coherent", "noon", "ecs-pa", "modified-pa", "extended-pa", "ecs-lossy", "modified-lossy", "extended-lossy"],
+)
+def test_qfi_grid_beyond_limit_exit_three(family, extra):
+    # the grid limit is checked before any closed-form series runs to its term cap
     t0 = time.perf_counter()
-    result = invoke("qfi", "--family", family, "--alpha", "1e6" if family != "noon" else "1000")
+    result = invoke("qfi", "--family", family, "--alpha", "1e6" if family != "noon" else "1000", *extra)
     assert time.perf_counter() - t0 < 1.0
     assert result.exit_code == 3, result.output
     assert "grid limit" in result.output
+
+
+def test_qfi_lossy_closed_form_past_double_range():
+    # e^{alpha^2} overflows a double at alpha = 27; the lossy closed form divides it out
+    result = invoke("qfi", "--family", "ecs", "--alpha", "27", "--transmission", "0.9")
+    assert result.exit_code == 0, result.output
+    x, t = 27.0**2, 0.9
+    expected = (x * x * t * t + x * t) * exp(-2 * x * (1 - t)) / (1 + exp(-x))
+    assert json.loads(result.output)["qfi_closed_form"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_state_n_max_beyond_limit_exit_two():

@@ -7,9 +7,19 @@ import pytest
 
 from catqfi import bench
 from catqfi import closed_form as cf
-from catqfi.channels import LossSpec, loss_channel, phase_average, synthesize_heralded, to_noon_mixture
-from catqfi.fock import CutoffError, beam_splitter_5050, CatSpec, cat_state, coherent, extended_entangled_state, number_moment
+from catqfi.channels import LossSpec, loss_channel, phase_average, synthesize_heralded
+from catqfi.fock import (
+    CatSpec,
+    CutoffError,
+    beam_splitter_5050,
+    cat_state,
+    coherent,
+    default_cutoff,
+    extended_entangled_state,
+    number_moment,
+)
 from catqfi.qfi import qfi_pure
+from noon_basis import qfi_noon_mixture, to_noon_mixture
 
 
 def series_k_oracle(n_comp: int, alpha: float, terms: int = 60) -> float:
@@ -241,6 +251,47 @@ def test_n_headed_forms_where_the_series_leave_double_range(alpha):
     # the lossy rows take no shift: past double range they raise, not return NaN
     with pytest.raises(ArithmeticError):
         cf.lossy_noon_mixture(1, alpha, LossSpec(0.9), n_cut=2000)
+
+
+# ---------------------------------------------------------------------------
+# phase-averaged QFI under loss
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_comp", [1, 2, 3, 4, 8, 16])
+def test_lossy_pa_qfi_is_the_sum_over_the_spectral_rows(n_comp):
+    # F = S2(xT) / ((1 + K(x)) K(xR)) against sum n^2 (l+ - l-)^2/(l+ + l-)
+    # over the rows of lossy_noon_mixture, cut where the grid route cuts
+    checked = 0
+    for t in (1.0, 0.99, 0.9, 0.85, 0.5, 0.1):
+        for alpha in [k / 20 for k in range(1, 121)]:
+            rows = cf.lossy_noon_mixture(n_comp, alpha, LossSpec(t), n_cut=default_cutoff(alpha))
+            expected = qfi_noon_mixture(rows)
+            if expected < 1e-9:
+                continue
+            assert cf.pa_qfi(n_comp, alpha, t) == pytest.approx(expected, rel=1e-10), (alpha, t)
+            checked += 1
+    assert checked > 400
+
+
+def test_lossy_pa_qfi_ecs_explicit_form():
+    # N = 1: S2(y) = (y^2 + y) e^y, K(x) = e^x, so F = (x^2 T^2 + x T) e^{-2 x R} / (1 + e^{-x});
+    # past alpha ~ 26.6, e^{alpha^2} leaves double range
+    for alpha in [k / 2 for k in range(1, 85)]:
+        x = alpha * alpha
+        for t in (0.0, 0.1, 0.5, 0.85, 0.9, 0.99, 1.0):
+            expected = (x * x * t * t + x * t) * exp(-2 * x * (1 - t)) / (1 + exp(-x))
+            got = cf.pa_qfi(1, alpha, t)
+            if expected < 1e-300:  # zero, or subnormal where exp itself rounds
+                assert got < 1e-290, (alpha, t)
+            else:
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (alpha, t)
+
+
+@pytest.mark.parametrize("n_comp", [1, 2, 4, 16])
+def test_pa_qfi_full_transmission_is_the_lossless_form(n_comp):
+    for alpha in (0.3, 1.0, 5.0, 27.0, 40.0):
+        assert cf.pa_qfi(n_comp, alpha, 1.0) == cf.pa_qfi(n_comp, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from catqfi.fock import (
     phase_shift,
     default_cutoff,
     product_state,
-    truncation_bound,
 )
 
 
@@ -84,23 +83,25 @@ def test_norm_after_normalize():
 
 
 # ---------------------------------------------------------------------------
-# truncation bound
+# default cutoff
 # ---------------------------------------------------------------------------
 
 
-def test_truncation_bound_floor():
-    assert truncation_bound(0.0) == 32
-    # Poisson(1) crosses 1e-12 at n = 14, below the floor
-    assert truncation_bound(1.0) == 32
+def test_default_cutoff_floor():
+    assert default_cutoff(0.0) == 32
+    # the heuristic is 31 at alpha = 1; Poisson(1) crosses 1e-12 at n = 14
+    assert default_cutoff(1.0) == 32
 
 
 def test_truncation_bound_tail_oracle():
+    # the truncation bound is default_cutoff: its Poisson tail sits under
+    # 1e-12 and under the Bernstein bound its docstring cites
     for alpha in (2.0, 3.0):
-        bound = truncation_bound(alpha)
-        lam = alpha * alpha
-        assert poisson_tail(bound, lam) <= 1e-12
-        if bound > 32:
-            assert poisson_tail(bound - 1, lam) > 1e-12
+        n_max, lam = default_cutoff(alpha), alpha * alpha
+        tail = poisson_tail(n_max, lam)
+        assert tail <= 1e-12
+        t = n_max - lam
+        assert tail <= exp(-t * t / (2 * lam + 2 * t / 3))
 
 
 @pytest.mark.parametrize(
@@ -109,19 +110,21 @@ def test_truncation_bound_tail_oracle():
     ids=["sqrt_k_to_1990", "grid_0.01_to_10"],
 )
 def test_truncation_bound_matches_tail_oracle_everywhere(alphas):
+    # default_cutoff leaves Poisson(alpha^2) tail <= 1e-12 by the direct sum
     for alpha in alphas:
-        bound, lam = truncation_bound(alpha), alpha * alpha
-        if lam == 0.0:
-            assert bound == 32
+        try:
+            n_max = default_cutoff(alpha)
+        except CutoffError as exc:  # the grid ends near alpha = 39.8
+            assert "grid limit" in str(exc) and alpha > 39.0, alpha
             continue
-        assert poisson_tail(bound, lam) <= 1e-12, alpha
-        if bound > 32:
-            assert poisson_tail(bound - 1, lam) > 1e-12, alpha
+        assert n_max >= 32
+        if alpha > 0.0:
+            assert poisson_tail(n_max, alpha * alpha) <= 1e-12, alpha
 
 
-def test_truncation_bound_monotone():
-    assert truncation_bound(2.0) >= truncation_bound(1.0)
-    assert truncation_bound(3.0) >= truncation_bound(2.0)
+def test_default_cutoff_monotone():
+    assert default_cutoff(2.0) >= default_cutoff(1.0)
+    assert default_cutoff(3.0) >= default_cutoff(2.0)
 
 
 @pytest.mark.parametrize("alpha", [45.0, 1000.0, 1e6])
@@ -130,8 +133,6 @@ def test_cutoff_beyond_grid_limit_raises_before_allocating(alpha):
     t0 = time.perf_counter()
     with pytest.raises(CutoffError, match="grid limit"):
         default_cutoff(alpha)
-    with pytest.raises(CutoffError, match="grid limit"):
-        truncation_bound(alpha)
     assert time.perf_counter() - t0 < 1.0
     assert default_cutoff(39.0) <= N_MAX_LIMIT
 
@@ -342,15 +343,6 @@ def test_beam_splitter_corner_block_matches_full_sector_product():
         vec[ks] = grid[ks, n - ks]
         expected[ks, n - ks] = (fock._bs_sector_unitary(n) @ vec)[ks]
     assert np.max(np.abs(beam_splitter_5050(a, b).amps - expected)) <= 1e-15
-
-
-def test_truncation_bound_memo_is_bounded():
-    truncation_bound.cache_clear()
-    first = truncation_bound(2.5)
-    assert truncation_bound(2.5) == first
-    info = truncation_bound.cache_info()
-    assert (info.hits, info.currsize) == (1, 1)
-    assert info.maxsize is not None
 
 
 def test_beam_splitter_cat_moment_matches_closed_form():

@@ -1,4 +1,4 @@
-"""QFI engine tests: pure forms, mixed double-sum vs literal form, noon fast path."""
+"""QFI engine tests: pure forms, mixed double-sum vs literal form, the noon-row QFI oracle."""
 
 from dataclasses import replace
 from math import exp, sqrt
@@ -11,13 +11,12 @@ import pytest
 from catqfi.channels import (
     BlockStack,
     LossSpec,
-    NoonMixture,
     SpectralState,
     from_pure,
     loss_channel,
-    noon_mixture_to_spectral,
     phase_average,
 )
+from catqfi.closed_form import NoonMixture
 from catqfi.fock import (
     coherent,
     extended_entangled_state,
@@ -25,7 +24,8 @@ from catqfi.fock import (
     phase_shift,
     product_state,
 )
-from catqfi.qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_noon_mixture, qfi_pure
+from catqfi.qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_pure
+from noon_basis import noon_mixture_to_spectral, qfi_noon_mixture
 
 RNG = np.random.default_rng(11)
 
@@ -168,7 +168,7 @@ def test_qfi_mixed_is_the_sum_of_block_qfis():
 
 
 # ---------------------------------------------------------------------------
-# noon-mixture fast path
+# noon-row QFI oracle (tests/noon_basis.py)
 # ---------------------------------------------------------------------------
 
 
@@ -196,8 +196,8 @@ def test_qfi_noon_reduction_agrees_with_qfi_mixed():
         raw /= raw.sum()
         phi = float(RNG.uniform(0, 2 * np.pi))
         rows = [(int(n), float(lp), float(lm)) for n, (lp, lm) in zip(ns, raw)]
-        mix = NoonMixture(rows=tuple(rows), phi=phi)
-        spectral = noon_mixture_to_spectral(mix, n_max=16)
+        mix = NoonMixture(rows=tuple(rows))
+        spectral = noon_mixture_to_spectral(mix, n_max=16, phi=phi)
         assert qfi_noon_mixture(mix) == pytest.approx(
             quiet_qfi_mixed(spectral, "n_b"), rel=1e-8
         )
