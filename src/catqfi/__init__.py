@@ -7,10 +7,9 @@ interferometer, with and without phase averaging and photon loss.
 
 from .bench import (
     ConsistencyReport,
+    FIGURES,
     FamilyCurve,
-    SweepConfig,
     SweepRow,
-    default_config,
     delta_phi,
     find_crossover,
     interpolate_at_nav,

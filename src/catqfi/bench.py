@@ -1,12 +1,14 @@
 """Figure-reproduction sweeps, equal-energy comparison, and the consistency verifier.
 
-`FAMILIES` is the one table of state families.  A figure sweep evaluates
-every point twice, once from the closed-form module and once through the
-truncated-Fock pipeline (state construction -> channels -> QFI engine).
-Curves are parameterized by alpha.  Equal-energy comparisons take a curve
-and an alpha grid, invert the closed-form N_av(alpha) by bisection on alpha
-and then evaluate exactly, never by interpolating delta_phi.  Sweep rows
-are output only.
+Two tables declare everything a sweep plots.  `FAMILIES` is the one table
+of state families; `FIGURES` names each of the paper's figures once, with
+its default alpha grid and its curves (a family at fixed shape parameters
+and transmission).  A figure sweep evaluates every point of every curve
+twice, once from the closed-form module and once through the truncated-Fock
+pipeline (state construction -> channels -> QFI engine).  Equal-energy
+comparisons take a curve and an alpha grid, invert the closed-form
+N_av(alpha) by bisection on alpha and then evaluate exactly, never by
+interpolating delta_phi.  Sweep rows are output only.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .fock import (
 )
 from .qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_pure
 
-FIGURES = ("fig1", "fig2a", "fig2b", "fig4")
-
 CROSSOVER_TOL = 1e-4  # in N_av
 
 
@@ -64,35 +64,6 @@ ROW_FIELDS = tuple(f.name for f in fields(SweepRow))  # the CSV columns and JSON
 CSV_HEADER = ",".join(ROW_FIELDS)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    figure: str
-    alpha_grid: tuple
-    beta_ratios: tuple = (1.0, 0.5, 0.25, 0.0)
-    n_components_list: tuple = (4, 8, 16)
-    transmissions: tuple = (0.9, 0.85)
-
-    def __post_init__(self):
-        if self.figure not in FIGURES:
-            raise ValueError(f"figure must be one of {FIGURES}")
-        for name in ("alpha_grid", "beta_ratios", "n_components_list", "transmissions"):
-            grid = getattr(self, name)
-            if len(grid) == 0:
-                raise ValueError(f"{name} must be nonempty")
-        if any(b - a <= 0 for a, b in zip(self.alpha_grid, self.alpha_grid[1:])):
-            raise ValueError("alpha_grid must be strictly increasing")
-
-
-def default_config(figure: str) -> SweepConfig:
-    """Default grids: fig1 covers N_av up to ~1.4, fig2/fig4 up to ~4."""
-    if figure == "fig1":
-        grid = np.round(np.arange(0.05, 2.2 + 1e-9, 0.05), 10)
-    else:
-        grid = np.round(np.arange(0.1, 3.0 + 1e-9, 0.05), 10)
-    n_list = (4, 8) if figure == "fig4" else (4, 8, 16)
-    return SweepConfig(figure=figure, alpha_grid=tuple(grid), n_components_list=n_list)
-
-
 # ---------------------------------------------------------------------------
 # the family table
 # ---------------------------------------------------------------------------
@@ -117,7 +88,7 @@ class Family:
     family fixes; build: (curve, alpha, n_max) -> the numeric route's pure
     state, None where the family has none at alpha (n_max None: the family's
     cutoff); nav: closed-form N_av = <n_a>; qfi: variant -> closed-form QFI
-    under the variant's standard generator, None where there is none.
+    under n_b, None where there is none.
     """
 
     params: tuple
@@ -163,8 +134,7 @@ def _pa_qfi(curve, alpha):
     return cf.pa_qfi(curve.heads, alpha, curve.transmission)
 
 
-# the generators each variant admits, the standard one (that of the closed forms) first
-GENERATORS = {"pure": ("one_mode_b", "two_mode_half"), "phase_averaged": ("n_b", "half_difference")}
+VARIANTS = ("pure", "phase_averaged")
 
 # callables take (curve, alpha); phase-averaged coherent and cat4 states leave
 # the noon span {|n,0>, |0,n>} on which `cf.pa_qfi` is summed
@@ -209,7 +179,7 @@ class FamilyCurve:
 
     def __post_init__(self):
         family = _family(self.kind)
-        if self.variant not in GENERATORS:
+        if self.variant not in VARIANTS:
             raise ParameterError(f"variant must be pure or phase_averaged, got {self.variant!r}")
         if not 0.0 <= self.transmission <= 1.0 or (self.variant == "pure" and self.transmission != 1.0):
             raise ParameterError("transmission must lie in [0, 1], and be 1 for a pure state")
@@ -235,6 +205,53 @@ class FamilyCurve:
         return FAMILIES[self.kind].build(self, alpha, n_max)
 
 
+@dataclass(frozen=True)
+class Figure:
+    """One of the paper's figures: its curves, swept by default over its alpha grid."""
+
+    alpha_grid: tuple
+    curves: tuple
+
+
+MAX_GRID_POINTS = 10_000  # the default grids have 44 and 59
+
+
+def alpha_range(lo: float, hi: float, step: float = 0.05) -> tuple:
+    """The alpha grid lo, lo + step, ... up to hi (inclusive to 1e-9), rounded to 10 digits.
+
+    A grid of MAX_GRID_POINTS or more is refused before it is allocated
+    (ParameterError); the quotient is compared unfloored, so inf is refused too.
+    """
+    if (hi - lo) / step >= MAX_GRID_POINTS:
+        raise ParameterError(f"an alpha grid from {lo} to {hi} in steps of {step} has {MAX_GRID_POINTS} points or more")
+    return tuple(np.round(np.arange(lo, hi + 1e-9, step), 10))
+
+
+def _fig2_curves(variant: str, n_components: tuple, transmission: float = 1.0) -> tuple:
+    """noon, ecs, modified, then extended[N] for each N."""
+    curves = [FamilyCurve(k, k, variant, n_components=FAMILIES[k].heads, transmission=transmission)
+              for k in ("noon", "ecs", "modified")]
+    curves += [FamilyCurve(f"extended[N={n}]", "extended", variant, n_components=n, transmission=transmission)
+               for n in n_components]
+    return tuple(curves)
+
+
+# fig1 covers N_av up to ~1.4, fig2 and fig4 up to ~4; the cat4 labels give beta/alpha
+FIGURES = {
+    "fig1": Figure(alpha_range(0.05, 2.2), (
+        FamilyCurve("coherent", "coherent", "pure"),
+        FamilyCurve("ecs", "ecs", "pure"),
+        *(FamilyCurve(f"cat4[b={b}]", "cat4", "pure", beta_ratio=ratio, n_components=4)
+          for b, ratio in (("a", 1.0), ("a/2", 0.5), ("a/4", 0.25), ("0", 0.0))),
+    )),
+    "fig2a": Figure(alpha_range(0.1, 3.0), _fig2_curves("pure", (4, 8, 16))),
+    "fig2b": Figure(alpha_range(0.1, 3.0), _fig2_curves("phase_averaged", (4, 8, 16))),
+    "fig4": Figure(alpha_range(0.1, 3.0), tuple(
+        c for t in (0.9, 0.85) for c in _fig2_curves("phase_averaged", (4, 8), t)
+    )),
+}
+
+
 def point_curve(kind, variant, alpha, beta=None, n_components=None, transmission=1.0) -> FamilyCurve:
     """The curve of `kind` through one point, every argument checked against the table;
     cat4's coherent amplitude beta defaults to alpha and is carried as beta/alpha."""
@@ -257,10 +274,9 @@ def closed_qfi(curve: FamilyCurve, alpha: float) -> float:
     return form(curve, alpha)
 
 
-def numeric_points(curve: FamilyCurve, alphas, generator: str | None = None) -> list[tuple[float, float] | None]:
-    """(N_av, QFI) at each alpha through the truncated-Fock pipeline, by default
-    under the variant's standard generator; None where the family has no
-    numeric realization (non-integer noon).
+def numeric_points(curve: FamilyCurve, alphas, generator: str = "n_b") -> list[tuple[float, float] | None]:
+    """(N_av, QFI) at each alpha through the truncated-Fock pipeline; None
+    where the family has no numeric realization (non-integer noon).
 
     Mixed states are phase averaged, lost and evaluated as one batch, so a
     failure at any alpha raises for the whole call.
@@ -270,7 +286,6 @@ def numeric_points(curve: FamilyCurve, alphas, generator: str | None = None) -> 
     out = [None] * len(states)
     if not live:
         return out
-    generator = generator or GENERATORS[curve.variant][0]
     navs = [number_moment(states[i], "a", 1) for i in live]
     if curve.variant == "pure":
         qfis = [qfi_pure(states[i], generator) for i in live]
@@ -287,34 +302,14 @@ def numeric_points(curve: FamilyCurve, alphas, generator: str | None = None) -> 
     return out
 
 
-def numeric_point(curve: FamilyCurve, alpha: float, generator: str | None = None) -> tuple[float, float] | None:
+def numeric_point(curve: FamilyCurve, alpha: float, generator: str = "n_b") -> tuple[float, float] | None:
     """`numeric_points` at one alpha."""
     return numeric_points(curve, (alpha,), generator)[0]
 
 
-def figure_curves(cfg: SweepConfig) -> list[FamilyCurve]:
-    if cfg.figure == "fig1":
-        curves = [
-            FamilyCurve("coherent", "coherent", "pure"),
-            FamilyCurve("ecs", "ecs", "pure"),
-        ]
-        for ratio in cfg.beta_ratios:
-            label = {1.0: "cat4[b=a]", 0.5: "cat4[b=a/2]", 0.25: "cat4[b=a/4]", 0.0: "cat4[b=0]"}.get(
-                ratio, f"cat4[b={ratio}a]"
-            )
-            curves.append(FamilyCurve(label, "cat4", "pure", beta_ratio=ratio, n_components=4))
-        return curves
-    variant = "pure" if cfg.figure == "fig2a" else "phase_averaged"
-    base = [FamilyCurve(k, k, variant, n_components=FAMILIES[k].heads) for k in ("noon", "ecs", "modified")]
-    base += [FamilyCurve(f"extended[N={n}]", "extended", variant, n_components=n) for n in cfg.n_components_list]
-    if cfg.figure != "fig4":
-        return base
-    return [replace(c, transmission=t) for t in cfg.transmissions for c in base]
-
-
-def _make_row(cfg: SweepConfig, curve: FamilyCurve, alpha: float, nav: float, f: float, path: str) -> SweepRow:
+def _make_row(figure: str, curve: FamilyCurve, alpha: float, nav: float, f: float, path: str) -> SweepRow:
     return SweepRow(
-        figure=cfg.figure,
+        figure=figure,
         family=curve.label,
         alpha=float(alpha),
         beta=None if curve.beta_ratio is None else curve.beta_ratio * alpha,
@@ -357,28 +352,33 @@ def _numeric_rows(curve: FamilyCurve, alphas) -> list[tuple[float, tuple[float, 
     return out
 
 
-def run_sweep(cfg: SweepConfig, numeric: bool = True) -> list[SweepRow]:
-    """Evaluate each figure curve over the alpha grid in closed form and, with `numeric`, on the grid.
+def run_sweep(figure: str, alpha_grid) -> list[SweepRow]:
+    """Evaluate each curve of `figure` over the alpha grid in closed form and on the grid.
 
     A numeric failure (e.g. cutoff exhaustion) aborts that row with a
     diagnostic on stderr, not the sweep; a closed-form row that aborts takes
     its numeric row with it.
     """
+    if figure not in FIGURES:
+        raise ParameterError(f"figure must be one of {tuple(FIGURES)}, got {figure!r}")
+    if len(alpha_grid) == 0:
+        raise ParameterError("alpha_grid must be nonempty")
+    if any(b - a <= 0 for a, b in zip(alpha_grid, alpha_grid[1:])):
+        raise ParameterError("alpha_grid must be strictly increasing")
     rows: list[SweepRow] = []
-    for curve in figure_curves(cfg):
+    for curve in FIGURES[figure].curves:
         closed = []
-        for alpha in cfg.alpha_grid:
+        for alpha in alpha_grid:
             try:
                 rows.append(
-                    _make_row(cfg, curve, alpha, closed_nav(curve, alpha), closed_qfi(curve, alpha), "closed_form")
+                    _make_row(figure, curve, alpha, closed_nav(curve, alpha), closed_qfi(curve, alpha), "closed_form")
                 )
                 closed.append(alpha)
             except _ROW_ERRORS as exc:
                 _abort_row(curve, alpha, exc)
-        if numeric:
-            for alpha, num in _numeric_rows(curve, closed):
-                if num is not None:
-                    rows.append(_make_row(cfg, curve, alpha, num[0], num[1], "numeric"))
+        for alpha, num in _numeric_rows(curve, closed):
+            if num is not None:
+                rows.append(_make_row(figure, curve, alpha, num[0], num[1], "numeric"))
     rows.sort(key=lambda r: (r.figure, r.family, r.transmission, r.alpha, r.path))
     return rows
 
@@ -398,7 +398,7 @@ def alpha_solver(curve: FamilyCurve, alpha_grid) -> Callable[[float], float]:
 
     def solve(n_av: float) -> float:
         if not navs[0] <= n_av <= navs[-1]:
-            raise ValueError(
+            raise ParameterError(
                 f"N_av={n_av} outside the sampled range [{navs[0]:.6g}, {navs[-1]:.6g}] of {curve.label!r}"
             )
         lo, hi = alpha_lo, alpha_hi
@@ -582,7 +582,7 @@ def verify_consistency(
     for alpha in (0.5, 1.5):
         for n_comp in (1, 2, 4):
             curve = _extended_curve(n_comp)
-            f_q2 = numeric_point(curve, alpha, "two_mode_half")[1]
+            f_q2 = numeric_point(curve, alpha, "half_difference")[1]
             f_pa = numeric_point(replace(curve, variant="phase_averaged"), alpha)[1]
             add(f"fq-equals-fq2[{curve.label}]", {"alpha": alpha}, f_q2, f_pa)
 

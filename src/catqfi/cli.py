@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import replace
 
 import click
 import numpy as np
@@ -28,6 +27,7 @@ from .fock import (
     mandel_q,
     number_moment,
 )
+from .qfi import GENERATORS
 
 SINGLE_MODE_FAMILIES = ("coherent", "cat")
 TWO_MODE_FAMILIES = ("ecs", "modified", "extended", "noon")
@@ -106,12 +106,7 @@ def state(family, alpha, n_components, n_max):
 @click.option("--beta", type=float, default=None, help="coherent input amplitude (cat4 only; default alpha)")
 @click.option("--n-components", type=click.IntRange(min=1), default=None, help="cat heads N (extended only)")
 @click.option("--transmission", type=click.FloatRange(0.0, 1.0), default=1.0)
-@click.option(
-    "--generator",
-    type=click.Choice([g for pair in bench.GENERATORS.values() for g in pair]),
-    default=None,
-    help="defaults to one_mode_b (pure) / n_b (phase averaged)",
-)
+@click.option("--generator", type=click.Choice(GENERATORS), default="n_b")
 @click.option("--phase-averaged", is_flag=True, default=False)
 @numeric_guard
 def qfi(family, alpha, beta, n_components, transmission, generator, phase_averaged):
@@ -119,10 +114,6 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
     if transmission < 1.0:
         phase_averaged = True
     variant = "phase_averaged" if phase_averaged else "pure"
-    allowed = bench.GENERATORS[variant]
-    generator = generator or allowed[0]
-    if generator not in allowed:
-        raise click.UsageError(f"{variant} states take --generator {' or '.join(allowed)}")
     curve = bench.point_curve(family, variant, alpha, beta, n_components, transmission)
     # the grid route first: past the grid limit it fails at once, where a
     # closed-form series would run to its term cap
@@ -137,7 +128,7 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
         "generator": generator,
         "n_av": bench.closed_nav(curve, alpha),
     }
-    closed = generator == allowed[0] and bench.FAMILIES[family].qfi[variant] is not None
+    closed = generator == "n_b" and bench.FAMILIES[family].qfi[variant] is not None
     result["qfi_closed_form"] = bench.closed_qfi(curve, alpha) if closed else None
     result["qfi_numeric"] = num = None if point is None else point[1]
     ref = result["qfi_closed_form"] if result["qfi_closed_form"] is not None else num
@@ -146,7 +137,7 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
 
 
 @main.command()
-@click.option("--figure", type=click.Choice(bench.FIGURES), required=True)
+@click.option("--figure", type=click.Choice(tuple(bench.FIGURES)), required=True)
 @click.option("--out", type=click.Path(writable=True, dir_okay=False), default="-")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--alpha-min", type=float, default=None)
@@ -155,19 +146,18 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
 @numeric_guard
 def sweep(figure, out, fmt, alpha_min, alpha_max, alpha_step):
     """Run a figure-reproduction sweep and write CSV or JSON rows."""
-    cfg = bench.default_config(figure)
+    grid = bench.FIGURES[figure].alpha_grid
     if alpha_min is not None or alpha_max is not None or alpha_step is not None:
-        lo = alpha_min if alpha_min is not None else cfg.alpha_grid[0]
-        hi = alpha_max if alpha_max is not None else cfg.alpha_grid[-1]
+        lo = alpha_min if alpha_min is not None else grid[0]
+        hi = alpha_max if alpha_max is not None else grid[-1]
         step = alpha_step if alpha_step is not None else 0.05
         bench.check_amplitude("--alpha-min", lo)
         bench.check_amplitude("--alpha-max", hi)
         bench.check_amplitude("--alpha-step", step, positive=True)
         if lo > hi:
             raise click.UsageError(f"--alpha-min {lo} exceeds --alpha-max {hi}")
-        grid = tuple(np.round(np.arange(lo, hi + 1e-9, step), 10))
-        cfg = replace(cfg, alpha_grid=grid)
-    rows = bench.run_sweep(cfg)
+        grid = bench.alpha_range(lo, hi, step)
+    rows = bench.run_sweep(figure, grid)
     payload = (
         bench.rows_to_csv(rows)
         if fmt == "csv"
@@ -182,7 +172,7 @@ def sweep(figure, out, fmt, alpha_min, alpha_max, alpha_step):
 
 
 @main.command()
-@click.option("--figure", type=click.Choice(bench.FIGURES), required=True)
+@click.option("--figure", type=click.Choice(tuple(bench.FIGURES)), required=True)
 @click.option("--family-a", required=True)
 @click.option("--family-b", required=True)
 @click.option("--nav-lo", type=float, required=True)
@@ -191,8 +181,7 @@ def sweep(figure, out, fmt, alpha_min, alpha_max, alpha_step):
 @numeric_guard
 def crossover(figure, family_a, family_b, nav_lo, nav_hi, transmission):
     """Locate the N_av where two families' delta_phi curves cross."""
-    cfg = bench.default_config(figure)
-    curves = bench.figure_curves(cfg)
+    curves = bench.FIGURES[figure].curves
     at_t = [c for c in curves if transmission is None or abs(c.transmission - transmission) < 1e-12]
     picked = []
     for label in (family_a, family_b):
@@ -201,7 +190,7 @@ def crossover(figure, family_a, family_b, nav_lo, nav_hi, transmission):
             known = ", ".join(f"{c.label} (T={c.transmission})" for c in curves)
             raise click.UsageError(f"{label!r} names no single {figure} curve at this --transmission; curves: {known}")
         picked += named
-    nav = bench.find_crossover(*picked, cfg.alpha_grid, (nav_lo, nav_hi))
+    nav = bench.find_crossover(*picked, bench.FIGURES[figure].alpha_grid, (nav_lo, nav_hi))
     click.echo(json.dumps({"figure": figure, "family_a": family_a, "family_b": family_b, "crossover_n_av": nav}))
 
 

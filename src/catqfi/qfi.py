@@ -1,7 +1,8 @@
 """Quantum Fisher information for pure and mixed two-mode states.
 
-Pure states: F = 4 Var(n_b) for a one-arm shift e^{i phi n_b}, and
-F = Var(n_b - n_a) for the symmetric two-arm shift e^{+- i phi/2 n}.
+Both states take one of two generators G, the phase shift e^{iG phi}:
+n_b, the one-arm shift, and half_difference = (n_b - n_a)/2, the symmetric
+two-arm shift e^{+- i phi/2 n}.  A pure state has F = 4 Var(G).
 
 Mixed states rho(phi) = e^{iG phi} rho e^{-iG phi} at phi = 0: the engine
 evaluates, per block of the state's block form, both the gap-safe double sum
@@ -43,21 +44,13 @@ class DegenerateSpectrumWarning(RuntimeWarning):
     """
 
 
-def qfi_pure(s: TwoModeState, config: str = "one_mode_b") -> float:
-    """QFI of a normalized pure state for the chosen phase-shift layout."""
+def qfi_pure(s: TwoModeState, generator: str = "n_b") -> float:
+    """QFI 4 Var(G) of a normalized pure state under e^{iG phi}."""
     p = np.abs(s.amps) ** 2
-    n = np.arange(s.n_max + 1, dtype=float)
-    if config == "one_mode_b":
-        g = np.broadcast_to(n[None, :], p.shape)
-        factor = 4.0
-    elif config == "two_mode_half":
-        g = n[None, :] - n[:, None]
-        factor = 1.0
-    else:
-        raise ValueError(f"config must be 'one_mode_b' or 'two_mode_half', got {config!r}")
+    g = _generator_grid(s.n_max, generator)
     m1 = float(np.sum(g * p))
     m2 = float(np.sum(g * g * p))
-    return factor * (m2 - m1 * m1)
+    return 4.0 * (m2 - m1 * m1)
 
 
 def _generator_grid(n_max: int, generator: str) -> np.ndarray:

@@ -46,23 +46,9 @@ def quiet_qfi_mixed(s, generator="n_b"):
         return qfi_mixed(s, generator)
 
 
-def sweep(figure, grid, transmissions=None):
-    base = bench.default_config(figure)
-    cfg = bench.SweepConfig(
-        figure=figure,
-        alpha_grid=tuple(grid),
-        beta_ratios=base.beta_ratios,
-        n_components_list=base.n_components_list,
-        transmissions=transmissions or base.transmissions,
-    )
-    return bench.run_sweep(cfg)
-
-
 def curves(figure, *labels, transmission=None):
-    """The curves of `figure`'s default config with these labels (at `transmission`), in order."""
-    at_t = [
-        c for c in bench.figure_curves(bench.default_config(figure)) if transmission in (None, c.transmission)
-    ]
+    """The curves of `figure` with these labels (at `transmission`), in order."""
+    at_t = [c for c in bench.FIGURES[figure].curves if transmission in (None, c.transmission)]
     return [next(c for c in at_t if c.label == label) for label in labels]
 
 
@@ -169,7 +155,7 @@ def test_criterion_5_phase_reference_identity():
     for n_comp in (1, 2, 4):
         for alpha in (0.5, 1.5):
             state = extended_entangled_state(n_comp, alpha)
-            f_q2 = qfi_pure(state, "two_mode_half")
+            f_q2 = qfi_pure(state, "half_difference")
             f_pa = quiet_qfi_mixed(phase_average(state), "n_b")
             worst = max(worst, abs(f_q2 - f_pa) / max(abs(f_q2), 1e-6))
     ok = worst <= 1e-8
@@ -223,7 +209,7 @@ def test_criterion_7_loss_channel_spectra():
 
 def test_criterion_8_fig4_loss_comparison():
     grid = tuple(x / 10 for x in range(1, 31))
-    rows = sweep("fig4", grid, transmissions=(0.9, 0.85))
+    rows = bench.run_sweep("fig4", grid)
     mod_09, noon_09 = curves("fig4", "modified", "noon", transmission=0.9)
     mod_085, noon_085 = curves("fig4", "modified", "noon", transmission=0.85)
     d_mod = bench.interpolate_at_nav(mod_09, grid, 1.5)

@@ -10,36 +10,18 @@ from catqfi import bench, channels, fock, qfi
 from catqfi import closed_form as cf
 
 
-def sweep(figure, grid, **overrides):
-    base = bench.default_config(figure)
-    cfg = bench.SweepConfig(
-        figure=figure,
-        alpha_grid=tuple(grid),
-        beta_ratios=overrides.get("beta_ratios", base.beta_ratios),
-        n_components_list=overrides.get("n_components_list", base.n_components_list),
-        transmissions=overrides.get("transmissions", base.transmissions),
-    )
-    return bench.run_sweep(cfg)
-
-
 # ---------------------------------------------------------------------------
 # sweep rows
 # ---------------------------------------------------------------------------
 
 
 def test_sweep_coherent_classical_point():
-    rows = [r for r in sweep("fig1", (1.0,)) if r.family == "coherent"]
+    rows = [r for r in bench.run_sweep("fig1", (1.0,)) if r.family == "coherent"]
     assert len(rows) == 2  # closed_form + numeric
     for r in rows:
         assert r.qfi == pytest.approx(2.0, abs=1e-10)
         assert r.delta_phi == pytest.approx(1 / sqrt(2), abs=1e-10)
         assert r.n_av == pytest.approx(0.5, abs=1e-10)
-
-
-def test_sweep_closed_rows_without_numeric_route():
-    cfg = bench.SweepConfig(figure="fig4", alpha_grid=(0.5, 1.0), n_components_list=(4,))
-    full = bench.run_sweep(cfg)
-    assert bench.run_sweep(cfg, numeric=False) == [r for r in full if r.path == "closed_form"]
 
 
 @pytest.mark.parametrize(
@@ -96,7 +78,7 @@ def test_closed_forms_never_call_grid_numerics(monkeypatch):
 
 
 def test_sweep_noon_point_fig2a():
-    rows = [r for r in sweep("fig2a", (2.0,)) if r.family == "noon"]
+    rows = [r for r in bench.run_sweep("fig2a", (2.0,)) if r.family == "noon"]
     assert {r.path for r in rows} == {"closed_form", "numeric"}
     for r in rows:
         assert r.n_av == pytest.approx(2.0, abs=1e-12)
@@ -106,17 +88,19 @@ def test_sweep_noon_point_fig2a():
 def test_sweep_noon_lossy_point():
     rows = [
         r
-        for r in sweep("fig4", (sqrt(2.0),), transmissions=(0.9,))
-        if r.family == "noon"
+        for r in bench.run_sweep("fig4", (sqrt(2.0),))
+        if r.family == "noon" and r.transmission == 0.9
     ]
     for r in rows:
         assert r.qfi == pytest.approx(3.24, abs=1e-10)
 
 
 def test_sweep_rows_pair_consistency():
-    rows = sweep("fig2b", (0.5, 1.0, 1.5), n_components_list=(4,))
+    rows = bench.run_sweep("fig2b", (0.5, 1.0, 1.5))
     by_key = {}
     for r in rows:
+        if r.family in ("extended[N=8]", "extended[N=16]"):
+            continue
         by_key.setdefault((r.family, r.alpha, r.transmission), {})[r.path] = r
     paired = 0
     for group in by_key.values():
@@ -129,14 +113,14 @@ def test_sweep_rows_pair_consistency():
 
 
 def test_sweep_row_delta_phi_invariant():
-    for r in sweep("fig1", (0.5, 1.0)):
+    for r in bench.run_sweep("fig1", (0.5, 1.0)):
         if r.qfi > 0:
             assert r.delta_phi * sqrt(r.qfi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_deterministic_order():
-    rows_a = sweep("fig2a", (0.5, 1.0))
-    rows_b = sweep("fig2a", (0.5, 1.0))
+    rows_a = bench.run_sweep("fig2a", (0.5, 1.0))
+    rows_b = bench.run_sweep("fig2a", (0.5, 1.0))
     assert [(r.family, r.alpha, r.path) for r in rows_a] == [
         (r.family, r.alpha, r.path) for r in rows_b
     ]
@@ -145,18 +129,31 @@ def test_sweep_deterministic_order():
 
 
 def test_sweep_noon_numeric_only_at_integer_n():
-    rows = [r for r in sweep("fig2a", (1.0, 1.1)) if r.family == "noon"]
+    rows = [r for r in bench.run_sweep("fig2a", (1.0, 1.1)) if r.family == "noon"]
     assert {r.path for r in rows if r.alpha == 1.0} == {"closed_form", "numeric"}
     assert {r.path for r in rows if r.alpha == 1.1} == {"closed_form"}
 
 
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
-        bench.SweepConfig(figure="fig7", alpha_grid=(1.0,))
+        bench.run_sweep("fig7", (1.0,))
     with pytest.raises(ValueError):
-        bench.SweepConfig(figure="fig1", alpha_grid=())
+        bench.run_sweep("fig1", ())
     with pytest.raises(ValueError):
-        bench.SweepConfig(figure="fig1", alpha_grid=(1.0, 0.5))
+        bench.run_sweep("fig1", (1.0, 0.5))
+
+
+@pytest.mark.parametrize("figure", list(bench.FIGURES))
+def test_figure_table_is_well_formed(figure):
+    # what run_sweep, crossover's label lookup and alpha_solver assume of every entry
+    grid, curves = bench.FIGURES[figure].alpha_grid, bench.FIGURES[figure].curves
+    assert len(grid) > 0
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+    keys = [(c.label, c.transmission) for c in curves]
+    assert len(set(keys)) == len(keys)
+    for c in curves:
+        navs = [bench.closed_nav(c, alpha) for alpha in grid]
+        assert all(b > a for a, b in zip(navs, navs[1:])), c.label
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +170,11 @@ def rel_close(batch, alone, tol=1e-14):
 
 @pytest.mark.parametrize("figure", ["fig2b", "fig4"])
 def test_numeric_points_match_numeric_point_on_every_curve(figure):
-    cfg = bench.default_config(figure)
-    for curve in bench.figure_curves(cfg):
-        batch = bench.numeric_points(curve, cfg.alpha_grid)
-        assert len(batch) == len(cfg.alpha_grid)
-        for alpha, got in zip(cfg.alpha_grid, batch):
+    grid = bench.FIGURES[figure].alpha_grid
+    for curve in bench.FIGURES[figure].curves:
+        batch = bench.numeric_points(curve, grid)
+        assert len(batch) == len(grid)
+        for alpha, got in zip(grid, batch):
             assert rel_close(got, bench.numeric_point(curve, alpha)), (curve.label, alpha)
 
 
@@ -192,21 +189,25 @@ def test_numeric_points_batch_of_mixed_cutoffs():
 def test_sweep_chunk_failure_drops_only_its_row(monkeypatch, capsys):
     chunk = bench._SWEEP_CHUNK
     grid = tuple(round(0.2 + 0.05 * i, 10) for i in range(2 * chunk + 3))
-    healthy = sweep("fig4", grid, n_components_list=(4,), transmissions=(0.9,))
+    healthy = bench.run_sweep("fig4", grid)
     capsys.readouterr()
     bad_alpha = grid[chunk + 2]  # inside the second chunk
     ecs = bench.FAMILIES["ecs"]
 
     def failing(curve, alpha, n_max):
-        if alpha == bad_alpha:
+        if alpha == bad_alpha and curve.transmission == 0.9:
             raise bench.CutoffError("injected")
         return ecs.build(curve, alpha, n_max)
 
     monkeypatch.setitem(bench.FAMILIES, "ecs", replace(ecs, build=failing))
-    rows = sweep("fig4", grid, n_components_list=(4,), transmissions=(0.9,))
+    rows = bench.run_sweep("fig4", grid)
     aborted = [line for line in capsys.readouterr().err.splitlines() if "sweep row aborted" in line]
     assert aborted == [f"sweep row aborted: ecs alpha={bad_alpha} T=0.9: injected"]
-    dropped = [r for r in healthy if r.family == "ecs" and r.alpha == bad_alpha and r.path == "numeric"]
+    dropped = [
+        r
+        for r in healthy
+        if r.family == "ecs" and r.alpha == bad_alpha and r.transmission == 0.9 and r.path == "numeric"
+    ]
     assert len(dropped) == 1
     assert rows == [r for r in healthy if r is not dropped[0]]
 
@@ -220,7 +221,7 @@ def curve(figure, label, transmission=None):
     """The one curve of `figure` named `label` (at `transmission` where the figure plots several)."""
     (found,) = [
         c
-        for c in bench.figure_curves(bench.default_config(figure))
+        for c in bench.FIGURES[figure].curves
         if c.label == label and transmission in (None, c.transmission)
     ]
     return found
@@ -228,7 +229,8 @@ def curve(figure, label, transmission=None):
 
 def test_interpolate_exact_sample_matches_row():
     grid = (0.8, 1.0, 1.2)
-    target = next(r for r in sweep("fig2a", grid) if r.family == "ecs" and r.alpha == 1.0 and r.path == "closed_form")
+    rows = bench.run_sweep("fig2a", grid)
+    target = next(r for r in rows if r.family == "ecs" and r.alpha == 1.0 and r.path == "closed_form")
     got = bench.interpolate_at_nav(curve("fig2a", "ecs"), grid, target.n_av)
     assert got == pytest.approx(target.delta_phi, abs=1e-12)
 
@@ -357,7 +359,7 @@ def test_mandel_ratio_gap_reported_not_asserted():
 
 
 def test_csv_header_and_digits():
-    rows = sweep("fig1", (1.0,))
+    rows = bench.run_sweep("fig1", (1.0,))
     text = bench.rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "figure,family,alpha,beta,n_components,transmission,n_av,qfi,delta_phi,path"
@@ -370,7 +372,7 @@ def test_csv_header_and_digits():
 
 
 def test_csv_empty_fields_for_missing_params():
-    rows = sweep("fig2a", (1.0,))
+    rows = bench.run_sweep("fig2a", (1.0,))
     text = bench.rows_to_csv(rows)
     noon_line = next(l for l in text.split("\n") if l.startswith("fig2a,noon"))
     fields = noon_line.split(",")
@@ -379,7 +381,7 @@ def test_csv_empty_fields_for_missing_params():
 
 
 def test_json_records_mirror_csv():
-    rows = sweep("fig1", (1.0,))
+    rows = bench.run_sweep("fig1", (1.0,))
     records = bench.rows_to_records(rows)
     assert len(records) == len(rows)
     payload = json.loads(json.dumps(records))

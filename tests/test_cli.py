@@ -84,7 +84,7 @@ def test_qfi_command_phase_averaged_cat4():
 
 
 def test_qfi_command_two_mode_generator():
-    result = invoke("qfi", "--family", "ecs", "--alpha", "1.0", "--generator", "two_mode_half")
+    result = invoke("qfi", "--family", "ecs", "--alpha", "1.0", "--generator", "half_difference")
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["qfi_closed_form"] is None
@@ -92,6 +92,7 @@ def test_qfi_command_two_mode_generator():
 
 
 def test_qfi_command_generator_variant_mismatch():
+    # every variant takes n_b or half_difference, and no other generator
     result = invoke(
         "qfi", "--family", "ecs", "--alpha", "1.0", "--phase-averaged", "--generator", "one_mode_b"
     )
@@ -356,6 +357,10 @@ def test_state_cat_zero_components_exit_two():
         ("sweep", "--figure", "fig2a", "--alpha-max", "inf"),
         ("sweep", "--figure", "fig2a", "--alpha-min", "-1", "--alpha-max", "0.2"),
         ("sweep", "--figure", "fig2a", "--alpha-min", "2", "--alpha-max", "1"),
+        # grids of 10,000 points or more, refused before they are allocated
+        ("sweep", "--figure", "fig1", "--alpha-step", "1e-300"),
+        ("sweep", "--figure", "fig1", "--alpha-min", "1", "--alpha-max", "1e300"),
+        ("sweep", "--figure", "fig1", "--alpha-max", "1", "--alpha-step", "1e-5"),
     ],
 )
 def test_argument_outside_family_domain_exit_two(argv):
@@ -385,6 +390,7 @@ def test_crossover_bad_arguments_exit_two(extra):
         ("cat4[b=a/4]", "1.0", "0.2"),  # reversed: used to exit 0 with 0.6
         ("cat4[b=a/4]", "0.5", "0.5"),  # empty
         ("ecs", "0.2", "1.2"),  # identical families: used to exit 3
+        ("cat4[b=0]", "0.2", "5"),  # past the figure's N_av range: used to exit 3
     ],
 )
 def test_crossover_bad_bracket_or_identical_families_exit_two(family_b, nav_lo, nav_hi):

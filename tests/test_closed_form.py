@@ -123,7 +123,7 @@ def test_ecs_qfi_asymptotic_ratio():
 def test_ecs_qfi_vs_grid():
     state = extended_entangled_state(1, 1.0)
     f, nav = cf.ecs_qfi(1.0)
-    assert qfi_pure(state, "one_mode_b") == pytest.approx(f, rel=1e-10)
+    assert qfi_pure(state, "n_b") == pytest.approx(f, rel=1e-10)
     assert number_moment(state, "a", 1) == pytest.approx(nav, abs=1e-10)
 
 
@@ -148,7 +148,7 @@ def test_modified_qfi_matches_synthesized_state():
     for alpha in (0.7, 1.0):
         state = synthesize_heralded(alpha, 0)[0]
         assert cf.moment_qfi(cf.modified_moments(alpha)) == pytest.approx(
-            qfi_pure(state, "one_mode_b"), rel=1e-9
+            qfi_pure(state, "n_b"), rel=1e-9
         )
 
 

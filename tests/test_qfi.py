@@ -49,7 +49,7 @@ def quiet_qfi_mixed(s, generator="n_b"):
 def test_qfi_pure_coherent_classical_limit():
     alpha = 1.0
     state = product_state(coherent(alpha / sqrt(2), 32), coherent(alpha / sqrt(2), 32))
-    assert qfi_pure(state, "one_mode_b") == pytest.approx(2 * alpha**2, abs=1e-10)
+    assert qfi_pure(state, "n_b") == pytest.approx(2 * alpha**2, abs=1e-10)
 
 
 def test_qfi_pure_ecs_matches_analytic_value():
@@ -58,13 +58,13 @@ def test_qfi_pure_ecs_matches_analytic_value():
     expected = 2 * (a + a * a) / (1 + exp(-a)) - a * a / (1 + exp(-a)) ** 2
     assert expected == pytest.approx(2.3897876691314965, abs=1e-14)
     state = extended_entangled_state(1, 1.0)
-    assert qfi_pure(state, "one_mode_b") == pytest.approx(expected, rel=1e-10)
+    assert qfi_pure(state, "n_b") == pytest.approx(expected, rel=1e-10)
 
 
 def test_qfi_pure_noon_two_mode_generator():
     for n in range(1, 6):
         state = noon_state(n, 16)
-        assert qfi_pure(state, "two_mode_half") == pytest.approx(n * n, abs=1e-12)
+        assert qfi_pure(state, "half_difference") == pytest.approx(n * n, abs=1e-12)
 
 
 def test_qfi_pure_rejects_unknown_config():
@@ -81,10 +81,10 @@ def test_qfi_mixed_rank_one_reduces_to_pure():
     state = extended_entangled_state(2, 0.9)
     wrapped = from_pure(state)
     assert quiet_qfi_mixed(wrapped, "n_b") == pytest.approx(
-        qfi_pure(state, "one_mode_b"), abs=1e-10
+        qfi_pure(state, "n_b"), abs=1e-10
     )
     assert quiet_qfi_mixed(wrapped, "half_difference") == pytest.approx(
-        qfi_pure(state, "two_mode_half"), abs=1e-10
+        qfi_pure(state, "half_difference"), abs=1e-10
     )
 
 
@@ -110,7 +110,7 @@ def test_phase_reference_identity_across_families():
     for n_comp in (1, 2, 4):
         for alpha in (0.5, 1.0, 1.5):
             state = extended_entangled_state(n_comp, alpha)
-            f_q2 = qfi_pure(state, "two_mode_half")
+            f_q2 = qfi_pure(state, "half_difference")
             pa = phase_average(state)
             assert quiet_qfi_mixed(pa, "n_b") == pytest.approx(f_q2, rel=1e-8)
             assert quiet_qfi_mixed(pa, "half_difference") == pytest.approx(f_q2, rel=1e-8)
@@ -118,8 +118,8 @@ def test_phase_reference_identity_across_families():
 
 def test_qfi_invariant_under_evaluation_point():
     state = extended_entangled_state(2, 1.0)
-    assert qfi_pure(phase_shift(state, "b", 0.7), "one_mode_b") == pytest.approx(
-        qfi_pure(state, "one_mode_b"), rel=1e-8
+    assert qfi_pure(phase_shift(state, "b", 0.7), "n_b") == pytest.approx(
+        qfi_pure(state, "n_b"), rel=1e-8
     )
     pa = phase_average(state)
     assert quiet_qfi_mixed(rotated(pa, 0.7), "n_b") == pytest.approx(
@@ -139,8 +139,8 @@ def test_qfi_invariant_under_global_phase():
     from catqfi.fock import TwoModeState
 
     shifted = TwoModeState(state.amps * np.exp(0.43j))
-    assert qfi_pure(shifted, "one_mode_b") == pytest.approx(
-        qfi_pure(state, "one_mode_b"), abs=1e-12
+    assert qfi_pure(shifted, "n_b") == pytest.approx(
+        qfi_pure(state, "n_b"), abs=1e-12
     )
 
 
