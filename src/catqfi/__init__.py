@@ -33,12 +33,9 @@ from .closed_form import (
     ecs_qfi,
     extended_moments,
     fig1_moments,
-    k_sum,
     lossy_noon_ladder,
     lossy_noon_mixture,
-    modified_moments,
     moment_qfi,
-    normalization,
     pa_qfi,
     pa_weight,
 )

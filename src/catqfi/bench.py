@@ -130,16 +130,29 @@ def _noon_qfi(curve, alpha):
     return curve.transmission ** (alpha * alpha) * alpha**4
 
 
+def _extended_nav(curve, alpha):
+    return cf.extended_moments(curve.heads, alpha).n_av
+
+
+def _extended_qfi(curve, alpha):
+    return cf.moment_qfi(cf.extended_moments(curve.heads, alpha))
+
+
 def _pa_qfi(curve, alpha):
     return cf.pa_qfi(curve.heads, alpha, curve.transmission)
 
 
 VARIANTS = ("pure", "phase_averaged")
 
-# callables take (curve, alpha); phase-averaged coherent and cat4 states leave
-# the noon span {|n,0>, |0,n>} on which `cf.pa_qfi` is summed
+# callables take (curve, alpha); the phase-averaged cat4 state leaves the noon
+# span {|n,0>, |0,n>} on which `cf.pa_qfi` is summed.  The lossy coherent pair
+# is the coherent pair at amplitude sqrt(T) alpha, and each photon-number
+# sector n of its phase average is a binomial state with 4 Var(n_b) = n.
 FAMILIES = {
-    "coherent": Family((), _coherent_pair, _half_alpha_sq, {"pure": lambda c, a: 2 * a * a, "phase_averaged": None}),
+    "coherent": Family(
+        (), _coherent_pair, _half_alpha_sq,
+        {"pure": lambda c, a: 2 * a * a, "phase_averaged": lambda c, a: c.transmission * a * a},
+    ),
     "cat4": Family(
         ("beta_ratio",), _cat4_state, lambda c, a: cf.fig1_moments(a, c.beta_ratio * a).n_av,
         {"pure": lambda c, a: cf.moment_qfi(cf.fig1_moments(a, c.beta_ratio * a)), "phase_averaged": None}, heads=4,
@@ -149,12 +162,10 @@ FAMILIES = {
         {"pure": lambda c, a: cf.ecs_qfi(a)[0], "phase_averaged": _pa_qfi}, heads=1,
     ),
     "modified": Family(
-        (), _extended_state, lambda c, a: cf.modified_moments(a).n_av,
-        {"pure": lambda c, a: cf.moment_qfi(cf.modified_moments(a)), "phase_averaged": _pa_qfi}, heads=2,
+        (), _extended_state, _extended_nav, {"pure": _extended_qfi, "phase_averaged": _pa_qfi}, heads=2,
     ),
     "extended": Family(
-        ("n_components",), _extended_state, lambda c, a: cf.extended_moments(c.n_components, a).n_av,
-        {"pure": lambda c, a: cf.moment_qfi(cf.extended_moments(c.n_components, a)), "phase_averaged": _pa_qfi},
+        ("n_components",), _extended_state, _extended_nav, {"pure": _extended_qfi, "phase_averaged": _pa_qfi},
     ),
     "noon": Family((), _noon_grid, _half_alpha_sq, {"pure": _noon_qfi, "phase_averaged": _noon_qfi}),
 }
@@ -420,11 +431,14 @@ def interpolate_at_nav(curve: FamilyCurve, alpha_grid, n_av: float) -> float:
     return delta_phi(closed_qfi(curve, alpha_solver(curve, alpha_grid)(n_av)))
 
 
-def find_crossover(curve_a: FamilyCurve, curve_b: FamilyCurve, alpha_grid, bracket: tuple[float, float]) -> float:
+def find_crossover(
+    curve_a: FamilyCurve, curve_b: FamilyCurve, alpha_grid, bracket: tuple[float, float]
+) -> float | None:
     """N_av where the delta_phi curves of two curves cross, to CROSSOVER_TOL in N_av.
 
-    A bracket that is not lo < hi and two equal curves are bad arguments
-    (ParameterError).
+    None where the delta_phi gap has the same sign at both ends of the
+    bracket: the curves do not cross there.  A bracket that is not lo < hi
+    and two equal curves are bad arguments (ParameterError).
     """
     lo, hi = bracket
     if not lo < hi:
@@ -437,9 +451,11 @@ def find_crossover(curve_a: FamilyCurve, curve_b: FamilyCurve, alpha_grid, brack
         return delta_phi(closed_qfi(curve_a, solve_a(n_av))) - delta_phi(closed_qfi(curve_b, solve_b(n_av)))
 
     g_lo, g_hi = gap(lo), gap(hi)
+    if g_lo * g_hi > 0:
+        return None
     if not g_lo * g_hi < 0:
         raise ValueError(
-            f"no sign change of delta_phi({curve_a.label}) - delta_phi({curve_b.label}) over {bracket}"
+            f"delta_phi({curve_a.label}) - delta_phi({curve_b.label}) is {g_lo} and {g_hi} at the ends of {bracket}"
         )
     while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
@@ -522,17 +538,16 @@ def _extended_curve(n_components: int) -> FamilyCurve:
     return FamilyCurve(f"extended[N={n_components}]", "extended", "pure", n_components=n_components)
 
 
-def verify_consistency(
-    alphas: tuple = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0),
-    beta_ratios: tuple = (0.0, 0.25, 0.5, 1.0),
-    n_components_list: tuple = (1, 2, 4, 8, 16),
-    transmissions: tuple = (0.9, 0.85),
-) -> ConsistencyReport:
+def verify_consistency() -> ConsistencyReport:
     """Closed-form vs truncated-Fock cross-validation over the whole grid.
 
     Every check compares one quantity produced by the analytic route with
     the same quantity from the independent numeric pipeline.
     """
+    alphas = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+    beta_ratios = (0.0, 0.25, 0.5, 1.0)
+    n_components_list = (1, 2, 4, 8, 16)
+    transmissions = (0.9, 0.85)
     report = ConsistencyReport()
 
     def add(name: str, params: dict, expected: float, actual: float, this_tol: float = 1e-8):
@@ -573,7 +588,7 @@ def verify_consistency(
 
     # noon exactness (lossless and lossy) at integer n
     for n in (1, 2, 3, 4):
-        for t in (1.0,) + tuple(transmissions):
+        for t in (1.0, *transmissions):
             curve = FamilyCurve("noon", "noon", "phase_averaged", transmission=t)
             alpha = sqrt(float(n))
             add("noon-qfi", {"n": n, "T": t}, t**n * n * n, numeric_point(curve, alpha)[1], this_tol=1e-12)

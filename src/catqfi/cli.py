@@ -180,7 +180,7 @@ def sweep(figure, out, fmt, alpha_min, alpha_max, alpha_step):
 @click.option("--transmission", type=click.FloatRange(0.0, 1.0), default=None)
 @numeric_guard
 def crossover(figure, family_a, family_b, nav_lo, nav_hi, transmission):
-    """Locate the N_av where two families' delta_phi curves cross."""
+    """Locate the N_av where two families' delta_phi curves cross (null if they do not cross in the bracket)."""
     curves = bench.FIGURES[figure].curves
     at_t = [c for c in curves if transmission is None or abs(c.transmission - transmission) < 1e-12]
     picked = []
@@ -210,19 +210,10 @@ def synthesize(alpha, iterations):
 
 
 @main.command()
-@click.option("--quick", is_flag=True, default=False, help="reduced grid for fast checks")
 @numeric_guard
-def verify(quick):
+def verify():
     """Run the closed-form vs numeric cross-validation suite."""
-    if quick:
-        report = bench.verify_consistency(
-            alphas=(0.5, 1.0),
-            beta_ratios=(0.0, 0.5),
-            n_components_list=(1, 2, 4),
-            transmissions=(0.9,),
-        )
-    else:
-        report = bench.verify_consistency()
+    report = bench.verify_consistency()
     click.echo(report.summary())
     if not report.passed:
         sys.exit(1)

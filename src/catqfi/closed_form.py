@@ -14,16 +14,18 @@ one phase-averaged QFI at every T.  The spectral rows of the lossy states,
 `lossy_noon_ladder`, are `NoonMixture`s; the tests check the grid route and
 `pa_qfi` against them.
 
-Series over the support of an N-component cat (photon numbers N*m) stop
-when a term falls below 1e-16 of the running sum or underflows to 0, with a
-hard cap of 5000 terms.  K is the cat-tail sum sum_m x^{N m}/(N m)!
-(`k_sum`).
+The cat-state forms read the sums K_j = sum_m (N m)^j x^{N m}/(N m)!,
+j = 0, 1, 2, over the support of an N-component cat (photon numbers N*m),
+which `_cat_series` takes in one pass.  The pass stops when a term falls
+below 1e-16 of its sum or underflows to 0, with a hard cap of 5000 terms.
+`ecs_qfi` keeps its explicit form: the crossover bisection calls it
+hundreds of times per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, exp, inf, ldexp, log, sin, sqrt
+from math import exp, inf, ldexp, log
 
 from .channels import LossSpec
 from .fock import CutoffError
@@ -73,75 +75,61 @@ def _shift(x: float) -> int:
     return max(0, int((x - 600.0) / log(2.0)) + 1)
 
 
-def _cat_series(n_components: int, x: float, order: int = 0, shift: int = 0) -> float:
-    """2^-shift * sum_m (N m)^order * x^{N m} / (N m)!  evaluated by term recurrence.
+def _cat_series(n_components: int, x: float, shift: int = 0) -> tuple[float, float, float]:
+    """(K0, K1, K2) with K_j = 2^-shift * sum_m (N m)^j x^{N m} / (N m)!, from one term recurrence.
 
     The factor 2^-shift is taken from the terms as they grow, so a ratio of
-    two series with the same shift stays finite where the sums themselves
-    would overflow.
+    two sums with the same shift stays finite where the sums themselves
+    would overflow.  The sum stops when the K2 term falls below 1e-16 of K2
+    or a term underflows to 0; K2 <= n^2 K0 and K2 <= n K1 at photon number
+    n, so K0 and K1 have then converged at least as tightly.
     """
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
     if x < 0:
         raise ValueError("series argument must be >= 0")
+    k0, k1, k2 = 1.0, 0.0, 0.0  # the m = 0 term x^0/0!
     if x == 0.0:
-        return 1.0 if order == 0 else 0.0
+        return k0, k1, k2
     N = n_components
-    term = 1.0  # x^0/0!
-    total = 0.0 if order else 1.0
+    term = 1.0
     big = _SHIFT_AT if shift else inf
-    m_idx = 0
+    n = 0
     for _ in range(_SERIES_CAP):
-        m_idx += N
-        for j in range(m_idx - N + 1, m_idx + 1):
+        for j in range(n + 1, n + N + 1):
             term *= x / j
             if term > big:
                 step = min(shift, _SHIFT_STEP)
-                term, total, shift = ldexp(term, -step), ldexp(total, -step), shift - step
+                term, k0, k1, k2 = (ldexp(v, -step) for v in (term, k0, k1, k2))
+                shift -= step
                 big = _SHIFT_AT if shift else inf
             elif term == 0.0:  # underflowed: this and every later term is 0
-                return ldexp(total, -shift)
-        weight = m_idx**order
-        total += term * weight
-        if total == inf:
+                return ldexp(k0, -shift), ldexp(k1, -shift), ldexp(k2, -shift)
+        n += N
+        t2 = term * (n * n)
+        k0, k1, k2 = k0 + term, k1 + term * n, k2 + t2
+        if k2 == inf:
             raise OverflowError(f"cat series exceeds double range at |alpha|^2 = {x:g}")
-        if term * weight < _SERIES_RTOL * total:
-            return ldexp(total, -shift)
+        if t2 < _SERIES_RTOL * k2:
+            return ldexp(k0, -shift), ldexp(k1, -shift), ldexp(k2, -shift)
     raise ArithmeticError("cat series failed to converge within 5000 terms")
-
-
-def k_sum(n_components: int, alpha: float) -> float:
-    """Cat-tail sum K = sum_m |alpha|^{2 N m}/(N m)!."""
-    return _cat_series(n_components, alpha * alpha, order=0)
-
-
-def normalization(n_components: int, alpha: float) -> float:
-    """Normalization M_N of the N-headed cat: M_N = N^2 e^{-|alpha|^2} K."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    N = n_components
-    return N * N * exp(-alpha * alpha) * k_sum(N, alpha)
 
 
 def fig1_moments(alpha: float, beta: float) -> MomentPair:
     """Moments of mode b for the 4-headed-cat + coherent beam-splitter state.
 
-    The cat enters as C_4(alpha/sqrt2) and the coherent state as
-    |beta/sqrt2>, so the exponentials below carry |alpha|^2/2.
+    The cat C_4(alpha/sqrt2) and the coherent state |beta/sqrt2> leave the
+    beam splitter as sum_k |(alpha i^k + beta)/2>|(beta - alpha i^k)/2>, and
+    the alpha*beta cross terms cancel over the four heads.  With K_j the
+    N = 4 sums at y = |alpha|^2/2,
+    <n_b> = (beta^2 K0 + 2 K1) / (4 K0) and
+    <n_b^2> = <n_b> + (beta^4 K0 + 8 beta^2 K1 + 4 (K2 - K1)) / (16 K0);
+    every term is >= 0, so no digits cancel.  Mode a has the same moments.
     """
-    a2, b2 = alpha * alpha, beta * beta
-    m_e = normalization(4, alpha / sqrt(2.0))
-    nb2 = (
-        ((a2 * a2 + b2 * b2) / 4 + b2) * (1 + exp(-a2))
-        + a2 * (1 + b2) * (1 - exp(-a2))
-        + 2
-        * exp(-a2 / 2)
-        * ((b2 + (b2 * b2 - a2 * a2) / 4) * cos(a2 / 2) - a2 * (1 + b2) * sin(a2 / 2))
-    ) / m_e
-    nb = (
-        a2 * (1 - exp(-a2) - 2 * exp(-a2 / 2) * sin(a2 / 2))
-        + b2 * (1 + exp(-a2) + 2 * exp(-a2 / 2) * cos(a2 / 2))
-    ) / m_e
+    y, b2 = alpha * alpha / 2, beta * beta
+    k0, k1, k2 = _cat_series(4, y, _shift(y))
+    nb = (b2 * k0 + 2 * k1) / (4 * k0)
+    nb2 = nb + (b2 * b2 * k0 + 8 * b2 * k1 + 4 * (k2 - k1)) / (16 * k0)
     return MomentPair(mean_nb=nb, mean_nb2=nb2, n_av=nb)
 
 
@@ -154,15 +142,6 @@ def ecs_qfi(alpha: float) -> tuple[float, float]:
     return f, n_av
 
 
-def modified_moments(alpha: float) -> MomentPair:
-    """Moments of mode b for the modified entangled state (N = 2 cat in one arm)."""
-    a2 = alpha * alpha
-    d2 = (1 + exp(-a2)) ** 2
-    nb2 = a2 * (1 + a2 + (a2 - 1) * exp(-2 * a2)) / (2 * d2)
-    nb = a2 * (1 - exp(-2 * a2)) / (2 * d2)
-    return MomentPair(mean_nb=nb, mean_nb2=nb2, n_av=nb)
-
-
 def extended_moments(n_components: int, alpha: float) -> MomentPair:
     """Moments of mode b for (|C_N>|0> + |0>|C_N>)/sqrt(M), by series.
 
@@ -171,9 +150,9 @@ def extended_moments(n_components: int, alpha: float) -> MomentPair:
     """
     x = alpha * alpha
     shift = _shift(x)
-    pref = 1.0 / (2.0 * (ldexp(1.0, -shift) + _cat_series(n_components, x, 0, shift)))
-    nb = pref * _cat_series(n_components, x, 1, shift)
-    nb2 = pref * _cat_series(n_components, x, 2, shift)
+    k0, k1, k2 = _cat_series(n_components, x, shift)
+    pref = 1.0 / (2.0 * (ldexp(1.0, -shift) + k0))
+    nb, nb2 = pref * k1, pref * k2
     return MomentPair(mean_nb=nb, mean_nb2=nb2, n_av=nb)
 
 
@@ -187,7 +166,7 @@ def pa_weight(n_components: int, alpha: float, n: int) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     x = alpha * alpha
-    k = _cat_series(n_components, x)
+    k = _cat_series(n_components, x)[0]
     if n == 0:
         return 2.0 / (1.0 + k)
     if n % n_components != 0:
@@ -201,18 +180,18 @@ def pa_weight(n_components: int, alpha: float, n: int) -> float:
 def pa_qfi(n_components: int, alpha: float, transmission: float = 1.0) -> float:
     """QFI under n_b of the phase-averaged N-headed state after loss of transmission T.
 
-    F = S2(x T) / ((1 + K(x)) K(x R)) with x = |alpha|^2, R = 1 - T and
-    S2(y) = sum_m (N m)^2 y^{N m}/(N m)!: the sum over the rows of
-    `lossy_noon_mixture` with N | m, the only ones where lambda+ != lambda-.
-    Each series carries its own power-of-2 shift; they are divided one at a
-    time and the net power applied last, so no intermediate leaves double
-    range.  At T = 1, K(0) = 1 and F = S2(x)/(1 + K(x)).
+    F = K2(x T) / ((1 + K0(x)) K0(x R)) with x = |alpha|^2 and R = 1 - T:
+    the sum over the rows of `lossy_noon_mixture` with N | m, the only ones
+    where lambda+ != lambda-.  Each series carries its own power-of-2 shift;
+    they are divided one at a time and the net power applied last, so no
+    intermediate leaves double range.  At T = 1, K0(0) = 1 and
+    F = K2(x)/(1 + K0(x)).
     """
     x = alpha * alpha
     x_t, x_r = x * transmission, x * (1.0 - transmission)
     s_t, s, s_r = _shift(x_t), _shift(x), _shift(x_r)
-    f = _cat_series(n_components, x_t, 2, s_t) / (ldexp(1.0, -s) + _cat_series(n_components, x, 0, s))
-    return ldexp(f / _cat_series(n_components, x_r, 0, s_r), s_t - s - s_r)
+    f = _cat_series(n_components, x_t, s_t)[2] / (ldexp(1.0, -s) + _cat_series(n_components, x, s)[0])
+    return ldexp(f / _cat_series(n_components, x_r, s_r)[0], s_t - s - s_r)
 
 
 def _loss_series(n_components: int, x_r: float, m: int) -> float:
@@ -251,8 +230,8 @@ def lossy_noon_mixture(n_components: int, alpha: float, loss: LossSpec, n_cut: i
     t, r = loss.transmission, loss.reflectance
     x = alpha * alpha
     N = n_components
-    k = _cat_series(N, x)
-    k_r = _cat_series(N, x * r)
+    k = _cat_series(N, x)[0]
+    k_r = _cat_series(N, x * r)[0]
     # the loss series depends on m only through m mod N: one per class that occurs
     tails = [_loss_series(N, x * r, c) for c in range(1, min(N, n_cut) + 1)]
     rows = [(0, (1.0 + k_r) / (1.0 + k), 0.0)]

@@ -72,7 +72,7 @@ def test_closed_forms_never_call_grid_numerics(monkeypatch):
                 if form is not None:
                     assert bench.closed_qfi(curve, 1.0) > 0
                     checked += 1
-    assert checked == 14  # 6 closed pure QFIs, and 4 phase-averaged ones at two T each
+    assert checked == 16  # 6 closed pure QFIs, and 5 phase-averaged ones at two T each
     with pytest.raises(AssertionError, match="grid route"):
         bench.numeric_point(curve, 1.0)
 
@@ -110,6 +110,25 @@ def test_sweep_rows_pair_consistency():
             assert abs(a.qfi - b.qfi) / max(abs(a.qfi), 1e-6) <= 1e-8
             assert abs(a.n_av - b.n_av) / max(abs(a.n_av), 1e-6) <= 1e-8
     assert paired > 0
+
+
+def test_every_default_sweep_row_pair_agrees_unfloored():
+    # relative to the closed value itself, with no floor: the 4HCS + coherent
+    # form once cancelled O(1) terms and was 3e-8 off at alpha = 0.05
+    paired = 0
+    for figure, fig in bench.FIGURES.items():
+        rows = bench.run_sweep(figure, fig.alpha_grid)
+        closed = {(r.family, r.transmission, r.alpha): r for r in rows if r.path == "closed_form"}
+        for r in rows:
+            if r.path != "numeric":
+                continue
+            c = closed[(r.family, r.transmission, r.alpha)]
+            for name in ("qfi", "n_av"):
+                want, got = getattr(c, name), getattr(r, name)
+                if want != 0:
+                    assert abs(got - want) <= 1e-12 * abs(want), (figure, r.family, r.transmission, r.alpha, name)
+            paired += 1
+    assert paired > 1000
 
 
 def test_sweep_row_delta_phi_invariant():
@@ -297,8 +316,7 @@ def test_crossover_modified_never_beats_ecs_backwards():
     modified, ecs = curve("fig2a", "modified"), curve("fig2a", "ecs")
     for nav in (1.0, 1.5, 2.0, 2.5, 3.0):
         assert bench.interpolate_at_nav(modified, grid, nav) < bench.interpolate_at_nav(ecs, grid, nav)
-    with pytest.raises(ValueError):
-        bench.find_crossover(modified, ecs, grid, (1.0, 3.0))
+    assert bench.find_crossover(modified, ecs, grid, (1.0, 3.0)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +324,12 @@ def test_crossover_modified_never_beats_ecs_backwards():
 # ---------------------------------------------------------------------------
 
 
-def quick_report(**kwargs):
-    defaults = dict(
-        alphas=(0.5, 1.0),
-        beta_ratios=(0.0, 0.5),
-        n_components_list=(1, 2, 4),
-        transmissions=(0.9,),
-    )
-    defaults.update(kwargs)
-    return bench.verify_consistency(**defaults)
+@pytest.fixture(scope="module")
+def report():
+    return bench.verify_consistency()
 
 
-def test_verify_consistency_quick_grid_passes():
-    report = quick_report()
+def test_verify_consistency_passes(report):
     assert report.passed
     assert len(report.checks) >= 40
 
@@ -331,7 +342,7 @@ def test_verify_consistency_fault_injection(monkeypatch):
         return -f, nav
 
     monkeypatch.setattr(cf, "ecs_qfi", corrupted)
-    report = quick_report()
+    report = bench.verify_consistency()
     assert not report.passed
     names = {c.name for c in report.failures}
     assert any("ecs" in name for name in names)
@@ -339,8 +350,7 @@ def test_verify_consistency_fault_injection(monkeypatch):
     assert "alpha" in failing.params
 
 
-def test_verify_consistency_summary_format():
-    report = quick_report()
+def test_verify_consistency_summary_format(report):
     text = report.summary()
     assert "checks passed" in text.splitlines()[-1]
     assert text.count("PASS") >= len(report.checks)

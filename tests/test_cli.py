@@ -169,10 +169,19 @@ def test_crossover_command():
     assert 0.4 <= payload["crossover_n_av"] <= 1.0
 
 
-def test_verify_quick_exit_zero():
-    result = invoke("verify", "--quick")
+def test_crossover_command_no_crossing_in_the_bracket():
+    # modified beats the ECS over the whole bracket: an answer (null), not a numeric failure
+    result = invoke(
+        "crossover", "--figure", "fig2a", "--family-a", "modified", "--family-b", "ecs", "--nav-lo", "1", "--nav-hi", "3"
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["crossover_n_av"] is None
+
+
+def test_verify_exit_zero():
+    result = invoke("verify")
     assert result.exit_code == 0
-    assert "checks passed" in result.output
+    assert "206/206 checks passed" in result.output
 
 
 def test_bad_arguments_exit_two():
@@ -251,13 +260,13 @@ def test_qfi_every_table_family_and_variant(kind, variant, extra):
 
 
 def test_qfi_command_phase_averaged_coherent():
-    # no closed form in the table; phase averaging leaves one binomial pure
-    # state per total photon number n, each with 4 Var(n_b) = n, so F = <n> = T alpha^2
+    # phase averaging leaves one binomial pure state per total photon number n,
+    # each with 4 Var(n_b) = n, so F = <n> = T alpha^2 by both routes
     for extra, t in ((("--phase-averaged",), 1.0), (("--transmission", "0.9"), 0.9)):
         result = invoke("qfi", "--family", "coherent", "--alpha", "1.3", *extra)
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
-        assert payload["qfi_closed_form"] is None
+        assert payload["qfi_closed_form"] == t * 1.3 * 1.3
         assert payload["qfi_numeric"] == pytest.approx(t * 1.3**2, rel=1e-8)
 
 

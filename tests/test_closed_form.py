@@ -22,51 +22,55 @@ from catqfi.qfi import qfi_pure
 from noon_basis import qfi_noon_mixture, to_noon_mixture
 
 
-def series_k_oracle(n_comp: int, alpha: float, terms: int = 60) -> float:
-    """sum x^{N m}/(N m)! by direct log-space evaluation (oracle route)."""
+def series_k_oracle(n_comp: int, alpha: float, order: int = 0, terms: int = 60) -> float:
+    """sum (N m)^order x^{N m}/(N m)! by direct log-space evaluation (oracle route)."""
     x = alpha * alpha
-    return 1.0 + fsum(
-        exp(n_comp * m * log(x) - lgamma(n_comp * m + 1)) for m in range(1, terms)
+    return float(order == 0) + fsum(
+        (n_comp * m) ** order * exp(n_comp * m * log(x) - lgamma(n_comp * m + 1)) for m in range(1, terms)
     )
 
 
+def cat_norm(n_comp: int, alpha: float) -> float:
+    """Norm M_N = N^2 e^{-|alpha|^2} K0 of the N-headed cat sum_k |alpha w^k>, w = e^{2 pi i/N}."""
+    return n_comp * n_comp * exp(-alpha * alpha) * cf._cat_series(n_comp, alpha * alpha)[0]
+
+
 # ---------------------------------------------------------------------------
-# normalization and k_sum
+# the cat series K0, K1, K2
 # ---------------------------------------------------------------------------
 
 
 def test_normalization_vacuum_limit():
-    assert cf.normalization(4, 0.0) == pytest.approx(16.0)
-    assert cf.normalization(2, 0.0) == pytest.approx(4.0)
+    assert cat_norm(4, 0.0) == pytest.approx(16.0)
+    assert cat_norm(2, 0.0) == pytest.approx(4.0)
 
 
 def test_normalization_m4_series_and_closed_form():
     a2 = 2.0
     closed = 4 * (1 + exp(-2 * a2) + 2 * exp(-a2) * cos(a2))
-    assert cf.normalization(4, sqrt(a2)) == pytest.approx(closed, rel=1e-13)
-    assert cf.normalization(4, sqrt(a2)) == pytest.approx(3.622707755617915, rel=1e-13)
+    assert cat_norm(4, sqrt(a2)) == pytest.approx(closed, rel=1e-13)
+    assert cat_norm(4, sqrt(a2)) == pytest.approx(3.622707755617915, rel=1e-13)
 
 
 def test_normalization_m2_even_cat():
     for alpha in (0.5, 1.0, 2.0):
         a2 = alpha * alpha
-        assert cf.normalization(2, alpha) == pytest.approx(2 * (1 + exp(-2 * a2)), rel=1e-13)
+        assert cat_norm(2, alpha) == pytest.approx(2 * (1 + exp(-2 * a2)), rel=1e-13)
 
 
 def test_k_sum_matches_direct_series():
     for n_comp in (1, 2, 4, 8):
         for alpha in (0.3, 1.0, 2.2):
-            assert cf.k_sum(n_comp, alpha) == pytest.approx(
-                series_k_oracle(n_comp, alpha), rel=1e-14
+            assert cf._cat_series(n_comp, alpha * alpha) == pytest.approx(
+                tuple(series_k_oracle(n_comp, alpha, order) for order in range(3)), rel=1e-14
             )
 
 
 def test_cat_series_stops_when_the_first_term_underflows():
-    # 4^10000/10000! underflows to 0, so the running sum never grows; the
+    # 4^10000/10000! underflows to 0, so the running sums never grow; the
     # series used to run all 5000 x N inner steps and raise
     t0 = time.perf_counter()
-    assert cf._cat_series(10**4, 4.0, 2) == 0.0
-    assert cf._cat_series(10**4, 4.0, 0) == 1.0
+    assert cf._cat_series(10**4, 4.0) == (1.0, 0.0, 0.0)
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -133,13 +137,13 @@ def test_ecs_qfi_vs_grid():
 
 
 def test_modified_moments_vacuum():
-    m = cf.modified_moments(0.0)
+    m = cf.extended_moments(2, 0.0)
     assert m.mean_nb == 0.0
     assert m.mean_nb2 == 0.0
 
 
 def test_modified_moments_unit_intensity():
-    m = cf.modified_moments(1.0)
+    m = cf.extended_moments(2, 1.0)
     assert m.mean_nb == pytest.approx((1 - exp(-2)) / (2 * (1 + exp(-1)) ** 2), abs=1e-14)
     assert m.mean_nb == pytest.approx(0.2310585786300049, abs=1e-14)
 
@@ -147,7 +151,7 @@ def test_modified_moments_unit_intensity():
 def test_modified_qfi_matches_synthesized_state():
     for alpha in (0.7, 1.0):
         state = synthesize_heralded(alpha, 0)[0]
-        assert cf.moment_qfi(cf.modified_moments(alpha)) == pytest.approx(
+        assert cf.moment_qfi(cf.extended_moments(2, alpha)) == pytest.approx(
             qfi_pure(state, "n_b"), rel=1e-9
         )
 
@@ -158,10 +162,12 @@ def test_extended_reduces_to_ecs_and_modified():
         f, nav = cf.ecs_qfi(alpha)
         assert cf.moment_qfi(one) == pytest.approx(f, rel=1e-10)
         assert one.n_av == pytest.approx(nav, rel=1e-10)
+        # the modified entangled state's explicit moments, d2 = (1 + e^{-|alpha|^2})^2
+        a2 = alpha * alpha
+        d2 = (1 + exp(-a2)) ** 2
         two = cf.extended_moments(2, alpha)
-        mod = cf.modified_moments(alpha)
-        assert two.mean_nb == pytest.approx(mod.mean_nb, rel=1e-10)
-        assert two.mean_nb2 == pytest.approx(mod.mean_nb2, rel=1e-10)
+        assert two.mean_nb == pytest.approx(a2 * (1 - exp(-2 * a2)) / (2 * d2), rel=1e-10)
+        assert two.mean_nb2 == pytest.approx(a2 * (1 + a2 + (a2 - 1) * exp(-2 * a2)) / (2 * d2), rel=1e-10)
 
 
 def test_extended_moments_vs_grid_oracle():
@@ -260,7 +266,7 @@ def test_n_headed_forms_where_the_series_leave_double_range(alpha):
 
 @pytest.mark.parametrize("n_comp", [1, 2, 3, 4, 8, 16])
 def test_lossy_pa_qfi_is_the_sum_over_the_spectral_rows(n_comp):
-    # F = S2(xT) / ((1 + K(x)) K(xR)) against sum n^2 (l+ - l-)^2/(l+ + l-)
+    # F = K2(xT) / ((1 + K0(x)) K0(xR)) against sum n^2 (l+ - l-)^2/(l+ + l-)
     # over the rows of lossy_noon_mixture, cut where the grid route cuts
     checked = 0
     for t in (1.0, 0.99, 0.9, 0.85, 0.5, 0.1):
@@ -275,7 +281,7 @@ def test_lossy_pa_qfi_is_the_sum_over_the_spectral_rows(n_comp):
 
 
 def test_lossy_pa_qfi_ecs_explicit_form():
-    # N = 1: S2(y) = (y^2 + y) e^y, K(x) = e^x, so F = (x^2 T^2 + x T) e^{-2 x R} / (1 + e^{-x});
+    # N = 1: K2(y) = (y^2 + y) e^y, K0(x) = e^x, so F = (x^2 T^2 + x T) e^{-2 x R} / (1 + e^{-x});
     # past alpha ~ 26.6, e^{alpha^2} leaves double range
     for alpha in [k / 2 for k in range(1, 85)]:
         x = alpha * alpha
