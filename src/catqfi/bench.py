@@ -7,14 +7,16 @@ and transmission).  A figure sweep evaluates every point of every curve
 twice, once from the closed-form module and once through the truncated-Fock
 pipeline (state construction -> channels -> QFI engine).  Equal-energy
 comparisons take a curve and an alpha grid, invert the closed-form
-N_av(alpha) by bisection on alpha and then evaluate exactly, never by
-interpolating delta_phi.  Sweep rows are output only.
+N_av(alpha) by Brent's method inside the grid cell whose samples bracket the
+requested N_av, and then evaluate exactly, never by interpolating delta_phi.
+Sweep rows are output only.
 """
 
 from __future__ import annotations
 
 import sys
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from math import inf, isfinite, sqrt
 from typing import Callable
@@ -39,6 +41,9 @@ from .fock import (
 from .qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_pure
 
 CROSSOVER_TOL = 1e-4  # in N_av
+# below this QFI a trace-1 state is the vacuum to double precision, and the
+# grid route cannot resolve the QFI at the 1e-8 relative agreement verify asks
+QFI_RESOLUTION = 1e-9
 
 
 def delta_phi(qfi: float) -> float:
@@ -399,35 +404,72 @@ def run_sweep(figure: str, alpha_grid) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 
+def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float) -> float:
+    """A root of f between a and b, given fa = f(a) and fb = f(b) of opposite
+    signs, to a bracket narrower than 1e-14 * max(1, x).
+
+    Brent's method: inverse-quadratic or secant steps while they stay inside
+    the bracket and shrink fast enough, bisection otherwise.  b is the best
+    estimate, [b, c] the bracket and a the previous b.
+    """
+    c, fc, d, e = a, fa, b - a, b - a
+    for _ in range(200):
+        if (fb > 0) == (fc > 0):
+            c, fc, d, e = a, fa, b - a, b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 0.5e-14 * max(1.0, b)
+        m = 0.5 * (c - b)
+        if fb == 0 or abs(m) < tol:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2 * m * s, 1 - s
+            else:  # inverse quadratic through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            p, q = abs(p), -q if p > 0 else q
+            if 2 * p < min(3 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else (tol if m > 0 else -tol)
+        fb = f(b)
+    return b
+
+
 def alpha_solver(curve: FamilyCurve, alpha_grid) -> Callable[[float], float]:
     """alpha(N_av) on `curve`: the closed N_av is sampled over the grid once and
-    must rise; each call then bisects closed_nav(alpha) = n_av within the grid."""
+    must rise; each call takes the grid cell whose samples bracket n_av and
+    solves closed_nav(alpha) = n_av there by Brent's method (a sampled alpha
+    exactly where n_av is its sample)."""
     navs = [closed_nav(curve, alpha) for alpha in alpha_grid]
     if any(b - a <= 0 for a, b in zip(navs, navs[1:])):
         raise ValueError(f"N_av is not monotone in alpha for family {curve.label!r}")
-    alpha_lo, alpha_hi = float(alpha_grid[0]), float(alpha_grid[-1])
+    grid = [float(alpha) for alpha in alpha_grid]
 
     def solve(n_av: float) -> float:
         if not navs[0] <= n_av <= navs[-1]:
             raise ParameterError(
                 f"N_av={n_av} outside the sampled range [{navs[0]:.6g}, {navs[-1]:.6g}] of {curve.label!r}"
             )
-        lo, hi = alpha_lo, alpha_hi
-        for _ in range(200):
-            if hi - lo < 1e-14 * max(1.0, hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if closed_nav(curve, mid) < n_av:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        i = bisect_left(navs, n_av)
+        if navs[i] == n_av:
+            return grid[i]
+        return _brent(
+            lambda alpha: closed_nav(curve, alpha) - n_av, grid[i - 1], navs[i - 1] - n_av, grid[i], navs[i] - n_av
+        )
 
     return solve
 
 
 def interpolate_at_nav(curve: FamilyCurve, alpha_grid, n_av: float) -> float:
-    """delta_phi of a curve at a requested N_av, by alpha bisection + exact evaluation."""
+    """delta_phi of a curve at a requested N_av: alpha from `alpha_solver`, then the exact closed-form QFI."""
     return delta_phi(closed_qfi(curve, alpha_solver(curve, alpha_grid)(n_av)))
 
 
@@ -563,9 +605,8 @@ def verify_consistency() -> ConsistencyReport:
             add("pure-qfi[cat4]", {"alpha": alpha, "beta_ratio": ratio}, closed_qfi(curve, alpha), f_n)
             add("nav[cat4]", {"alpha": alpha, "beta_ratio": ratio}, closed_nav(curve, alpha), nav_n)
 
-    # pure + phase-averaged + lossy families; points where the QFI itself sits
-    # below ~1e-9 are skipped (the state is vacuum to double precision and no
-    # trace-1 numeric route can resolve the comparison at the stated metric)
+    # pure + phase-averaged + lossy families; points whose QFI sits below
+    # QFI_RESOLUTION are skipped
     for alpha in alphas:
         for n_comp in n_components_list:
             pure = _extended_curve(n_comp)
@@ -578,7 +619,7 @@ def verify_consistency() -> ConsistencyReport:
                 f_cf = closed_qfi(curve, alpha)
                 name = "pa-qfi" if t == 1.0 else "lossy-qfi"
                 params = {"alpha": alpha} if t == 1.0 else {"alpha": alpha, "T": t}
-                if f_cf < 1e-9:
+                if f_cf < QFI_RESOLUTION:
                     report.notes.append(
                         f"skipped {name}[{label}] {params}: QFI {f_cf:.3e} below the "
                         "double-precision resolution of a trace-1 state"

@@ -131,6 +131,7 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
     closed = generator == "n_b" and bench.FAMILIES[family].qfi[variant] is not None
     result["qfi_closed_form"] = bench.closed_qfi(curve, alpha) if closed else None
     result["qfi_numeric"] = num = None if point is None else point[1]
+    result["qfi_numeric_resolved"] = None if num is None else num >= bench.QFI_RESOLUTION
     ref = result["qfi_closed_form"] if result["qfi_closed_form"] is not None else num
     result["delta_phi"] = bench.delta_phi(ref) if ref is not None else None
     click.echo(json.dumps(result, indent=2))

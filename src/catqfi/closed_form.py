@@ -18,8 +18,9 @@ The cat-state forms read the sums K_j = sum_m (N m)^j x^{N m}/(N m)!,
 j = 0, 1, 2, over the support of an N-component cat (photon numbers N*m),
 which `_cat_series` takes in one pass.  The pass stops when a term falls
 below 1e-16 of its sum or underflows to 0, with a hard cap of 5000 terms.
-`ecs_qfi` keeps its explicit form: the crossover bisection calls it
-hundreds of times per query.
+`ecs_qfi` keeps its explicit form: it costs about 0.5 microseconds against
+8-32 as a series, and one crossover query against the ECS calls it about
+135 times (the N_av samples over the alpha grid, then a few per solve).
 """
 
 from __future__ import annotations

@@ -222,13 +222,16 @@ def beam_splitter_5050(a: FockVector, b: FockVector) -> TwoModeState:
     n_max = a.n_max
     grid = np.outer(a.amps, b.amps)
     out = np.zeros_like(grid)
+    flat, out_flat = grid.reshape(-1), out.reshape(-1)
+    step = max(n_max, 1)  # at n_max = 0 the one sector is one cell, and a slice step cannot be 0
     for n in range(2 * n_max + 1):
         k_lo, k_hi = max(0, n - n_max), min(n, n_max) + 1
-        ks = np.arange(k_lo, k_hi)
-        vec = grid[ks, n - ks]
+        # cell (k, n - k) of the C-contiguous (n_max + 1)^2 grid sits at flat offset n + k * n_max
+        cells = slice(n + k_lo * n_max, n + (k_hi - 1) * n_max + 1, step)
+        vec = flat[cells]
         if not vec.any():
             continue
-        out[ks, n - ks] = _bs_sector_unitary(n)[k_lo:k_hi, k_lo:k_hi] @ vec
+        out_flat[cells] = _bs_sector_unitary(n)[k_lo:k_hi, k_lo:k_hi] @ vec
     out_state = TwoModeState(out)
     in_sq = float(np.sum(np.abs(grid) ** 2))
     lost = in_sq - out_state.norm_sq()

@@ -1,6 +1,8 @@
 """Sweep machinery tests: rows, equal-energy lookup, crossover, verifier, encodings."""
 
+import bisect
 import json
+import random
 from dataclasses import replace
 from math import sqrt
 
@@ -283,6 +285,37 @@ def test_interpolate_lossy_curve():
     )
 
 
+FIGURE_CURVES = [(name, c) for name, figure in bench.FIGURES.items() for c in figure.curves]
+
+
+@pytest.mark.parametrize(
+    "figure, c", FIGURE_CURVES, ids=[f"{name}-{c.label}-T{c.transmission}" for name, c in FIGURE_CURVES]
+)
+def test_alpha_solver_lands_in_its_grid_cell_within_an_evaluation_budget(monkeypatch, figure, c):
+    # at every sample (both ends among them), every cell midpoint and seeded
+    # random N_av; a solve that bisected the alpha range would take ~50 calls
+    grid = bench.FIGURES[figure].alpha_grid
+    real = bench.closed_nav
+    navs = [real(c, alpha) for alpha in grid]
+    rng = random.Random(14)
+    targets = navs + [(a + b) / 2 for a, b in zip(navs, navs[1:])]
+    targets += [rng.uniform(navs[0], navs[-1]) for _ in range(100)]
+    calls = []
+    monkeypatch.setattr(bench, "closed_nav", lambda curve, alpha: calls.append(alpha) or real(curve, alpha))
+    solve = bench.alpha_solver(c, grid)
+    assert len(calls) == len(grid)
+    for n_av in targets:
+        calls.clear()
+        alpha = solve(n_av)
+        assert len(calls) <= 10, n_av
+        i = bisect.bisect_left(navs, n_av)
+        if navs[i] == n_av:
+            assert alpha == grid[i]
+        else:
+            assert grid[i - 1] <= alpha <= grid[i], n_av
+        assert abs(real(c, alpha) - n_av) <= 1e-12 * n_av, n_av
+
+
 # ---------------------------------------------------------------------------
 # crossover
 # ---------------------------------------------------------------------------
@@ -303,6 +336,28 @@ def test_crossover_rejects_bracket_not_increasing(bracket):
     # (0.65 and 0.6 for the first two, where the crossing is at 0.6694)
     with pytest.raises(bench.ParameterError):
         bench.find_crossover(curve("fig1", "ecs"), curve("fig1", "cat4[b=a/4]"), FIG1_GRID, bracket)
+
+
+# the ten crossings of the equal-energy benchmark table, as the bisection in
+# N_av returns them: every one is a midpoint of its last bracket
+CROSSOVER_TABLE = [
+    ("fig1", "ecs", "cat4[b=a/2]", (0.2, 1.2), 0.751116943359375),
+    ("fig1", "ecs", "cat4[b=a/4]", (0.2, 1.2), 0.669451904296875),
+    ("fig1", "ecs", "cat4[b=0]", (0.2, 1.2), 0.626422119140625),
+    ("fig1", "cat4[b=a]", "cat4[b=a/2]", (0.2, 1.2), 1.172442626953125),
+    ("fig1", "cat4[b=a]", "cat4[b=a/4]", (0.2, 1.2), 0.957049560546875),
+    ("fig1", "cat4[b=a]", "cat4[b=0]", (0.2, 1.2), 0.883074951171875),
+    ("fig1", "cat4[b=a/2]", "cat4[b=a/4]", (0.2, 1.2), 0.567523193359375),
+    ("fig1", "cat4[b=a/2]", "cat4[b=0]", (0.2, 1.2), 0.522845458984375),
+    ("fig1", "cat4[b=a/4]", "cat4[b=0]", (0.2, 1.2), 0.41847534179687496),
+    ("fig2b", "extended[N=4]", "extended[N=8]", (0.5, 3.5), 3.4874114990234375),
+]
+
+
+@pytest.mark.parametrize("figure, label_a, label_b, bracket, expected", CROSSOVER_TABLE)
+def test_crossover_table_values_exactly(figure, label_a, label_b, bracket, expected):
+    grid = bench.FIGURES[figure].alpha_grid
+    assert bench.find_crossover(curve(figure, label_a), curve(figure, label_b), grid, bracket) == expected
 
 
 def test_crossover_cat4_quarter_vs_ecs():

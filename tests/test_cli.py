@@ -83,6 +83,27 @@ def test_qfi_command_phase_averaged_cat4():
         assert payload["delta_phi"] == pytest.approx(payload["qfi_numeric"] ** -0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "args, resolved",
+    [
+        (("--family", "ecs", "--alpha", "1.0"), True),
+        # the lossy ECS at alpha = 27 is the vacuum to double precision: the
+        # grid prints 4.7e-62 beside the closed form's 2.06e-58
+        (("--family", "ecs", "--alpha", "27", "--transmission", "0.9"), False),
+        (("--family", "noon", "--alpha", "1.1"), None),  # no grid state at a non-integer alpha^2
+    ],
+    ids=["ordinary", "below-resolution", "no-numeric-route"],
+)
+def test_qfi_command_flags_a_numeric_qfi_below_resolution(args, resolved):
+    result = invoke("qfi", *args)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["qfi_numeric_resolved"] is resolved
+    if resolved is False:
+        assert payload["qfi_numeric"] < bench.QFI_RESOLUTION
+        assert payload["qfi_closed_form"] == pytest.approx(2.0628423718214178e-58, rel=1e-12)
+
+
 def test_qfi_command_two_mode_generator():
     result = invoke("qfi", "--family", "ecs", "--alpha", "1.0", "--generator", "half_difference")
     assert result.exit_code == 0

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from catqfi import bench, fock
 from catqfi import closed_form as cf
-from catqfi import fock
 from catqfi.fock import (
     N_MAX_LIMIT,
     CatSpec,
@@ -343,6 +343,55 @@ def test_beam_splitter_corner_block_matches_full_sector_product():
         vec[ks] = grid[ks, n - ks]
         expected[ks, n - ks] = (fock._bs_sector_unitary(n) @ vec)[ks]
     assert np.max(np.abs(beam_splitter_5050(a, b).amps - expected)) <= 1e-15
+
+
+def _per_sector_product(a, b):
+    """The beam splitter's corner product gathered and scattered sector by sector
+    through index arrays: the reference for its strided anti-diagonal slices."""
+    n_max = a.n_max
+    grid = np.outer(a.amps, b.amps)
+    out = np.zeros_like(grid)
+    for n in range(2 * n_max + 1):
+        k_lo, k_hi = max(0, n - n_max), min(n, n_max) + 1
+        ks = np.arange(k_lo, k_hi)
+        vec = grid[ks, n - ks]
+        if vec.any():
+            out[ks, n - ks] = fock._bs_sector_unitary(n)[k_lo:k_hi, k_lo:k_hi] @ vec
+    return out
+
+
+def test_beam_splitter_on_the_smallest_grids():
+    # n_max = 0: one cell, so the anti-diagonal stride n_max would be 0
+    one = FockVector(np.array([0.6 + 0.8j]))
+    assert np.array_equal(beam_splitter_5050(one, one).amps, [[(0.6 + 0.8j) ** 2]])
+    # n_max = 1: a^dag -> (a^dag - b^dag)/sqrt2 and b^dag -> (a^dag + b^dag)/sqrt2
+    vac, photon = FockVector(np.array([1.0 + 0j, 0.0])), FockVector(np.array([0.0, 1.0 + 0j]))
+    for a, b, expected in ((photon, vac, [[0, -1], [1, 0]]), (vac, photon, [[0, 1], [1, 0]])):
+        out = beam_splitter_5050(a, b).amps
+        assert np.array_equal(out, _per_sector_product(a, b))
+        assert np.allclose(out, np.array(expected) / sqrt(2), rtol=0, atol=1e-15)
+    # |1,1> -> (|2,0> - |0,2>)/sqrt2 lies wholly past the corner
+    with pytest.raises(CutoffError, match="grid corner"):
+        beam_splitter_5050(photon, photon)
+
+
+def test_beam_splitter_is_bit_identical_to_the_per_sector_product(monkeypatch):
+    # every cat4 state of the fig1 sweep and of verify's (alpha, beta/alpha) grid
+    inputs = []
+    real = bench.beam_splitter_5050
+    monkeypatch.setattr(bench, "beam_splitter_5050", lambda a, b: inputs.append((a, b)) or real(a, b))
+    fig1 = bench.FIGURES["fig1"]
+    points = [(c, alpha) for c in fig1.curves if c.kind == "cat4" for alpha in fig1.alpha_grid]
+    points += [
+        (bench.FamilyCurve("cat4", "cat4", "pure", beta_ratio=ratio), alpha)
+        for alpha in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+        for ratio in (0.0, 0.25, 0.5, 1.0)
+    ]
+    for c, alpha in points:
+        c.state(alpha)
+    assert len(inputs) == len(points) == 4 * 44 + 24
+    for a, b in inputs:
+        assert np.array_equal(beam_splitter_5050(a, b).amps, _per_sector_product(a, b))
 
 
 def test_beam_splitter_cat_moment_matches_closed_form():

@@ -172,10 +172,10 @@ def table_points(draw) -> tuple:
 @given(table_points())
 def test_closed_forms_match_the_grid_route(point):
     # verify's rule: relative error with a 1e-6 floor, and no QFI check below
-    # 1e-9, where the state is the vacuum to double precision
+    # QFI_RESOLUTION (1e-9), where the state is the vacuum to double precision
     curve, alpha = point
     nav, f = bench.numeric_point(curve, alpha)
     assert bench._rel_err(bench.closed_nav(curve, alpha), nav) <= 1e-8
     f_closed = bench.closed_qfi(curve, alpha)
-    if f_closed >= 1e-9:
+    if f_closed >= bench.QFI_RESOLUTION:
         assert bench._rel_err(f_closed, f) <= 1e-8
