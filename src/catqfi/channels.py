@@ -25,11 +25,17 @@ test suite cross-checks them:
 
 * sector blocks: every block lies in one sector (any `phase_average`
   output, a noon state).  The kernel works on the nonzero density elements
-  (point, n, k, k') with k = n_a: losing j photons from mode a maps one to
-  (point, n-j, k-j, k'-j), losing l from mode b maps it to
-  (point, n-l, k, k').  Each output sector is diagonalized on its support,
-  in batches of equal support size.  Every sweep row, `verify` and the CLI
-  take this route.
+  <x, y|rho|x', y'> with x + y = x' + y', one mode at a time.  Losing j
+  photons from the mode of x maps (x, x') to (x-j, x'-j) and keeps the line
+  (point, y, y'), so each line, indexed by u = min(x, x'), is multiplied by
+  one real upper-triangular matrix that depends only on its offset |x - x'|
+  (`_lose_lines`); mode b is the same call with the modes swapped.  Lines
+  whose elements all have u = 0, most of a noon-span state, only take a
+  scale factor.  Memory follows the line array, O(n_max^3) per point, and
+  the kernel refuses before allocating one above `fock.LOSS_LINE_BYTES`.
+  Each output sector is then diagonalized on its support, in batches of
+  equal support size.  Every sweep row, `verify` and the CLI take this
+  route.
 * dense: the full operator sum over the cells the Kraus branches touch and
   one eigendecomposition, returned as one block.  It serves one state that
   was not phase averaged (random or pure states, loss applied before
@@ -48,7 +54,16 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .fock import CatSpec, CutoffError, TwoModeState, beam_splitter_5050, cat_state, default_cutoff, phase_shift
+from .fock import (
+    LOSS_LINE_BYTES,
+    CatSpec,
+    CutoffError,
+    TwoModeState,
+    beam_splitter_5050,
+    cat_state,
+    default_cutoff,
+    phase_shift,
+)
 
 # eigenvalues at or below this fraction of their block's trace are dropped, so
 # that tiny sectors keep full relative precision
@@ -298,42 +313,83 @@ def _loss_coeff_table(n_max: int, t: float) -> np.ndarray:
     return coef
 
 
-def _lose(sec, k, kp, val, coef: np.ndarray, mode: str, n_max: int):
-    """Loss on one mode of sector-diagonal elements: every Kraus index j at once, outputs unsummed.
+def _loss_matrix(coef: np.ndarray, d: int, width: int) -> np.ndarray:
+    """M[m, u] = coef[u-m, m] coef[u-m, m+d] (zero below the diagonal): one line of offset d under loss."""
+    # M[m, m+j] sits at flat position m (width+1) + j; the product is 0 where
+    # j + m >= width, so the wrapped entries land below the diagonal as zeros
+    flat = np.zeros(width * (width + 1))
+    flat.reshape(width, width + 1)[:, :width] = (coef[:width, :width] * coef[:width, d : d + width]).T
+    return flat[: width * width].reshape(width, width)
 
-    Losing j photons keeps the point and lowers n by j, so the sector key drops by j.
+
+def _lose_lines(line, u, val, coef: np.ndarray, n_max: int):
+    """Loss on one mode of distinct sector-diagonal elements, given and returned as (line, u, value).
+
+    The element <x, y|rho|x', y'> of point p lies on the line
+    (p (n_max+1) + y) (n_max+1) + y' at u = min(x, x'), x being the photons
+    in the lossy mode.  Losing j photons maps (x, x') to (x-j, x'-j) and keeps
+    the line, along which x - x' = y' - y is fixed; so a line of offset
+    d = |y - y'| is multiplied by the triangular `_loss_matrix` of d, one line
+    at a time, and no point's output depends on the rest of the batch.  A
+    line whose elements all have u = 0 only takes the j = 0 factor coef[0, d].
     """
-    # photons in the lossy mode on the ket and the bra side
-    if mode == "a":
-        top, top_p = k, kp
-    else:
-        n = sec % (2 * n_max + 1)
-        top, top_p = n - k, n - kp
-    reps = np.minimum(top, top_p) + 1
-    src = np.repeat(np.arange(val.size), reps)
-    j = np.arange(src.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    val = val[src] * coef[j, top[src] - j] * coef[j, top_p[src] - j]
-    if mode == "a":
-        return sec[src] - j, k[src] - j, kp[src] - j, val
-    return sec[src] - j, k[src], kp[src], val
-
-
-def _summed(sec, k, kp, val, n_max: int):
-    """Elements with repeated (sector, k, k') added and zeros dropped."""
     size = n_max + 1
-    key, where = np.unique((sec * size + k) * size + kp, return_inverse=True)
-    val = np.bincount(where, val.real, key.size) + 1j * np.bincount(where, val.imag, key.size)
-    key, val = key[val != 0], val[val != 0]
-    sec_k, kp = np.divmod(key, size)
-    sec, k = np.divmod(sec_k, size)
-    return sec, k, kp, val
+    index = np.zeros(line.max(initial=0) + 1, dtype=np.intp)
+    index[line[u > 0]] = 1
+    moving = index[line] == 1
+    fixed = ~moving
+    still = line[fixed]
+    parts = [(still, u[fixed], val[fixed] * coef[0, np.abs(still % size - still // size % size)])]
+    lines = np.flatnonzero(index)
+    if lines.size:
+        # the moving lines as rows, grouped by offset, each size - d long and laid end to end
+        d = np.abs(lines % size - lines // size % size)
+        order = np.argsort(d, kind="stable")
+        lines, d = lines[order], d[order]
+        width = size - d
+        start = np.cumsum(width) - width
+        total = int(start[-1] + width[-1])
+        if 16 * total > LOSS_LINE_BYTES:
+            raise CutoffError(
+                f"photon loss needs {16 * total:,} bytes for {lines.size} lines of up to {size} elements,"
+                f" above the line budget of {LOSS_LINE_BYTES:,} bytes"
+            )
+        index[lines] = np.arange(lines.size)
+        rows = np.zeros(total, dtype=complex)
+        rows[start[index[line[moving]]] + u[moving]] = val[moving]
+        count = np.bincount(d)
+        first = np.cumsum(count) - count
+        for off in np.flatnonzero(count):
+            w = size - off
+            lo = start[first[off]]
+            # real products on the real and imaginary parts: (w, w) @ (w, 2) for each line
+            group = rows[lo : lo + count[off] * w].view(float).reshape(-1, w, 2)
+            out = (_loss_matrix(coef, off, w) @ group).reshape(-1).view(complex)
+            at = np.flatnonzero(out)
+            row, m = np.divmod(at, w)
+            parts.append((lines[first[off] + row], m, out[at]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _line_cells(line, u, size: int):
+    """(point, x, x', y, y') of the elements at u on their lines (see `_lose_lines`)."""
+    rest, yp = np.divmod(line, size)
+    point, y = np.divmod(rest, size)
+    shift = yp - y  # x - x'
+    return point, u + np.maximum(shift, 0), u - np.minimum(shift, 0), y, yp
 
 
 def _loss_sectors(s: SpectralState, coef: np.ndarray) -> SpectralState:
-    """Loss on a state of sector blocks: mode a, then mode b, on the nonzero elements."""
+    """Loss on a state of sector blocks: on mode a along the lines (point, n_b, n_b'), then on mode b."""
     n_max = s.n_max
-    lost_a = _summed(*_lose(*_sector_elements(s.stacks, n_max), coef, "a", n_max), n_max)
-    return _sector_state(*_lose(*lost_a, coef, "b", n_max), n_max, s.points)
+    size = n_max + 1
+    sec, a, ap, val = _sector_elements(s.stacks, n_max)
+    point, n = np.divmod(sec, 2 * n_max + 1)
+    line, u, val = _lose_lines((point * size + n - a) * size + n - ap, np.minimum(a, ap), val, coef, n_max)
+    point, a, ap, b, bp = _line_cells(line, u, size)
+    line, u, val = _lose_lines((point * size + a) * size + ap, np.minimum(b, bp), val, coef, n_max)
+    point, b, _, a, ap = _line_cells(line, u, size)
+    return _sector_state(point * (2 * n_max + 1) + a + b, a, ap, val, n_max, s.points)
 
 
 def _loss_dense(s: SpectralState, coef: np.ndarray) -> SpectralState:

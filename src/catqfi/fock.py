@@ -29,6 +29,7 @@ import numpy as np
 
 TAIL_TOL = 1e-12
 N_MAX_LIMIT = 2000  # largest cutoff per mode: a complex (n_max+1)^2 grid of 64 MB
+LOSS_LINE_BYTES = 2**27  # largest line array of the sector loss kernel (channels), 128 MiB
 
 
 class CutoffError(RuntimeError):

@@ -207,6 +207,17 @@ def test_numeric_points_batch_of_mixed_cutoffs():
         assert rel_close(got, bench.numeric_point(curve, alpha))
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, transmission, n_max, expected",
+    [(3.0, 3.0, 0.85, 59, 14.523773265279909), (2.0, 1.0, 0.9, 39, 2.3710076415834576)],
+)
+def test_lossy_cat4_qfi_pinned(alpha, beta, transmission, n_max, expected):
+    # values of the element-copy loss kernel that the line kernel replaced
+    curve = bench.point_curve("cat4", "phase_averaged", alpha, beta, transmission=transmission)
+    assert fock.default_cutoff(sqrt((alpha**2 + beta**2) / 2)) == n_max
+    assert bench.numeric_point(curve, alpha)[1] == pytest.approx(expected, rel=1e-12)
+
+
 def test_sweep_chunk_failure_drops_only_its_row(monkeypatch, capsys):
     chunk = bench._SWEEP_CHUNK
     grid = tuple(round(0.2 + 0.05 * i, 10) for i in range(2 * chunk + 3))

@@ -1,5 +1,6 @@
 """Channel tests: photon loss, phase averaging, noon-basis rows (tests/noon_basis.py), CPS heralding."""
 
+import tracemalloc
 from dataclasses import replace
 from math import exp, pi, sqrt
 
@@ -187,6 +188,43 @@ def test_loss_sector_blocks_semigroup():
     two_step = loss_channel(loss_channel(state, LossSpec(0.8)), LossSpec(0.9))
     one_step = loss_channel(state, LossSpec(0.72))
     assert np.max(np.abs(dense(two_step) - dense(one_step))) < 1e-8
+
+
+def test_loss_sector_route_on_a_mixed_sector_state_matches_dense_route():
+    # complex sector blocks of rank > 1, most of their lines through the triangular products
+    state = phase_average(loss_channel(random_state(10), LossSpec(0.8)))
+    assert max(st.weights.shape[1] for st in state.stacks) > 1
+    out_blocks = loss_channel(state, LossSpec(0.7))
+    out_dense = dense_loss(state, 0.7)
+    assert np.max(np.abs(dense(out_blocks) - dense(out_dense))) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::catqfi.qfi.DegenerateSpectrumWarning")
+def test_loss_of_a_batch_gives_each_point_its_qfi_alone():
+    # noon-span lines (mostly the j = 0 factor) beside cat4 lines, at two cutoffs
+    states = [extended_entangled_state(2, 0.7, 32), cat4_pure(1.0, 0.5, 40)]
+    batch = qfi_mixed(loss_channel(phase_average(states), LossSpec(0.85)), "n_b")
+    for p, state in enumerate(states):
+        assert batch[p] == qfi_mixed(loss_channel(phase_average(state), LossSpec(0.85)), "n_b")
+
+
+def test_loss_memory_grows_as_lines_not_as_kraus_copies():
+    # the element-copy kernel this replaced peaked at 97.5 MB here, the line kernel at about 12 MB
+    state = phase_average(cat4_pure(2.0, 2.0, 44))
+    tracemalloc.start()
+    try:
+        loss_channel(state, LossSpec(0.9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+def test_loss_refuses_lines_above_the_budget(monkeypatch):
+    state = phase_average(cat4_pure(2.0, 2.0, 44))
+    monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**16)
+    with pytest.raises(CutoffError, match=r"needs [\d,]+ bytes for \d+ lines of up to 45 elements.*65,536 bytes"):
+        loss_channel(state, LossSpec(0.9))
 
 
 def test_loss_trace_check_is_per_point(monkeypatch):
