@@ -28,8 +28,9 @@ from .channels import LossSpec, loss_channel, phase_average
 from .fock import (
     CatSpec,
     CutoffError,
-    beam_splitter_5050,
+    TwoModeState,
     cat_state,
+    check_grid_size,
     coherent,
     default_cutoff,
     extended_entangled_state,
@@ -109,11 +110,16 @@ def _coherent_pair(curve, alpha, n_max):
 
 
 def _cat4_state(curve, alpha, n_max):
+    """|C_4(alpha/sqrt2)>|beta/sqrt2> after the 50:50 beam splitter, sum_k |(alpha i^k + beta)/2>|(beta - alpha i^k)/2>:
+    no amplitude passes sqrt((alpha^2 + beta^2)/2), so each coherent factor's tail check covers the truncation."""
     beta = curve.beta_ratio * alpha
     if n_max is None:
         n_max = default_cutoff(sqrt((alpha * alpha + beta * beta) / 2))
-    cat = cat_state(CatSpec(4, alpha / sqrt(2)), n_max)
-    return beam_splitter_5050(cat, coherent(beta / sqrt(2), n_max)).normalize()
+    amps = sum(
+        np.outer(coherent((alpha * ik + beta) / 2, n_max).amps, coherent((beta - alpha * ik) / 2, n_max).amps)
+        for ik in (1, 1j, -1, -1j)
+    )
+    return TwoModeState(amps).normalize()
 
 
 def _extended_state(curve, alpha, n_max):
@@ -121,6 +127,7 @@ def _extended_state(curve, alpha, n_max):
 
 
 def _noon_grid(curve, alpha, n_max):
+    check_grid_size(alpha * alpha)  # before rounding, which cannot take the inf of an overflowed square
     n = round(alpha * alpha)
     integer = abs(alpha * alpha - n) < 1e-9
     return noon_state(n, max(32, n) if n_max is None else n_max) if integer else None

@@ -31,11 +31,11 @@ test suite cross-checks them:
   one real upper-triangular matrix that depends only on its offset |x - x'|
   (`_lose_lines`); mode b is the same call with the modes swapped.  Lines
   whose elements all have u = 0, most of a noon-span state, only take a
-  scale factor.  Memory follows the line array, O(n_max^3) per point, and
-  the kernel refuses before allocating one above `fock.LOSS_LINE_BYTES`.
-  Each output sector is then diagonalized on its support, in batches of
-  equal support size.  Every sweep row, `verify` and the CLI take this
-  route.
+  scale factor.  Memory follows the line array, O(n_max^3) per point; the
+  kernel refuses it, or the input blocks' densities, above
+  `fock.LOSS_LINE_BYTES` before allocating.  Each output sector is then
+  diagonalized on its support, in batches of equal support size.  Every
+  sweep row, `verify` and the CLI take this route.
 * dense: the full operator sum over the cells the Kraus branches touch and
   one eigendecomposition, returned as one block.  It serves one state that
   was not phase averaged (random or pure states, loss applied before
@@ -217,8 +217,13 @@ def _sector_elements(stacks, n_max: int) -> list:
     """Elements (sector, k, k', value) = <k, n-k|rho|k', n-k'> of rho's sector-diagonal part (k = n_a).
 
     The sector (point, n) is keyed point * (2 n_max + 1) + n.  Only nonzero
-    elements are listed.
+    elements are listed.  Densities past `fock.LOSS_LINE_BYTES` in all are refused before any is formed.
     """
+    elements = sum(st.na.size * st.na.shape[1] for st in stacks)
+    if 16 * elements > LOSS_LINE_BYTES:
+        rows, width = sum(st.na.size for st in stacks), max(st.na.shape[1] for st in stacks)
+        raise CutoffError(f"expanding the sector blocks needs {16 * elements:,} bytes for {rows} lines of up"
+                          f" to {width} elements, above the line budget of {LOSS_LINE_BYTES:,} bytes")
     parts = []
     for st in stacks:
         rho = _block_densities(st)

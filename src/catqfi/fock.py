@@ -16,13 +16,12 @@ sector n = n_a + n_b as an (n+1) x (n+1) real orthogonal block.  The block
 is exp(pi/4 * G) for the real antisymmetric tridiagonal generator
 G = a^dag b - a b^dag; the similarity diag(i^k) turns i*G into a real
 symmetric tridiagonal matrix, whose eigendecomposition (numpy.linalg.eigh)
-gives the block exactly.  Blocks up to a fixed byte budget are cached.
+gives the block exactly; the blocks are built on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil, lgamma, log, pi, sqrt
 
 import numpy as np
@@ -98,9 +97,9 @@ class CatSpec:
             raise ValueError("n_components must be >= 1")
 
 
-def _check_grid_size(n_max: int) -> None:
+def check_grid_size(n_max: float) -> None:
     if n_max > N_MAX_LIMIT:
-        raise CutoffError(f"cutoff {n_max} exceeds the grid limit n_max <= {N_MAX_LIMIT}")
+        raise CutoffError(f"cutoff {n_max:g} exceeds the grid limit n_max <= {N_MAX_LIMIT}")
 
 
 def default_cutoff(alpha_abs: float) -> int:
@@ -112,9 +111,9 @@ def default_cutoff(alpha_abs: float) -> int:
     (about 9.4e-14) at every |a|.
     """
     a = abs(alpha_abs)
-    heuristic = ceil(a * a + 10 * a + 20)
-    _check_grid_size(heuristic)
-    return max(32, heuristic)
+    heuristic = a * a + 10 * a + 20
+    check_grid_size(heuristic)  # unrounded: ceil cannot take the inf of an overflowed square
+    return max(32, ceil(heuristic))
 
 
 def _check_tail(amps: np.ndarray, index: int, tail_sq: float) -> None:
@@ -130,8 +129,9 @@ def _check_tail(amps: np.ndarray, index: int, tail_sq: float) -> None:
 def coherent(alpha: complex, n_max: int) -> FockVector:
     """Coherent state |alpha> truncated at n_max.
 
-    Amplitudes are evaluated in log space, so the cutoff is not limited by
-    factorial overflow (n ~ 170).
+    Moduli are evaluated in log space, so the cutoff is not limited by
+    factorial overflow (n ~ 170); the phase (alpha/|alpha|)^n is a running
+    product, exact on the axes, so that cat heads at phases i^k cancel exactly.
     """
     alpha = complex(alpha)
     amps = np.zeros(n_max + 1, dtype=complex)
@@ -141,7 +141,9 @@ def coherent(alpha: complex, n_max: int) -> FockVector:
     a2 = abs(alpha) ** 2
     ns = np.arange(n_max + 1)
     log_mod = -a2 / 2 + ns * log(abs(alpha)) - 0.5 * np.array([lgamma(n + 1) for n in ns])
-    amps = np.exp(log_mod) * np.exp(1j * ns * np.angle(alpha))
+    phase = np.full(n_max + 1, alpha / abs(alpha))
+    phase[0] = 1
+    amps = np.exp(log_mod) * np.cumprod(phase)
     _check_tail(amps, n_max, abs(amps[n_max]) ** 2)
     return FockVector(amps)
 
@@ -174,21 +176,8 @@ def product_state(a: FockVector, b: FockVector) -> TwoModeState:
     return TwoModeState(np.outer(a.amps, b.amps))
 
 
-# blocks of sectors 0.._BS_CACHED_MAX take sum (n+1)^2 * 8 bytes <= _BS_CACHE_BYTES
-_BS_CACHE_BYTES = 64 * 2**20
-_BS_CACHED_MAX = 291
-
-
-def _bs_sector_unitary(n: int) -> np.ndarray:
-    """50:50 beam-splitter block on the total-photon-number-n sector (read only).
-
-    Blocks up to _BS_CACHED_MAX are cached; larger ones are built per call.
-    """
-    return _bs_cached_block(n) if n <= _BS_CACHED_MAX else _bs_block(n)
-
-
 def _bs_block(n: int) -> np.ndarray:
-    """exp(pi/4 * G) on span{|k, n-k>}, G = a^dag b - a b^dag (see the module docstring)."""
+    """The 50:50 beam-splitter block exp(pi/4 * G) on span{|k, n-k>}, G = a^dag b - a b^dag (read only)."""
     if n == 0:
         u = np.ones((1, 1))
     else:
@@ -203,15 +192,13 @@ def _bs_block(n: int) -> np.ndarray:
     return u
 
 
-_bs_cached_block = lru_cache(maxsize=None)(_bs_block)
-
-
 def beam_splitter_5050(a: FockVector, b: FockVector) -> TwoModeState:
     """Mix two modes on a 50:50 beam splitter.
 
     Sign convention: coherent inputs |g_a>|g_b> map to the product
     |(g_a+g_b)/sqrt2> |(g_b-g_a)/sqrt2>, which reproduces the
-    (beta +- alpha)/2 branch structure of a cat + coherent input.
+    (beta +- alpha)/2 branch structure of a cat + coherent input.  It serves
+    the CPS synthesis; the cat4 family sums those coherent branches instead.
     Total photon number is conserved, so the unitary acts sector by sector;
     both input and output lie in the grid corner, so only the corner's
     rows and columns of each block are used.  The content the block sends
@@ -232,7 +219,7 @@ def beam_splitter_5050(a: FockVector, b: FockVector) -> TwoModeState:
         vec = flat[cells]
         if not vec.any():
             continue
-        out_flat[cells] = _bs_sector_unitary(n)[k_lo:k_hi, k_lo:k_hi] @ vec
+        out_flat[cells] = _bs_block(n)[k_lo:k_hi, k_lo:k_hi] @ vec
     out_state = TwoModeState(out)
     in_sq = float(np.sum(np.abs(grid) ** 2))
     lost = in_sq - out_state.norm_sq()
@@ -279,7 +266,7 @@ def noon_state(n: int, n_max: int) -> TwoModeState:
     """(|n,0> + |0,n>)/sqrt(2); the vacuum for n = 0."""
     if n < 0 or n > n_max:
         raise ValueError("need 0 <= n <= n_max")
-    _check_grid_size(n_max)
+    check_grid_size(n_max)
     amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     if n == 0:
         amps[0, 0] = 1.0

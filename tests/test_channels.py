@@ -221,9 +221,25 @@ def test_loss_memory_grows_as_lines_not_as_kraus_copies():
 
 
 def test_loss_refuses_lines_above_the_budget(monkeypatch):
+    # the blocks' densities (972,240 bytes) are refused before any is expanded
     state = phase_average(cat4_pure(2.0, 2.0, 44))
     monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**16)
-    with pytest.raises(CutoffError, match=r"needs [\d,]+ bytes for \d+ lines of up to 45 elements.*65,536 bytes"):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError, match=r"needs [\d,]+ bytes for \d+ lines of up to 45 elements.*65,536 bytes"):
+            loss_channel(state, LossSpec(0.9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_loss_refuses_a_line_array_past_the_element_budget(monkeypatch):
+    # at beta = 0 only every fourth sector is occupied: the densities take
+    # 138,176 bytes, and the lines that span the empty sectors 939,840
+    state = phase_average(cat4_pure(2.0, 0.0, 44))
+    monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**19)
+    with pytest.raises(CutoffError, match=r"photon loss needs 939,840 bytes .* of 524,288 bytes"):
         loss_channel(state, LossSpec(0.9))
 
 

@@ -7,7 +7,7 @@ from math import exp
 import pytest
 from click.testing import CliRunner
 
-from catqfi import bench, fock
+from catqfi import bench
 from catqfi.cli import main
 
 runner = CliRunner()
@@ -228,10 +228,10 @@ def test_numeric_failure_exit_three():
 
 
 def test_out_of_memory_exit_three(monkeypatch):
-    def no_memory(n):
+    def no_memory(*args):
         raise MemoryError("Unable to allocate a sector block")
 
-    monkeypatch.setattr(fock, "_bs_sector_unitary", no_memory)
+    monkeypatch.setattr(bench, "coherent", no_memory)
     result = invoke("qfi", "--family", "cat4", "--alpha", "1.0")
     assert result.exit_code == 3, result.output
     assert "numeric failure: Unable to allocate a sector block" in result.output
@@ -305,28 +305,48 @@ def test_qfi_many_heads_at_large_alpha_both_routes(n_components, alpha, extra):
     assert payload["qfi_numeric"] == pytest.approx(payload["qfi_closed_form"], rel=1e-12)
 
 
+# (id, family, extra options); each runs at a large alpha and at 1e300
+BEYOND_LIMIT = [
+    ("ecs", "ecs", ()),
+    ("coherent", "coherent", ()),
+    ("noon", "noon", ()),
+    ("cat4", "cat4", ()),
+    ("cat4-beta-1e300", "cat4", ("--beta", "1e300")),
+    ("ecs-pa", "ecs", ("--phase-averaged",)),
+    ("modified-pa", "modified", ("--phase-averaged",)),
+    ("extended-pa", "extended", ("--n-components", "4", "--phase-averaged")),
+    ("ecs-lossy", "ecs", ("--transmission", "0.9")),
+    ("modified-lossy", "modified", ("--transmission", "0.9")),
+    ("extended-lossy", "extended", ("--n-components", "4", "--transmission", "0.9")),
+]
+
+
 @pytest.mark.parametrize(
-    "family,extra",
+    "family,extra,alpha",
     [
-        ("ecs", ()),
-        ("coherent", ()),
-        ("noon", ()),
-        ("ecs", ("--phase-averaged",)),
-        ("modified", ("--phase-averaged",)),
-        ("extended", ("--n-components", "4", "--phase-averaged")),
-        ("ecs", ("--transmission", "0.9")),
-        ("modified", ("--transmission", "0.9")),
-        ("extended", ("--n-components", "4", "--transmission", "0.9")),
+        pytest.param(family, extra, alpha, id=name if alpha != "1e300" else f"{name}-alpha-1e300")
+        for name, family, extra in BEYOND_LIMIT
+        for alpha in ("1e6" if family != "noon" else "1000", "1e300")
     ],
-    ids=["ecs", "coherent", "noon", "ecs-pa", "modified-pa", "extended-pa", "ecs-lossy", "modified-lossy", "extended-lossy"],
 )
-def test_qfi_grid_beyond_limit_exit_three(family, extra):
-    # the grid limit is checked before any closed-form series runs to its term cap
+def test_qfi_grid_beyond_limit_exit_three(family, extra, alpha):
+    # the grid limit is checked before any closed-form series runs to its term cap,
+    # and before rounding, so an amplitude whose square overflows to inf is named too
     t0 = time.perf_counter()
-    result = invoke("qfi", "--family", family, "--alpha", "1e6" if family != "noon" else "1000", *extra)
+    result = invoke("qfi", "--family", family, "--alpha", alpha, *extra)
     assert time.perf_counter() - t0 < 1.0
     assert result.exit_code == 3, result.output
     assert "grid limit" in result.output
+
+
+def test_qfi_cat4_at_large_n_av_matches_its_closed_form():
+    # n_max 262: the heads' coherent products, not 525 dense beam-splitter blocks (5 s or more)
+    t0 = time.perf_counter()
+    result = invoke("qfi", "--family", "cat4", "--alpha", "16", "--beta", "1")
+    assert time.perf_counter() - t0 < 2.0
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["qfi_numeric"] == pytest.approx(payload["qfi_closed_form"], rel=1e-12)
 
 
 def test_qfi_lossy_closed_form_past_double_range():

@@ -8,14 +8,16 @@ import os
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from math import cos, exp, factorial, fsum, lgamma, log, pi, sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catqfi import bench, fock
+from catqfi import bench, channels, fock
 from catqfi import closed_form as cf
+from catqfi.channels import phase_average
 from catqfi.fock import (
     N_MAX_LIMIT,
     CatSpec,
@@ -262,18 +264,6 @@ def test_bs_blocks_match_tridiagonal_reference():
         assert not block.flags.writeable
 
 
-def test_bs_block_cache_is_bounded_in_bytes(monkeypatch):
-    cached_bytes = sum((n + 1) ** 2 * 8 for n in range(fock._BS_CACHED_MAX + 1))
-    assert cached_bytes <= fock._BS_CACHE_BYTES <= 64 * 2**20
-    # past the cached range a block is built per call and not kept
-    monkeypatch.setattr(fock, "_BS_CACHED_MAX", 3)
-    fock._bs_cached_block.cache_clear()
-    for n in range(6):
-        fock._bs_sector_unitary(n)
-    assert fock._bs_cached_block.cache_info().currsize == 4
-    assert np.array_equal(fock._bs_sector_unitary(5), fock._bs_block(5))
-
-
 def test_import_loads_neither_scipy_nor_numpy_ma():
     code = "import sys, catqfi.cli; print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(Path(fock.__file__).parents[1])}
@@ -341,8 +331,11 @@ def test_beam_splitter_corner_block_matches_full_sector_product():
         ks = np.arange(max(0, n - 50), min(n, 50) + 1)
         vec = np.zeros(n + 1, dtype=complex)
         vec[ks] = grid[ks, n - ks]
-        expected[ks, n - ks] = (fock._bs_sector_unitary(n) @ vec)[ks]
+        expected[ks, n - ks] = (fock._bs_block(n) @ vec)[ks]
     assert np.max(np.abs(beam_splitter_5050(a, b).amps - expected)) <= 1e-15
+
+
+_cached_block = lru_cache(maxsize=None)(fock._bs_block)  # the 200 cat4 states below share their sectors
 
 
 def _per_sector_product(a, b):
@@ -356,7 +349,7 @@ def _per_sector_product(a, b):
         ks = np.arange(k_lo, k_hi)
         vec = grid[ks, n - ks]
         if vec.any():
-            out[ks, n - ks] = fock._bs_sector_unitary(n)[k_lo:k_hi, k_lo:k_hi] @ vec
+            out[ks, n - ks] = _cached_block(n)[k_lo:k_hi, k_lo:k_hi] @ vec
     return out
 
 
@@ -375,11 +368,8 @@ def test_beam_splitter_on_the_smallest_grids():
         beam_splitter_5050(photon, photon)
 
 
-def test_beam_splitter_is_bit_identical_to_the_per_sector_product(monkeypatch):
-    # every cat4 state of the fig1 sweep and of verify's (alpha, beta/alpha) grid
-    inputs = []
-    real = bench.beam_splitter_5050
-    monkeypatch.setattr(bench, "beam_splitter_5050", lambda a, b: inputs.append((a, b)) or real(a, b))
+def _cat4_points():
+    """Every cat4 (curve, alpha) of the fig1 sweep and of verify's (alpha, beta/alpha) grid."""
     fig1 = bench.FIGURES["fig1"]
     points = [(c, alpha) for c in fig1.curves if c.kind == "cat4" for alpha in fig1.alpha_grid]
     points += [
@@ -387,11 +377,67 @@ def test_beam_splitter_is_bit_identical_to_the_per_sector_product(monkeypatch):
         for alpha in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
         for ratio in (0.0, 0.25, 0.5, 1.0)
     ]
-    for c, alpha in points:
-        c.state(alpha)
-    assert len(inputs) == len(points) == 4 * 44 + 24
-    for a, b in inputs:
-        assert np.array_equal(beam_splitter_5050(a, b).amps, _per_sector_product(a, b))
+    assert len(points) == 4 * 44 + 24
+    return points
+
+
+@lru_cache(maxsize=None)
+def _beam_splitter_build(curve, alpha):
+    """|C_4(alpha/sqrt2)>, |beta/sqrt2> at the cutoff of the cat4 family's state, and
+    their beam-splitter output, shared by the tests below."""
+    beta = curve.beta_ratio * alpha
+    n_max = default_cutoff(sqrt((alpha * alpha + beta * beta) / 2))
+    a, b = cat_state(CatSpec(4, alpha / sqrt(2)), n_max), coherent(beta / sqrt(2), n_max)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fock, "_bs_block", _cached_block)
+        return a, b, beam_splitter_5050(a, b)
+
+
+def _forbid_beam_splitter(monkeypatch):
+    def beam_splitter(*args):
+        raise AssertionError("a state family's build reached the beam splitter")
+
+    for module in (fock, bench, channels):
+        monkeypatch.setattr(module, "beam_splitter_5050", beam_splitter, raising=False)
+
+
+def test_beam_splitter_is_bit_identical_to_the_per_sector_product():
+    for c, alpha in _cat4_points():
+        a, b, out = _beam_splitter_build(c, alpha)
+        assert np.array_equal(out.amps, _per_sector_product(a, b))
+
+
+def test_no_figure_or_verify_state_is_built_by_the_beam_splitter(monkeypatch):
+    _forbid_beam_splitter(monkeypatch)
+    built = 0
+    for figure in bench.FIGURES.values():
+        for c in figure.curves:
+            for alpha in figure.alpha_grid:
+                built += c.state(alpha) is not None
+    for c, alpha in _cat4_points():
+        built += c.state(alpha) is not None
+    assert built == 1538  # noon has a grid state only where alpha^2 is an integer
+
+
+def test_cat4_heads_sum_to_the_beam_splitter_output(monkeypatch):
+    # the (gamma, delta) convention of the component build, checked against the beam splitter
+    points = _cat4_points() + [(bench.FamilyCurve("cat4", "cat4", "pure", beta_ratio=1.0), 6.0)]
+    with monkeypatch.context() as m:
+        _forbid_beam_splitter(m)
+        states = [c.state(alpha) for c, alpha in points]
+    for (c, alpha), state in zip(points, states):
+        expected = _beam_splitter_build(c, alpha)[2].normalize()
+        assert state.n_max == expected.n_max
+        assert np.max(np.abs(state.amps - expected.amps)) <= 1e-13, (c.label, alpha)
+
+
+def test_phase_averaged_cat4_at_zero_beta_has_only_sectors_of_four():
+    # exact head phases: the cells off n = 0 (mod 4) cancel to zero, not to 1e-17 residues
+    state = bench.point_curve("cat4", "phase_averaged", 2.0, 0.0).state(2.0)
+    na, nb = np.nonzero(state.amps)
+    assert np.all((na + nb) % 4 == 0)
+    sectors = np.concatenate([st.sectors for st in phase_average(state).stacks])
+    assert sorted(sectors) == list(range(0, 2 * state.n_max + 1, 4))
 
 
 def test_beam_splitter_cat_moment_matches_closed_form():
