@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from math import inf, isfinite
 
 import click
 import numpy as np
@@ -97,7 +98,7 @@ def state(family, alpha, n_components, n_max):
         out["amplitudes"] = [
             [int(i), int(j), grid.amps[i, j].real, grid.amps[i, j].imag] for i, j in zip(na, nb)
         ]
-    click.echo(json.dumps(out, indent=2))
+    click.echo(json.dumps(out, indent=2, allow_nan=False))
 
 
 @main.command()
@@ -133,8 +134,10 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
     result["qfi_numeric"] = num = None if point is None else point[1]
     result["qfi_numeric_resolved"] = None if num is None else num >= bench.QFI_RESOLUTION
     ref = result["qfi_closed_form"] if result["qfi_closed_form"] is not None else num
-    result["delta_phi"] = bench.delta_phi(ref) if ref is not None else None
-    click.echo(json.dumps(result, indent=2))
+    # F = 0 has delta_phi = inf, which JSON cannot hold: null, as in sweep records
+    dphi = inf if ref is None else bench.delta_phi(ref)
+    result["delta_phi"] = dphi if isfinite(dphi) else None
+    click.echo(json.dumps(result, indent=2, allow_nan=False))
 
 
 @main.command()
@@ -162,7 +165,7 @@ def sweep(figure, out, fmt, alpha_min, alpha_max, alpha_step):
     payload = (
         bench.rows_to_csv(rows)
         if fmt == "csv"
-        else json.dumps(bench.rows_to_records(rows), indent=2) + "\n"
+        else json.dumps(bench.rows_to_records(rows), indent=2, allow_nan=False) + "\n"
     )
     if out == "-":
         click.echo(payload, nl=False)
@@ -192,7 +195,8 @@ def crossover(figure, family_a, family_b, nav_lo, nav_hi, transmission):
             raise click.UsageError(f"{label!r} names no single {figure} curve at this --transmission; curves: {known}")
         picked += named
     nav = bench.find_crossover(*picked, bench.FIGURES[figure].alpha_grid, (nav_lo, nav_hi))
-    click.echo(json.dumps({"figure": figure, "family_a": family_a, "family_b": family_b, "crossover_n_av": nav}))
+    out = {"figure": figure, "family_a": family_a, "family_b": family_b, "crossover_n_av": nav}
+    click.echo(json.dumps(out, allow_nan=False))
 
 
 @main.command()
@@ -207,7 +211,7 @@ def synthesize(alpha, iterations):
     target = extended_entangled_state(n_components, alpha, state.n_max)
     out = {"alpha": alpha, "iterations": iterations, "n_components": n_components,
            "fidelity": fidelity(state, target), "herald_probs": herald_probs}
-    click.echo(json.dumps(out, indent=2))
+    click.echo(json.dumps(out, indent=2, allow_nan=False))
 
 
 @main.command()

@@ -235,11 +235,12 @@ def test_loss_refuses_lines_above_the_budget(monkeypatch):
 
 
 def test_loss_refuses_a_line_array_past_the_element_budget(monkeypatch):
-    # at beta = 0 only every fourth sector is occupied: the densities take
-    # 138,176 bytes, and the lines that span the empty sectors 939,840
+    # at beta = 0 only every fourth sector is occupied, and sectors 40 and 44
+    # fall under SECTOR_FLOOR: the ten kept densities take 78,880 bytes, and
+    # the 1296 lines of up to 45 elements that span the empty sectors 684,480
     state = phase_average(cat4_pure(2.0, 0.0, 44))
     monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**19)
-    with pytest.raises(CutoffError, match=r"photon loss needs 939,840 bytes .* of 524,288 bytes"):
+    with pytest.raises(CutoffError, match=r"photon loss needs 684,480 bytes for 1296 lines .* of 524,288 bytes"):
         loss_channel(state, LossSpec(0.9))
 
 

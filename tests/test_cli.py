@@ -449,3 +449,26 @@ def test_crossover_bad_bracket_or_identical_families_exit_two(family_b, nav_lo, 
     )
     assert result.exit_code == 2, result.output
     assert "Error" in result.output
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_qfi_zero_qfi_prints_null_delta_phi():
+    # all photons lost: F = 0, and delta_phi = inf has no JSON token
+    result = invoke("qfi", "--family", "ecs", "--alpha", "0.1", "--transmission", "0")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output, parse_constant=_reject_constant)
+    assert payload["qfi_closed_form"] == 0.0
+    assert payload["delta_phi"] is None
+
+
+def test_qfi_dust_point_reads_unresolved():
+    # the whole QFI of this lossy state, 1.1e-44, lies in sectors under
+    # channels.SECTOR_FLOOR, so the grid route may read 0; the closed form is exact
+    result = invoke("qfi", "--family", "extended", "--n-components", "16", "--alpha", "0.1", "--transmission", "0.9")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["qfi_numeric_resolved"] is False
+    assert payload["qfi_closed_form"] == pytest.approx(1.133627902601422e-44, rel=1e-12)

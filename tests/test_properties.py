@@ -4,7 +4,8 @@ Each state is drawn twice over: as a pure state (loss takes the dense
 route) and phase averaged (loss takes the sector-block route).  Batches of
 drawn sector-diagonal states must behave as their points do alone.  Points
 drawn inside the family table's domain must give the same QFI and N_av by
-the closed forms and by the grid route.
+the closed forms and by the grid route, and lossy points the same resolved
+QFI with and without the sector floor of the loss.
 """
 
 from dataclasses import replace
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catqfi import bench
+from catqfi import bench, channels
 from catqfi.channels import LossSpec, SpectralState, loss_channel, phase_average
 from catqfi.fock import CatSpec, TwoModeState, beam_splitter_5050, cat_state, coherent, extended_entangled_state
 from catqfi.qfi import qfi_mixed
@@ -179,3 +180,39 @@ def test_closed_forms_match_the_grid_route(point):
     f_closed = bench.closed_qfi(curve, alpha)
     if f_closed >= bench.QFI_RESOLUTION:
         assert bench._rel_err(f_closed, f) <= 1e-8
+
+
+@st.composite
+def lossy_cat4_points(draw) -> tuple:
+    """(curve, alpha) of a phase-averaged lossy cat4 point: alpha <= 2, beta/alpha in [0, 1], T in [0.5, 0.99]."""
+    t = draw(st.floats(0.5, 0.99))
+    curve = bench.FamilyCurve("cat4", "cat4", "phase_averaged", draw(st.floats(0.0, 1.0)), 4, t)
+    return curve, draw(st.floats(0.3, 2.0))
+
+
+def block_count(s: SpectralState) -> int:
+    return sum(len(blocks.na) for blocks in s.stacks)
+
+
+@pytest.mark.filterwarnings("ignore::catqfi.qfi.DegenerateSpectrumWarning")
+@given(st.one_of(table_points().filter(lambda p: p[0].transmission < 1.0), lossy_cat4_points()))
+def test_sector_floor_moves_no_resolved_qfi(point):
+    curve, alpha = point
+    averaged = phase_average(curve.state(alpha))
+    floored = loss_channel(averaged, curve.loss)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channels, "SECTOR_FLOOR", 0.0)
+        full = loss_channel(averaged, curve.loss)
+    assert block_count(floored) <= block_count(full)
+    # the trace of the input blocks the floor drops, summed apart from the ~1 of the rest
+    kept = {(p, n) for blocks in channels._weighty_stacks(averaged) for p, n in zip(blocks.point, blocks.sectors)}
+    dropped = sum(
+        blocks.weights[b].sum()
+        for blocks in averaged.stacks
+        for b in range(len(blocks.na))
+        if (blocks.point[b], blocks.sectors[b]) not in kept
+    )
+    assert dropped <= (2 * averaged.n_max + 1) * channels.SECTOR_FLOOR * averaged.trace()
+    f_full = qfi_mixed(full, "n_b")
+    if f_full >= bench.QFI_RESOLUTION:
+        assert abs(qfi_mixed(floored, "n_b") - f_full) <= 1e-12 * f_full
