@@ -26,19 +26,21 @@ test suite cross-checks them:
 * sector blocks: every block lies in one sector (any `phase_average`
   output, a noon state).  Blocks holding at most `SECTOR_FLOOR` of their
   point's trace are dropped first, so a cat4 point at n_max 32 (alpha
-  0.6-1.3) keeps 21-32 of its 65 sectors; no resolved QFI moves.  The
-  kernel works on the nonzero density elements
-  <x, y|rho|x', y'> with x + y = x' + y', one mode at a time.  Losing j
-  photons from the mode of x maps (x, x') to (x-j, x'-j) and keeps the line
-  (point, y, y'), so each line, indexed by u = min(x, x'), is multiplied by
-  one real upper-triangular matrix that depends only on its offset |x - x'|
-  (`_lose_lines`); mode b is the same call with the modes swapped.  Lines
-  whose elements all have u = 0, most of a noon-span state, only take a
-  scale factor.  Memory follows the line array, O(n_max^3) per point; the
-  kernel refuses it, or the input blocks' densities, above
-  `fock.LOSS_LINE_BYTES` before allocating.  Each output sector is then
-  diagonalized on its support, in batches of equal support size.  Every
-  sweep row, `verify` and the CLI take this route.
+  0.6-1.3) keeps 21-32 of its 65 sectors; no resolved QFI moves.  An
+  element <x, y|rho|x', y'> (x + y = x' + y') goes to (u_a, u_b) =
+  (min(x, x'), min(y, y')) of the plane of its offset d = x - x' = y' - y.
+  The d < 0 planes are the conjugates of the d > 0 ones, so only d >= 0 is
+  kept, each plane as the box its elements occupy (`_Planes`).  Loss moves
+  u_a and u_b and keeps d, so the channel is one product M_d X_d M_d^T
+  with the real upper-triangular `_loss_matrix` of d, and a box of the
+  (0, 0) corner alone, most of a noon-span state, takes a scale factor.
+  The d = 0 plane is then the joint photon-number distribution: its
+  positive entries are the output supports, on which each output sector
+  is gathered and diagonalized, in batches of equal support size.  The
+  planes, O(n_max^3) per point, and the input blocks' densities are each
+  refused above `fock.LOSS_LINE_BYTES` before any density is formed.  The
+  sweeps, `verify` and the CLI take this route; `phase_average` of a mixed
+  state is the same scatter and gather.
 * dense: the full operator sum over the cells the Kraus branches touch and
   one eigendecomposition, returned as one block.  It serves one state that
   was not phase averaged (random or pure states, loss applied before
@@ -167,23 +169,15 @@ class SpectralState:
 
     def point_traces(self) -> np.ndarray:
         """The trace of each point of the batch: (points,)."""
-        traces = np.zeros(self.points)
-        for st in self.stacks:
-            traces += np.bincount(st.point, st.weights.sum(axis=1), self.points)
-        return traces
+        if not self.stacks:
+            return np.zeros(self.points)
+        return np.bincount(np.concatenate([st.point for st in self.stacks]),
+                           np.concatenate([st.weights.sum(axis=1) for st in self.stacks]), self.points)
 
 
 def _block_densities(st: BlockStack) -> np.ndarray:
     """rho of every block of a stack on its support: (B, m, m)."""
     return (st.vecs * st.weights[:, None, :]) @ np.conj(st.vecs).transpose(0, 2, 1)
-
-
-def _positive_values(a: np.ndarray) -> np.ndarray:
-    """The distinct positive entries of a non-negative int array, ascending.
-
-    Not np.unique: its first call imports numpy.ma, about 13 ms.
-    """
-    return np.flatnonzero(np.bincount(a)[1:]) + 1
 
 
 def from_pure(s: TwoModeState) -> SpectralState:
@@ -202,7 +196,7 @@ def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> S
     may differ in cutoff, is averaged as one batch with a point per state.
     """
     if isinstance(s, SpectralState):
-        return _sector_state(*_sector_elements(s.stacks, s.n_max), s.n_max, s.points)
+        return _sector_blocks(_planes(s.stacks, s.n_max, s.points))
     batch = [s] if isinstance(s, TwoModeState) else list(s)
     n_max = max(st.n_max for st in batch)
     n_sec = 2 * n_max + 1
@@ -219,7 +213,7 @@ def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> S
     weights = np.bincount(sec, np.abs(amps) ** 2)
     m_of = np.bincount(sec)
     stacks = []
-    for m in _positive_values(m_of):
+    for m in np.flatnonzero(np.bincount(m_of)[1:]) + 1:  # the support sizes (np.unique imports numpy.ma)
         in_m = m_of[sec] == m
         ka, kb = na[in_m].reshape(-1, m), nb[in_m].reshape(-1, m)
         block_sec = sec[in_m][::m]
@@ -229,85 +223,139 @@ def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> S
     return SpectralState(n_max, tuple(stacks), len(batch))
 
 
-def _sector_elements(stacks, n_max: int) -> list:
-    """Elements (sector, k, k', value) = <k, n-k|rho|k', n-k'> of rho's sector-diagonal part (k = n_a).
+# ---------------------------------------------------------------------------
+# offset planes
+# ---------------------------------------------------------------------------
 
-    The sector (point, n) is keyed point * (2 n_max + 1) + n.  Only nonzero
-    elements are listed.  Densities past `fock.LOSS_LINE_BYTES` in all are refused before any is formed.
+# density elements per pass of the plane scatter and gather: one pass for a
+# cat4 point at n_max 32, index arrays of a few MB each at large cutoffs
+_PASS_ELEMENTS = 2**18
+
+
+def _passes(elements: np.ndarray) -> list:
+    """(lo, hi) runs of consecutive items, cut where the running element count passes a multiple of `_PASS_ELEMENTS`."""
+    cuts = (np.flatnonzero(np.diff(np.cumsum(elements) // _PASS_ELEMENTS)) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(elements)])) if len(elements) else []
+
+
+def _block_pairs(m: np.ndarray):
+    """(block, i, j) of every element of (m, m) blocks laid end to end."""
+    block = np.repeat(np.arange(m.size), m * m)
+    return (block, *np.divmod(np.arange(block.size) - (np.cumsum(m * m) - m * m)[block], m[block]))
+
+
+def _lower_pairs(stacks):
+    """(at, d, u_a, u_b, point) of the elements <x, y|rho|x', y'> of the stacks' densities, x + y = x' + y'
+    and d = x - x' >= 0; at indexes the (B, m, m) densities raveled and laid end to end."""
+    m = np.repeat([st.na.shape[1] for st in stacks], [len(st.na) for st in stacks])
+    na = np.concatenate([st.na.ravel() for st in stacks])
+    nb = np.concatenate([st.nb.ravel() for st in stacks])
+    block = np.repeat(np.arange(m.size), m)  # of each cell
+    # the cells grouped by block and sector, so that only pairs in one sector are formed
+    key = block * (na.max(initial=0) + nb.max(initial=0) + 1) + na + nb
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    group, i, j = _block_pairs(np.diff(np.append(first, order.size)))
+    ket, bra = order[first[group] + i], order[first[group] + j]
+    keep = np.flatnonzero(na[ket] >= na[bra])
+    ket, bra = ket[keep], bra[keep]
+    b, cell0 = block[ket], (np.cumsum(m) - m)[block[ket]]
+    at = (np.cumsum(m * m) - m * m)[b] + (ket - cell0) * m[b] + bra - cell0
+    return at, na[ket] - na[bra], na[bra], nb[ket], np.concatenate([st.point for st in stacks])[b]
+
+
+@dataclass(frozen=True, eq=False)
+class _Planes:
+    """Offset planes: the box u_a < rows[d], u_b < cols[d] of plane d is laid out (rows, points, cols) in buf
+    from start[d]; the last entry of buf is a zero, read for cell pairs outside every box."""
+
+    n_max: int
+    points: int
+    rows: np.ndarray
+    cols: np.ndarray
+    start: np.ndarray
+    buf: np.ndarray
+
+    def box(self, d: int) -> np.ndarray:
+        a, b = self.rows[d], self.cols[d]
+        return self.buf[self.start[d] : self.start[d] + a * self.points * b].reshape(a, self.points, b)
+
+
+def _planes(stacks, n_max: int, points: int) -> _Planes:
+    """The offset planes of the blocks' sector-diagonal elements, in the blocks' dtype.
+
+    Densities and planes past `fock.LOSS_LINE_BYTES` are refused before any
+    density is formed; the boxes are counted from the blocks' supports.
     """
     elements = sum(st.na.size * st.na.shape[1] for st in stacks)
     if 16 * elements > LOSS_LINE_BYTES:
         rows, width = sum(st.na.size for st in stacks), max(st.na.shape[1] for st in stacks)
         raise CutoffError(f"expanding the sector blocks needs {16 * elements:,} bytes for {rows} lines of up"
                           f" to {width} elements, above the line budget of {LOSS_LINE_BYTES:,} bytes")
-    parts = []
-    for st in stacks:
-        rho = _block_densities(st)
-        n = st.na + st.nb
-        b, i, j = np.nonzero((n[:, :, None] == n[:, None, :]) & (rho != 0))
-        parts.append((st.point[b] * (2 * n_max + 1) + n[b, i], st.na[b, i], st.na[b, j], rho[b, i, j]))
-    if not parts:
-        return [np.zeros(0, int)] * 3 + [np.zeros(0, complex)]
-    return [np.concatenate(p) for p in zip(*parts)]
+    runs = _passes(np.array([st.na.size * st.na.shape[1] for st in stacks], dtype=int))
+    rows, cols = np.zeros(n_max + 1, dtype=int), np.zeros(n_max + 1, dtype=int)
+    for lo, hi in runs:
+        pairs = _lower_pairs(stacks[lo:hi])
+        np.maximum.at(rows, pairs[1], pairs[2] + 1)
+        np.maximum.at(cols, pairs[1], pairs[3] + 1)
+    dtype = np.result_type(float, *(st.vecs for st in stacks))
+    cells = rows * points * cols
+    nbytes = int(cells.sum()) * dtype.itemsize
+    if nbytes > LOSS_LINE_BYTES:
+        raise CutoffError(f"the offset planes need {nbytes:,} bytes for {np.count_nonzero(cells)} offsets of up to"
+                          f" {rows.max()} x {cols.max()} elements a point, above the line budget"
+                          f" of {LOSS_LINE_BYTES:,} bytes")
+    start = np.cumsum(cells) - cells
+    buf = np.zeros(int(cells.sum()) + 1, dtype=dtype)
+    for lo, hi in runs:  # a single pass keeps its pairs from the count
+        at, d, u_a, u_b, point = pairs if len(runs) == 1 else _lower_pairs(stacks[lo:hi])
+        rho = [_block_densities(st).ravel() for st in stacks[lo:hi]]
+        rho = rho[0] if len(rho) == 1 else np.concatenate(rho)  # a dense block is not copied
+        buf[start[d] + (u_a * points + point) * cols[d] + u_b] = rho[at]
+    return _Planes(n_max, points, rows, cols, start, buf)
 
 
-def _cell_positions(sec, k, kp, val, n_max: int):
-    """The occupied cells, and each element's ket and bra cells as positions among them.
-
-    A cell (point, n, k) is occupied where its summed diagonal is positive;
-    `occupied` holds the keys (point * (2 n_max + 1) + n) * (n_max + 1) + k
-    ascending, so grouped by sector.  inside marks the elements whose two
-    cells are both occupied.  The index holds one int per key up to the last
-    sector's: at most 50,054 (400 kB) over the four figure sweeps and `verify`.
-    """
-    size = n_max + 1
-    cell, cell_p = sec * size + k, sec * size + kp
-    diag = k == kp
-    box = (sec.max(initial=0) + 1) * size
-    occupied = np.flatnonzero(np.bincount(cell[diag], val[diag].real, box) > 0)
-    index = np.full(box, -1)
-    index[occupied] = np.arange(occupied.size)
-    i, j = index[cell], index[cell_p]
-    return occupied, i, j, (i >= 0) & (j >= 0)
-
-
-def _sector_state(sec, k, kp, val, n_max: int, points: int) -> SpectralState:
-    """Block form of a sector-diagonal density given by its elements (repeated ones add).
-
-    Each sector's support is the cells with a nonzero diagonal; its block is
-    diagonalized there, in batches of sectors with equal support size.
-    """
-    size = n_max + 1
-    occupied, i, j, inside = _cell_positions(sec, k, kp, val, n_max)
-    i, j, val = i[inside], j[inside], val[inside]
-    occ_sec, occ_k = np.divmod(occupied, size)
-    first = np.flatnonzero(np.diff(occ_sec, prepend=-1))  # each sector's first occupied cell
-    m_of = np.diff(first, append=occupied.size)
-    block = np.repeat(np.arange(first.size), m_of)  # sector ordinal of each occupied cell
-    local = np.arange(occupied.size) - first[block]  # position of the cell in its sector's support
-    # the sectors' (m, m) blocks laid end to end, grouped by m and ascending within a group
-    order = np.argsort(m_of, kind="stable")
-    start = np.empty_like(m_of)
-    start[order] = np.cumsum(m_of[order] ** 2) - m_of[order] ** 2
-    row = start[block] + local * m_of[block]  # where each occupied cell's row of its block starts
-    flat = row[i] + local[j]
-    length = int(np.sum(m_of**2))
-    blocks = np.bincount(flat, val.real, length) + 1j * np.bincount(flat, val.imag, length)
+def _sector_blocks(planes: _Planes) -> SpectralState:
+    """The block form of the planes' density: one block per sector, on its cells of positive diagonal,
+    gathered laid end to end by support size and diagonalized in batches of equal size."""
+    rows, cols, start, buf, points = planes.rows, planes.cols, planes.start, planes.buf, planes.points
+    size, n_sec = planes.n_max + 1, 2 * planes.n_max + 1
+    diag = planes.box(0).real  # the joint photon-number distribution
+    x, p, y = np.nonzero(diag > 0)
+    key = (p * n_sec + x + y) * size + x
+    order = np.argsort(key)
+    sec, k = key[order] // size, x[order]
+    first = np.flatnonzero(np.diff(sec, prepend=-1))  # each sector's first cell
+    m_of = np.diff(np.append(first, sec.size))
+    trace = np.add.reduceat(diag[x, p, y][order], first)
+    p_of, n_of = np.divmod(sec[first], n_sec)
+    by_m = np.argsort(m_of, kind="stable")
     stacks = []
-    for m in _positive_values(m_of):
-        in_m = np.flatnonzero(m_of == m)
-        batch = blocks[start[in_m[0]] : start[in_m[0]] + in_m.size * m * m].reshape(-1, m, m)
-        vals, vecs = np.linalg.eigh(batch)
-        # eigh sorts ascending, so the kept eigenvalues are each block's largest
-        rank = np.sum(vals > BLOCK_FLOOR * np.trace(batch, axis1=1, axis2=2).real[:, None], axis=1)
-        ks = occ_k[first[in_m][:, None] + np.arange(m)]
-        p_of, n_of = np.divmod(occ_sec[first[in_m]], 2 * n_max + 1)
-        for r in _positive_values(rank):
-            sel = rank == r
-            stacks.append(
-                BlockStack(ks[sel], n_of[sel, None] - ks[sel], vals[sel, m - r :], vecs[sel, :, m - r :], p_of[sel])
-            )
-    return SpectralState(n_max, tuple(stacks), points)
+    for lo, hi in _passes(m_of[by_m] ** 2):
+        sel = by_m[lo:hi]
+        m, n, p, floor = m_of[sel], n_of[sel], p_of[sel], BLOCK_FLOOR * trace[sel]
+        block, i, j = _block_pairs(m)
+        ki, kj = k[first[sel][block] + i], k[first[sel][block] + j]
+        u_a, top = np.minimum(ki, kj), np.maximum(ki, kj)
+        d, u_b = top - u_a, n[block] - top
+        width = cols[d]
+        at = start[d] + (u_a * points + p[block]) * width + u_b
+        at[(u_a >= rows[d]) | (u_b >= width)] = buf.size - 1
+        values = buf[at]
+        groups = [0, *(np.flatnonzero(m[1:] != m[:-1]) + 1).tolist(), sel.size]  # runs of equal support size
+        ends = [0, *np.cumsum(m * m).tolist()]
+        for g0, g1 in zip(groups[:-1], groups[1:]):
+            w = int(m[g0])
+            # eigh reads the lower triangle, the d >= 0 elements; the upper holds them unconjugated
+            vals, vecs = np.linalg.eigh(values[ends[g0] : ends[g1]].reshape(-1, w, w), UPLO="L")
+            ks = ki[ends[g0] : ends[g1]].reshape(-1, w, w)[:, :, 0]
+            # eigh sorts ascending, so the kept eigenvalues are each block's largest
+            rank = (vals > floor[g0:g1, None]).sum(axis=1)
+            for r in sorted(set(rank.tolist())):
+                keep = rank == r
+                stacks.append(BlockStack(ks[keep], n[g0:g1][keep, None] - ks[keep], vals[keep, w - r :],
+                                         vecs[keep, :, w - r :], p[g0:g1][keep]))
+    return SpectralState(planes.n_max, tuple(stacks), points)
 
 
 # ---------------------------------------------------------------------------
@@ -334,70 +382,15 @@ def _loss_coeff_table(n_max: int, t: float) -> np.ndarray:
     return coef
 
 
-def _loss_matrix(coef: np.ndarray, d: int, width: int) -> np.ndarray:
-    """M[m, u] = coef[u-m, m] coef[u-m, m+d] (zero below the diagonal): one line of offset d under loss."""
-    # M[m, m+j] sits at flat position m (width+1) + j; the product is 0 where
-    # j + m >= width, so the wrapped entries land below the diagonal as zeros
+def _loss_matrix(coef: np.ndarray, d: int) -> np.ndarray:
+    """M[m, u] = coef[u-m, m] coef[u-m, m+d] for m, u <= n_max - d (zero below the diagonal): loss on
+    either mode of the offset-d plane, where losing u - m photons takes u_a (or u_b) from u to m."""
+    width = len(coef) - d
+    # M[m, m+j] sits at flat position m (width+1) + j; the table is 0 where
+    # j + m + d > n_max, so the wrapped entries land below the diagonal as zeros
     flat = np.zeros(width * (width + 1))
-    flat.reshape(width, width + 1)[:, :width] = (coef[:width, :width] * coef[:width, d : d + width]).T
+    flat.reshape(width, width + 1)[:, :width] = (coef[:width, :width] * coef[:width, d:]).T
     return flat[: width * width].reshape(width, width)
-
-
-def _lose_lines(line, u, val, coef: np.ndarray, n_max: int):
-    """Loss on one mode of distinct sector-diagonal elements, given and returned as (line, u, value).
-
-    The element <x, y|rho|x', y'> of point p lies on the line
-    (p (n_max+1) + y) (n_max+1) + y' at u = min(x, x'), x being the photons
-    in the lossy mode.  Losing j photons maps (x, x') to (x-j, x'-j) and keeps
-    the line, along which x - x' = y' - y is fixed; so a line of offset
-    d = |y - y'| is multiplied by the triangular `_loss_matrix` of d, one line
-    at a time, and no point's output depends on the rest of the batch.  A
-    line whose elements all have u = 0 only takes the j = 0 factor coef[0, d].
-    """
-    size = n_max + 1
-    index = np.zeros(line.max(initial=0) + 1, dtype=np.intp)
-    index[line[u > 0]] = 1
-    moving = index[line] == 1
-    fixed = ~moving
-    still = line[fixed]
-    parts = [(still, u[fixed], val[fixed] * coef[0, np.abs(still % size - still // size % size)])]
-    lines = np.flatnonzero(index)
-    if lines.size:
-        # the moving lines as rows, grouped by offset, each size - d long and laid end to end
-        d = np.abs(lines % size - lines // size % size)
-        order = np.argsort(d, kind="stable")
-        lines, d = lines[order], d[order]
-        width = size - d
-        start = np.cumsum(width) - width
-        total = int(start[-1] + width[-1])
-        if 16 * total > LOSS_LINE_BYTES:
-            raise CutoffError(
-                f"photon loss needs {16 * total:,} bytes for {lines.size} lines of up to {size} elements,"
-                f" above the line budget of {LOSS_LINE_BYTES:,} bytes"
-            )
-        index[lines] = np.arange(lines.size)
-        rows = np.zeros(total, dtype=complex)
-        rows[start[index[line[moving]]] + u[moving]] = val[moving]
-        count = np.bincount(d)
-        first = np.cumsum(count) - count
-        for off in np.flatnonzero(count):
-            w = size - off
-            lo = start[first[off]]
-            # real products on the real and imaginary parts: (w, w) @ (w, 2) for each line
-            group = rows[lo : lo + count[off] * w].view(float).reshape(-1, w, 2)
-            out = (_loss_matrix(coef, off, w) @ group).reshape(-1).view(complex)
-            at = np.flatnonzero(out)
-            row, m = np.divmod(at, w)
-            parts.append((lines[first[off] + row], m, out[at]))
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
-def _line_cells(line, u, size: int):
-    """(point, x, x', y, y') of the elements at u on their lines (see `_lose_lines`)."""
-    rest, yp = np.divmod(line, size)
-    point, y = np.divmod(rest, size)
-    shift = yp - y  # x - x'
-    return point, u + np.maximum(shift, 0), u - np.minimum(shift, 0), y, yp
 
 
 def _weighty_stacks(s: SpectralState) -> tuple:
@@ -417,19 +410,24 @@ def _weighty_stacks(s: SpectralState) -> tuple:
 
 
 def _loss_sectors(s: SpectralState, coef: np.ndarray) -> SpectralState:
-    """Loss on a state of sector blocks: on mode a along the lines (point, n_b, n_b'), then on mode b.
+    """Loss on a state of sector blocks, the blocks under `SECTOR_FLOOR` dropped: X_d -> M_d X_d M_d^T.
 
-    Blocks too light to move any resolved QFI (`SECTOR_FLOOR`) are dropped first.
+    M_d is upper triangular, so each offset's box holds its output and no
+    point's output depends on the rest of the batch.  A box of the (0, 0)
+    corner alone takes the j = 0 factor coef[0, d]^2.
     """
-    n_max = s.n_max
-    size = n_max + 1
-    sec, a, ap, val = _sector_elements(_weighty_stacks(s), n_max)
-    point, n = np.divmod(sec, 2 * n_max + 1)
-    line, u, val = _lose_lines((point * size + n - a) * size + n - ap, np.minimum(a, ap), val, coef, n_max)
-    point, a, ap, b, bp = _line_cells(line, u, size)
-    line, u, val = _lose_lines((point * size + a) * size + ap, np.minimum(b, bp), val, coef, n_max)
-    point, b, _, a, ap = _line_cells(line, u, size)
-    return _sector_state(point * (2 * n_max + 1) + a + b, a, ap, val, n_max, s.points)
+    planes = _planes(_weighty_stacks(s), s.n_max, s.points)
+    rows, cols = planes.rows, planes.cols
+    corner = np.flatnonzero((rows == 1) & (cols == 1))
+    planes.buf[planes.start[corner, None] + np.arange(s.points)] *= coef[0, corner, None] ** 2
+    for d in np.flatnonzero(rows * cols > 1).tolist():
+        a, b = rows[d], cols[d]
+        box = planes.box(d).reshape(a, -1)
+        mat = _loss_matrix(coef, d)
+        # mode a on the real and imaginary parts as columns of their own, mode b on the rows
+        half = (mat[:a, :a] @ box.view(box.real.dtype)).view(box.dtype)
+        np.matmul(half.reshape(-1, b), mat[:b, :b].T, out=box.reshape(-1, b))
+    return _sector_blocks(planes)
 
 
 def _loss_dense(s: SpectralState, coef: np.ndarray) -> SpectralState:

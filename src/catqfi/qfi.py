@@ -15,8 +15,8 @@ evaluates, per block of the state's block form, both the gap-safe double sum
 |i'> = iG|i>.  The two must agree to 1e-8 on every block; the double-sum
 value is the one returned.  Both generators are diagonal in the Fock grid,
 so they never couple two blocks and F is the sum of the blocks' values
-(Liu et al., J. Phys. A 53, 023001 (2020)); a batch state's blocks are
-evaluated together and their values summed per point.
+(Liu et al., J. Phys. A 53, 023001 (2020)); all blocks of a state, a
+batch's too, are evaluated in one pass and their values summed per point.
 """
 
 from __future__ import annotations
@@ -66,53 +66,52 @@ def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float | np.ndarray:
     """QFI of a block-form mixed state under rho -> e^{iG phi} rho e^{-iG phi}.
 
     G is diagonal on the grid, so it maps each block's support into itself:
-    F is the sum of the blocks' QFIs, and blocks of equal shape are
-    evaluated together.  A float for a one-point state, else the QFI of
-    each point of the batch, (points,).
+    F is the sum of the blocks' QFIs.  Every block is evaluated in one pass,
+    the stacks padded to the largest support and rank with zero weights and
+    zero vectors, which add nothing to either form.  A float for a one-point
+    state, else the QFI of each point of the batch, (points,).
     """
     g_grid = _generator_grid(s.n_max, generator)
-    totals = np.zeros(s.points)
+    blocks = sum(len(st.na) for st in s.stacks)
+    width = max((st.na.shape[1] for st in s.stacks), default=0)
+    rank = max((st.weights.shape[1] for st in s.stacks), default=0)
+    lam, g, point = np.zeros((blocks, rank)), np.zeros((blocks, width)), np.zeros(blocks, dtype=int)
+    v = np.zeros((blocks, width, rank), dtype=np.result_type(float, *(st.vecs for st in s.stacks)))
+    lo = 0
     for st in s.stacks:
-        lam, v = st.weights, st.vecs
-        ordered = np.sort(lam, axis=1)
-        gaps = np.diff(ordered, axis=1)[ordered[:, :-1] > 1e-8]
-        if gaps.size and float(np.min(gaps)) < 1e-10:
-            warnings.warn(
-                "degenerate spectrum: eigenvalue gap below 1e-10",
-                DegenerateSpectrumWarning,
-                stacklevel=2,
-            )
-        g = g_grid[st.na, st.nb]
-        gv = g[:, :, None] * v
-        m = np.conj(v).transpose(0, 2, 1) @ gv  # m[b, i, j] = <v_i|G|v_j> in block b
-        g_norm2 = np.sum((np.abs(v) ** 2) * (g * g)[:, :, None], axis=1)
-        abs_m2 = np.abs(m) ** 2
+        hi, (_, cells, r) = lo + len(st.na), st.vecs.shape
+        lam[lo:hi, :r], v[lo:hi, :cells, :r] = st.weights, st.vecs
+        g[lo:hi, :cells], point[lo:hi] = g_grid[st.na, st.nb], st.point
+        lo = hi
 
-        lam_i, lam_j = lam[:, :, None], lam[:, None, :]
-        pair_sum = lam_i + lam_j
-        ok = (pair_sum > EPS_PAIR) & ~np.eye(lam.shape[1], dtype=bool)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f_pairs = np.sum(np.where(ok, 2.0 * (lam_i - lam_j) ** 2 * abs_m2 / pair_sum, 0.0), axis=(1, 2))
-        # null space of the block: what of G v_i its eigenvectors do not span
-        null_res = g_norm2 - np.sum(abs_m2, axis=1)
-        f_null = np.sum(4.0 * lam * np.clip(null_res, 0.0, None), axis=1)
-        f_sum = f_pairs + f_null
+    ordered = np.sort(lam, axis=1)
+    gaps = np.diff(ordered, axis=1)[ordered[:, :-1] > 1e-8]
+    if gaps.size and float(np.min(gaps)) < 1e-10:
+        warnings.warn("degenerate spectrum: eigenvalue gap below 1e-10", DegenerateSpectrumWarning, stacklevel=2)
+    gv = g[:, :, None] * v
+    m = np.conj(v).transpose(0, 2, 1) @ gv  # m[b, i, j] = <v_i|G|v_j> in block b
+    g_norm2 = np.sum((np.abs(v) ** 2) * (g * g)[:, :, None], axis=1)
+    abs_m2 = np.abs(m) ** 2
 
-        # literal eigen-decomposition form, as a built-in consistency check;
-        # ||G v_i||^2 already counts the null-space components of G v_i
-        f_i = g_norm2 - np.abs(np.diagonal(m, axis1=1, axis2=2)) ** 2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cross = np.where(ok, 8.0 * lam_i * lam_j * abs_m2 / pair_sum, 0.0)
-        f_lit = 4.0 * np.sum(lam * f_i, axis=1) - np.sum(cross, axis=(1, 2))
-        bad = np.flatnonzero(np.abs(f_sum - f_lit) > 1e-8 * np.maximum(1.0, np.abs(f_sum)))
-        if bad.size:
-            raise ArithmeticError(
-                f"mixed-QFI forms disagree: {f_sum[bad[0]]!r} vs {f_lit[bad[0]]!r}"
-            )
-        # np.sum over each run of one point's blocks, as over a one-point
-        # stack, so that a point's QFI does not depend on its batch
-        cuts = (np.flatnonzero(st.point[1:] != st.point[:-1]) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, len(f_sum)]):
-            totals[st.point[lo]] += f_sum[lo:hi].sum()
-    totals = np.maximum(totals, 0.0)
+    lam_i, lam_j = lam[:, :, None], lam[:, None, :]
+    pair_sum = lam_i + lam_j
+    ok = (pair_sum > EPS_PAIR) & ~np.eye(rank, dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f_pairs = np.sum(np.where(ok, 2.0 * (lam_i - lam_j) ** 2 * abs_m2 / pair_sum, 0.0), axis=(1, 2))
+    # null space of the block: what of G v_i its eigenvectors do not span
+    null_res = g_norm2 - np.sum(abs_m2, axis=1)
+    f_null = np.sum(4.0 * lam * np.clip(null_res, 0.0, None), axis=1)
+    f_sum = f_pairs + f_null
+
+    # literal eigen-decomposition form, as a built-in consistency check;
+    # ||G v_i||^2 already counts the null-space components of G v_i
+    f_i = g_norm2 - np.abs(np.diagonal(m, axis1=1, axis2=2)) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cross = np.where(ok, 8.0 * lam_i * lam_j * abs_m2 / pair_sum, 0.0)
+    f_lit = 4.0 * np.sum(lam * f_i, axis=1) - np.sum(cross, axis=(1, 2))
+    bad = np.flatnonzero(np.abs(f_sum - f_lit) > 1e-8 * np.maximum(1.0, np.abs(f_sum)))
+    if bad.size:
+        raise ArithmeticError(f"mixed-QFI forms disagree: {f_sum[bad[0]]!r} vs {f_lit[bad[0]]!r}")
+    # each point's blocks are added in order, whatever else the batch holds
+    totals = np.maximum(np.bincount(point, f_sum, s.points), 0.0)
     return float(totals[0]) if s.points == 1 else totals

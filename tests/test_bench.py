@@ -233,6 +233,20 @@ def test_lossy_cat4_memory_skips_empty_sectors():
     assert peak < 22 * 2**20
 
 
+def test_lossy_cat4_memory_at_large_n_av():
+    # n_max 116: assembling the output sectors from element lists peaked at
+    # 134 MiB traced here; the offset planes hold about 8 MB
+    curve = bench.point_curve("cat4", "phase_averaged", 6.0, 6.0, transmission=0.9)
+    tracemalloc.start()
+    try:
+        f = bench.numeric_point(curve, 6.0)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f == pytest.approx(32.47870185066275, abs=1e-12)
+    assert peak < 80 * 2**20
+
+
 def test_sweep_chunk_failure_drops_only_its_row(monkeypatch, capsys):
     chunk = bench._SWEEP_CHUNK
     grid = tuple(round(0.2 + 0.05 * i, 10) for i in range(2 * chunk + 3))

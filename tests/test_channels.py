@@ -208,6 +208,25 @@ def test_loss_of_a_batch_gives_each_point_its_qfi_alone():
         assert batch[p] == qfi_mixed(loss_channel(phase_average(state), LossSpec(0.85)), "n_b")
 
 
+def test_sector_loss_keeps_a_real_state_real():
+    # the offset planes take the blocks' dtype; a real state and its complex
+    # copy give the same density and QFI
+    real = TwoModeState(RNG.normal(size=(11, 11))).normalize()
+    twin = TwoModeState(real.amps.astype(complex))
+    lossy = [loss_channel(phase_average(phase_average(s)), LossSpec(0.8)) for s in (real, twin)]
+    assert all(st.vecs.dtype == np.float64 for st in lossy[0].stacks)
+    assert all(st.vecs.dtype == np.complex128 for st in lossy[1].stacks)
+    assert np.max(np.abs(dense(lossy[0]) - dense(lossy[1]))) < 1e-15
+    assert qfi_mixed(lossy[0], "n_b") == pytest.approx(qfi_mixed(lossy[1], "n_b"), rel=1e-13)
+
+
+def test_loss_and_phase_average_of_an_empty_batch():
+    empty = SpectralState(8, (), 3)
+    for out in (loss_channel(empty, LossSpec(0.9)), phase_average(empty)):
+        assert (out.stacks, out.points) == ((), 3)
+    assert qfi_mixed(empty, "n_b").tolist() == [0.0, 0.0, 0.0]
+
+
 def test_loss_memory_grows_as_lines_not_as_kraus_copies():
     # the element-copy kernel this replaced peaked at 97.5 MB here, the line kernel at about 12 MB
     state = phase_average(cat4_pure(2.0, 2.0, 44))
@@ -237,11 +256,17 @@ def test_loss_refuses_lines_above_the_budget(monkeypatch):
 def test_loss_refuses_a_line_array_past_the_element_budget(monkeypatch):
     # at beta = 0 only every fourth sector is occupied, and sectors 40 and 44
     # fall under SECTOR_FLOOR: the ten kept densities take 78,880 bytes, and
-    # the 1296 lines of up to 45 elements that span the empty sectors 684,480
+    # their offset planes, a (37 - d)^2 box at each offset d <= 36, 281,200
     state = phase_average(cat4_pure(2.0, 0.0, 44))
-    monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**19)
-    with pytest.raises(CutoffError, match=r"photon loss needs 684,480 bytes for 1296 lines .* of 524,288 bytes"):
-        loss_channel(state, LossSpec(0.9))
+    monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError, match=r"offset planes need 281,200 bytes for 37 offsets .* of 131,072 bytes"):
+            loss_channel(state, LossSpec(0.9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_loss_trace_check_is_per_point(monkeypatch):

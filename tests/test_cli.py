@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from math import exp
 
 import pytest
@@ -347,6 +348,22 @@ def test_qfi_cat4_at_large_n_av_matches_its_closed_form():
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert payload["qfi_numeric"] == pytest.approx(payload["qfi_closed_form"], rel=1e-12)
+
+
+def test_qfi_lossy_cat4_at_large_n_av_answers():
+    # n_max 262: the line kernel refused this point after its densities were
+    # formed (a 702 MB peak); the value is the coherent-basis route's (ROADMAP)
+    tracemalloc.start()
+    try:
+        result = invoke(
+            "qfi", "--family", "cat4", "--alpha", "16", "--beta", "1", "--phase-averaged", "--transmission", "0.9"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["qfi_numeric"] == pytest.approx(66.94829995460037, rel=1e-11)
+    assert peak < 300 * 2**20
 
 
 def test_qfi_lossy_closed_form_past_double_range():

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from catqfi import bench
 from catqfi.channels import (
     BlockStack,
     LossSpec,
@@ -165,6 +166,21 @@ def test_qfi_mixed_is_the_sum_of_block_qfis():
     assert len(lossy.stacks) > 1
     parts = [quiet_qfi_mixed(SpectralState(lossy.n_max, (st,)), "n_b") for st in lossy.stacks]
     assert sum(parts) == pytest.approx(quiet_qfi_mixed(lossy, "n_b"), rel=1e-13)
+
+
+def test_qfi_mixed_pads_stacks_of_every_shape():
+    # a lossy ecs point (blocks of support 1-2, rank 1-2) beside a lossy cat4
+    # point (support up to 28, rank up to 4), evaluated as one padded batch
+    states = [extended_entangled_state(1, 1.2, 32), bench.point_curve("cat4", "phase_averaged", 1.0, 0.5).state(1.0)]
+    batch = loss_channel(phase_average(states), LossSpec(0.9))
+    shapes = {st.vecs.shape[1:] for st in batch.stacks}
+    assert len({m for m, _ in shapes}) > 2 and len({r for _, r in shapes}) > 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateSpectrumWarning)
+        together = qfi_mixed(batch, "n_b")
+        for p, state in enumerate(states):
+            alone = qfi_mixed(loss_channel(phase_average(state), LossSpec(0.9)), "n_b")
+            assert together[p] == pytest.approx(alone, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
