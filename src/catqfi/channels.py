@@ -59,16 +59,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .fock import (
-    LOSS_LINE_BYTES,
-    CatSpec,
-    CutoffError,
-    TwoModeState,
-    beam_splitter_5050,
-    cat_state,
-    default_cutoff,
-    phase_shift,
-)
+from .fock import LOSS_LINE_BYTES, CutoffError, TwoModeState, extended_entangled_state, phase_shift
 
 # eigenvalues at or below this fraction of their block's trace are dropped, so
 # that tiny sectors keep full relative precision
@@ -520,22 +511,23 @@ def cps_round_outcome(s: TwoModeState, varphi: float) -> CpsOutcome:
     return CpsOutcome(state=out, herald_prob_a=probs[0], herald_prob_b=probs[1])
 
 
-def synthesize_heralded(alpha: float, k: int, n_max: int | None = None) -> tuple[TwoModeState, list]:
+def synthesize_heralded(alpha: float, k: int) -> tuple[TwoModeState, list]:
     """Generate the N = 2^{k+1} extended entangled state, with each round's
     (mode a, mode b) herald success probabilities.
 
-    Beam-splits two 2-headed cats |C_2(alpha/sqrt2)>, then applies k CPS
-    rounds with varphi_j = 2*pi/2^{j+1}.  Heralding is applied mode a
-    first, then mode b (the fidelity targets are order independent).
+    Starts from the modified entangled state, |C_2(alpha)>|0> + |0>|C_2(alpha)>
+    normalized, which is exactly the 50:50 beam-splitter output of two
+    2-headed cats |C_2(alpha/sqrt2)>: their four heads land on (+-alpha, 0)
+    and (0, +-alpha).  It is built from cat amplitudes at the default
+    cutoff, so the cat's own tail check catches truncation.  Then k CPS
+    rounds run with varphi_j = 2*pi/2^{j+1}, heralding mode a first, then
+    mode b (the fidelity targets are order independent).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    if n_max is None:
-        n_max = default_cutoff(alpha)
-    half = cat_state(CatSpec(2, alpha / sqrt(2.0)), n_max)
-    state = beam_splitter_5050(half, half).normalize()
+    state = extended_entangled_state(2, alpha)
     herald_probs = []
     for j in range(1, k + 1):
         outcome = cps_round_outcome(state, 2.0 * pi / 2 ** (j + 1))

@@ -16,7 +16,11 @@ sector n = n_a + n_b as an (n+1) x (n+1) real orthogonal block.  The block
 is exp(pi/4 * G) for the real antisymmetric tridiagonal generator
 G = a^dag b - a b^dag; the similarity diag(i^k) turns i*G into a real
 symmetric tridiagonal matrix, whose eigendecomposition (numpy.linalg.eigh)
-gives the block exactly; the blocks are built on every call.
+gives the block exactly; the blocks are built on every call.  No command
+reaches the beam splitter: the cat4 family sums the coherent heads of its
+output, and the CPS synthesis starts from the modified entangled state it
+makes of two 2-headed cats.  It serves the tests and the benchmark's
+loss-before-averaging reference.
 """
 
 from __future__ import annotations
@@ -197,8 +201,9 @@ def beam_splitter_5050(a: FockVector, b: FockVector) -> TwoModeState:
 
     Sign convention: coherent inputs |g_a>|g_b> map to the product
     |(g_a+g_b)/sqrt2> |(g_b-g_a)/sqrt2>, which reproduces the
-    (beta +- alpha)/2 branch structure of a cat + coherent input.  It serves
-    the CPS synthesis; the cat4 family sums those coherent branches instead.
+    (beta +- alpha)/2 branch structure of a cat + coherent input.  The cat4
+    family and the CPS synthesis build their states from those coherent
+    branches instead; it serves the tests and the benchmark's reference.
     Total photon number is conserved, so the unitary acts sector by sector;
     both input and output lie in the grid corner, so only the corner's
     rows and columns of each block are used.  The content the block sends

@@ -28,6 +28,7 @@ from catqfi.fock import (
     beam_splitter_5050,
     cat_state,
     coherent,
+    default_cutoff,
     extended_entangled_state,
     fidelity,
     noon_state,
@@ -488,6 +489,28 @@ def test_synthesize_matches_cat_built_target():
         built = synthesize_heralded(1.0, k)[0]
         target = extended_entangled_state(2 ** (k + 1), 1.0, built.n_max)
         assert fidelity(built, target) > 1 - 1e-10
+
+
+def _beam_split_cats(alpha: float) -> TwoModeState:
+    """The synthesis input as the protocol makes it: two |C_2(alpha/sqrt2)> on the 50:50 beam splitter."""
+    half = cat_state(CatSpec(2, alpha / sqrt(2)), default_cutoff(alpha))
+    return beam_splitter_5050(half, half).normalize()
+
+
+def test_synthesis_starts_from_the_beam_split_pair_of_cats():
+    # the heads (+-alpha/sqrt2, +-alpha/sqrt2) land on (+-alpha, 0) and (0, +-alpha)
+    for alpha in (0.3, 1.0, 2.0, 3.0, 5.0):
+        built = extended_entangled_state(2, alpha)
+        assert np.max(np.abs(_beam_split_cats(alpha).amps - built.amps)) <= 1e-14, alpha
+    for alpha in (0.8, 1.0, 2.0):
+        state, probs = _beam_split_cats(alpha), []
+        for k in range(4):
+            synthesized, heralds = synthesize_heralded(alpha, k)
+            assert np.allclose(heralds, probs, rtol=0, atol=1e-12), (alpha, k)
+            assert np.max(np.abs(synthesized.amps - state.amps)) <= 1e-12, (alpha, k)
+            outcome = cps_round_outcome(state, 2 * pi / 2 ** (k + 2))
+            probs.append((outcome.herald_prob_a, outcome.herald_prob_b))
+            state = outcome.state
 
 
 def test_synthesize_herald_probabilities_in_range():

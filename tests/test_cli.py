@@ -340,6 +340,16 @@ def test_qfi_grid_beyond_limit_exit_three(family, extra, alpha):
     assert "grid limit" in result.output
 
 
+@pytest.mark.parametrize("alpha, iterations", [("45", "1"), ("1e300", "0")])
+def test_synthesize_grid_beyond_limit_exit_three(alpha, iterations):
+    # alpha 45 needs n_max 2495; the limit is checked before the grid is allocated
+    t0 = time.perf_counter()
+    result = invoke("synthesize", "--alpha", alpha, "-k", iterations)
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 3, result.output
+    assert "grid limit" in result.output
+
+
 def test_qfi_cat4_at_large_n_av_matches_its_closed_form():
     # n_max 262: the heads' coherent products, not 525 dense beam-splitter blocks (5 s or more)
     t0 = time.perf_counter()

@@ -4,6 +4,7 @@ Expected values are produced by test-local oracles (direct series sums,
 coherent-state algebra) rather than by the functions under test.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from catqfi import bench, channels, fock
+from catqfi import bench, channels, cli, fock
 from catqfi import closed_form as cf
 from catqfi.channels import phase_average
 from catqfi.fock import (
@@ -395,7 +397,7 @@ def _beam_splitter_build(curve, alpha):
 
 def _forbid_beam_splitter(monkeypatch):
     def beam_splitter(*args):
-        raise AssertionError("a state family's build reached the beam splitter")
+        raise AssertionError("a state build reached the beam splitter")
 
     for module in (fock, bench, channels):
         monkeypatch.setattr(module, "beam_splitter_5050", beam_splitter, raising=False)
@@ -417,6 +419,14 @@ def test_no_figure_or_verify_state_is_built_by_the_beam_splitter(monkeypatch):
     for c, alpha in _cat4_points():
         built += c.state(alpha) is not None
     assert built == 1538  # noon has a grid state only where alpha^2 is an integer
+
+
+def test_synthesize_does_not_reach_the_beam_splitter(monkeypatch):
+    # n_max 1220: 2,441 dense sector blocks, had the beam splitter built the input
+    _forbid_beam_splitter(monkeypatch)
+    result = CliRunner().invoke(cli.main, ["synthesize", "--alpha", "30", "-k", "2"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cat4_heads_sum_to_the_beam_splitter_output(monkeypatch):
