@@ -41,7 +41,6 @@ from .fock import (
 )
 from .qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_pure
 
-CROSSOVER_TOL = 1e-4  # in N_av
 # below this QFI a trace-1 state is the vacuum to double precision, and the
 # grid route cannot resolve the QFI at the 1e-8 relative agreement verify asks
 QFI_RESOLUTION = 1e-9
@@ -243,9 +242,10 @@ def alpha_range(lo: float, hi: float, step: float = 0.05) -> tuple:
     """The alpha grid lo, lo + step, ... up to hi (inclusive to 1e-9), rounded to 10 digits.
 
     A grid of MAX_GRID_POINTS or more is refused before it is allocated
-    (ParameterError); the quotient is compared unfloored, so inf is refused too.
+    (ParameterError): np.arange takes ceil(q) points for q = (hi + 1e-9 - lo) / step,
+    and q is compared unrounded, so inf is refused too.
     """
-    if (hi - lo) / step >= MAX_GRID_POINTS:
+    if (hi + 1e-9 - lo) / step > MAX_GRID_POINTS - 1:
         raise ParameterError(f"an alpha grid from {lo} to {hi} in steps of {step} has {MAX_GRID_POINTS} points or more")
     return tuple(np.round(np.arange(lo, hi + 1e-9, step), 10))
 
@@ -413,7 +413,8 @@ def run_sweep(figure: str, alpha_grid) -> list[SweepRow]:
 
 def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float) -> float:
     """A root of f between a and b, given fa = f(a) and fb = f(b) of opposite
-    signs, to a bracket narrower than 1e-14 * max(1, x).
+    signs, to a bracket narrower than 1e-14 * max(1, x).  It inverts N_av(alpha)
+    in `alpha_solver` and finds the delta_phi crossing in `find_crossover`.
 
     Brent's method: inverse-quadratic or secant steps while they stay inside
     the bracket and shrink fast enough, bisection otherwise.  b is the best
@@ -483,7 +484,8 @@ def interpolate_at_nav(curve: FamilyCurve, alpha_grid, n_av: float) -> float:
 def find_crossover(
     curve_a: FamilyCurve, curve_b: FamilyCurve, alpha_grid, bracket: tuple[float, float]
 ) -> float | None:
-    """N_av where the delta_phi curves of two curves cross, to CROSSOVER_TOL in N_av.
+    """N_av where the delta_phi curves of two curves cross, found by `_brent`
+    to about 1e-14 * max(1, N_av).
 
     None where the delta_phi gap has the same sign at both ends of the
     bracket: the curves do not cross there.  A bracket that is not lo < hi
@@ -506,16 +508,7 @@ def find_crossover(
         raise ValueError(
             f"delta_phi({curve_a.label}) - delta_phi({curve_b.label}) is {g_lo} and {g_hi} at the ends of {bracket}"
         )
-    while hi - lo > CROSSOVER_TOL:
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if g_mid == 0.0:
-            return mid
-        if g_lo * g_mid < 0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi)
+    return _brent(gap, lo, g_lo, hi, g_hi)
 
 
 # ---------------------------------------------------------------------------

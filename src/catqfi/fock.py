@@ -165,12 +165,14 @@ def cat_state(spec: CatSpec, n_max: int) -> FockVector:
         amps[0] = 1.0
         return FockVector(amps)
     a2 = abs(alpha) ** 2
-    # the support on the grid, then the first point past it, where the dropped mass starts
-    ks = np.arange(0, n_max + N + 1, N)
+    # the support on the grid, then the first point past it, where the dropped mass starts,
+    # counted in Python ints (exact past 2^53 heads) and made float only for the moduli
+    past = (n_max // N + 1) * N
+    ks = np.array([*range(0, n_max + 1, N), past], dtype=float)
     log_mod = -a2 / 2 + ks * log(abs(alpha)) - 0.5 * np.array([lgamma(k + 1) for k in ks])
     amps = np.zeros(n_max + 1, dtype=complex)
-    amps[ks[:-1]] = np.exp(log_mod[:-1]) * np.exp(1j * ks[:-1] * np.angle(alpha))
-    _check_tail(amps, int(ks[-1]), float(np.exp(2 * log_mod[-1])))
+    amps[::N] = np.exp(log_mod[:-1]) * np.exp(1j * ks[:-1] * np.angle(alpha))
+    _check_tail(amps, past, float(np.exp(2 * log_mod[-1])))
     return FockVector(amps / np.linalg.norm(amps))
 
 

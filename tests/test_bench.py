@@ -165,6 +165,20 @@ def test_sweep_config_validation():
         bench.run_sweep("fig1", (1.0, 0.5))
 
 
+@pytest.mark.parametrize(
+    "lo, hi, step, refused",
+    [(0.0, 0.9998, 1e-4, False), (0.0, 0.99995, 1e-4, True), (1.0, 1.0, 1e-13, True)],
+)
+def test_alpha_range_refuses_every_grid_of_max_points_or_more(lo, hi, step, refused):
+    # np.arange takes ceil((hi + 1e-9 - lo) / step) points: 9,999, 10,000 and
+    # 10,001 here; a count of (hi - lo) / step let the last two through
+    if refused:
+        with pytest.raises(bench.ParameterError):
+            bench.alpha_range(lo, hi, step)
+    else:
+        assert len(bench.alpha_range(lo, hi, step)) == bench.MAX_GRID_POINTS - 1
+
+
 @pytest.mark.parametrize("figure", list(bench.FIGURES))
 def test_figure_table_is_well_formed(figure):
     # what run_sweep, crossover's label lookup and alpha_solver assume of every entry
@@ -372,32 +386,48 @@ def test_crossover_identical_families_rejected():
 
 @pytest.mark.parametrize("bracket", [(1.2, 0.1), (1.0, 0.2), (0.5, 0.5), (float("nan"), 1.0)])
 def test_crossover_rejects_bracket_not_increasing(bracket):
-    # a reversed bracket used to skip the bisection and return its midpoint
+    # a reversed bracket once skipped the N_av search and returned its midpoint
     # (0.65 and 0.6 for the first two, where the crossing is at 0.6694)
     with pytest.raises(bench.ParameterError):
         bench.find_crossover(curve("fig1", "ecs"), curve("fig1", "cat4[b=a/4]"), FIG1_GRID, bracket)
 
 
-# the ten crossings of the equal-energy benchmark table, as the bisection in
-# N_av returns them: every one is a midpoint of its last bracket
+# the ten crossings of the equal-energy benchmark table, as Brent's method in
+# N_av returns them, each beside the midpoint of the last 1e-4 bracket that the
+# bisection used before it returned
 CROSSOVER_TABLE = [
-    ("fig1", "ecs", "cat4[b=a/2]", (0.2, 1.2), 0.751116943359375),
-    ("fig1", "ecs", "cat4[b=a/4]", (0.2, 1.2), 0.669451904296875),
-    ("fig1", "ecs", "cat4[b=0]", (0.2, 1.2), 0.626422119140625),
-    ("fig1", "cat4[b=a]", "cat4[b=a/2]", (0.2, 1.2), 1.172442626953125),
-    ("fig1", "cat4[b=a]", "cat4[b=a/4]", (0.2, 1.2), 0.957049560546875),
-    ("fig1", "cat4[b=a]", "cat4[b=0]", (0.2, 1.2), 0.883074951171875),
-    ("fig1", "cat4[b=a/2]", "cat4[b=a/4]", (0.2, 1.2), 0.567523193359375),
-    ("fig1", "cat4[b=a/2]", "cat4[b=0]", (0.2, 1.2), 0.522845458984375),
-    ("fig1", "cat4[b=a/4]", "cat4[b=0]", (0.2, 1.2), 0.41847534179687496),
-    ("fig2b", "extended[N=4]", "extended[N=8]", (0.5, 3.5), 3.4874114990234375),
+    ("fig1", "ecs", "cat4[b=a/2]", (0.2, 1.2), 0.7511409596737325, 0.751116943359375),
+    ("fig1", "ecs", "cat4[b=a/4]", (0.2, 1.2), 0.6694686792492918, 0.669451904296875),
+    ("fig1", "ecs", "cat4[b=0]", (0.2, 1.2), 0.6264298108513896, 0.626422119140625),
+    ("fig1", "cat4[b=a]", "cat4[b=a/2]", (0.2, 1.2), 1.1724707773663734, 1.172442626953125),
+    ("fig1", "cat4[b=a]", "cat4[b=a/4]", (0.2, 1.2), 0.9570514446506285, 0.957049560546875),
+    ("fig1", "cat4[b=a]", "cat4[b=0]", (0.2, 1.2), 0.8830453923594319, 0.883074951171875),
+    ("fig1", "cat4[b=a/2]", "cat4[b=a/4]", (0.2, 1.2), 0.5675215458029816, 0.567523193359375),
+    ("fig1", "cat4[b=a/2]", "cat4[b=0]", (0.2, 1.2), 0.5228154707514212, 0.522845458984375),
+    ("fig1", "cat4[b=a/4]", "cat4[b=0]", (0.2, 1.2), 0.418493861273438, 0.41847534179687496),
+    ("fig2b", "extended[N=4]", "extended[N=8]", (0.5, 3.5), 3.4874566238167577, 3.4874114990234375),
 ]
 
 
-@pytest.mark.parametrize("figure, label_a, label_b, bracket, expected", CROSSOVER_TABLE)
-def test_crossover_table_values_exactly(figure, label_a, label_b, bracket, expected):
+@pytest.mark.parametrize(
+    "figure, label_a, label_b, bracket, expected, bisected",
+    CROSSOVER_TABLE,
+    ids=[f"{r[0]}-{r[1]}-{r[2]}" for r in CROSSOVER_TABLE],
+)
+def test_crossover_table_values_exactly(monkeypatch, figure, label_a, label_b, bracket, expected, bisected):
     grid = bench.FIGURES[figure].alpha_grid
-    assert bench.find_crossover(curve(figure, label_a), curve(figure, label_b), grid, bracket) == expected
+    a, b = curve(figure, label_a), curve(figure, label_b)
+    real = bench.closed_qfi
+    calls = []
+    monkeypatch.setattr(bench, "closed_qfi", lambda c, alpha: calls.append(alpha) or real(c, alpha))
+    nav = bench.find_crossover(a, b, grid, bracket)
+    assert nav == expected
+    # each gap evaluation takes one closed QFI per curve; bisecting to 1e-4 took 16-17
+    assert len(calls) <= 2 * 15
+    # the two delta_phi agree at the crossing, which lies inside the bisection's last bracket
+    phi_a, phi_b = bench.interpolate_at_nav(a, grid, nav), bench.interpolate_at_nav(b, grid, nav)
+    assert abs(phi_a - phi_b) <= 1e-12 * max(phi_a, phi_b)
+    assert abs(nav - bisected) <= 5e-5
 
 
 def test_crossover_cat4_quarter_vs_ecs():

@@ -170,6 +170,10 @@ def test_synthesize_command():
     assert payload["n_components"] == 8
     assert payload["fidelity"] > 1 - 1e-10
     assert len(payload["herald_probs"]) == 2
+    # 2^101 heads leave only the vacuum on the grid, whose support is counted in ints
+    result = invoke("synthesize", "--alpha", "1.0", "-k", "100")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["fidelity"] > 1 - 1e-10
 
 
 def test_crossover_command():
@@ -239,7 +243,9 @@ def test_out_of_memory_exit_three(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_components, extra", [("1000000", ()), ("10000000", ("--transmission", "0.9"))], ids=["pure", "lossy-1e7"]
+    "n_components, extra",
+    [("1000000", ()), ("10000000", ("--transmission", "0.9")), (str(2**70), ())],
+    ids=["pure", "lossy-1e7", "pure-2^70"],
 )
 def test_qfi_a_million_heads_ends_in_under_five_seconds(n_components, extra):
     # the cat support 0, N, ... leaves only the vacuum at alpha = 2: F = 0 by both routes;
@@ -438,6 +444,7 @@ def test_state_cat_zero_components_exit_two():
         ("sweep", "--figure", "fig1", "--alpha-step", "1e-300"),
         ("sweep", "--figure", "fig1", "--alpha-min", "1", "--alpha-max", "1e300"),
         ("sweep", "--figure", "fig1", "--alpha-max", "1", "--alpha-step", "1e-5"),
+        ("sweep", "--figure", "fig1", "--alpha-min", "1", "--alpha-max", "1", "--alpha-step", "1e-300"),
     ],
 )
 def test_argument_outside_family_domain_exit_two(argv):
