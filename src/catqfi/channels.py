@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi, sqrt
+from math import ldexp, pi, sqrt
 
 import numpy as np
 
@@ -520,7 +520,8 @@ def synthesize_heralded(alpha: float, k: int) -> tuple[TwoModeState, list]:
     2-headed cats |C_2(alpha/sqrt2)>: their four heads land on (+-alpha, 0)
     and (0, +-alpha).  It is built from cat amplitudes at the default
     cutoff, so the cat's own tail check catches truncation.  Then k CPS
-    rounds run with varphi_j = 2*pi/2^{j+1}, heralding mode a first, then
+    rounds run with varphi_j = 2*pi/2^{j+1} = pi 2^-j (which underflows to 0
+    at large j rather than overflowing), heralding mode a first, then
     mode b (the fidelity targets are order independent).
     """
     if k < 0:
@@ -530,7 +531,7 @@ def synthesize_heralded(alpha: float, k: int) -> tuple[TwoModeState, list]:
     state = extended_entangled_state(2, alpha)
     herald_probs = []
     for j in range(1, k + 1):
-        outcome = cps_round_outcome(state, 2.0 * pi / 2 ** (j + 1))
+        outcome = cps_round_outcome(state, ldexp(pi, -j))
         herald_probs.append((outcome.herald_prob_a, outcome.herald_prob_b))
         state = outcome.state
     return state, herald_probs

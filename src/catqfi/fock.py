@@ -138,8 +138,8 @@ def coherent(alpha: complex, n_max: int) -> FockVector:
     product, exact on the axes, so that cat heads at phases i^k cancel exactly.
     """
     alpha = complex(alpha)
-    amps = np.zeros(n_max + 1, dtype=complex)
     if alpha == 0:
+        amps = np.zeros(n_max + 1, dtype=complex)
         amps[0] = 1.0
         return FockVector(amps)
     a2 = abs(alpha) ** 2
@@ -166,9 +166,11 @@ def cat_state(spec: CatSpec, n_max: int) -> FockVector:
         return FockVector(amps)
     a2 = abs(alpha) ** 2
     # the support on the grid, then the first point past it, where the dropped mass starts,
-    # counted in Python ints (exact past 2^53 heads) and made float only for the moduli
+    # counted in Python ints (exact past 2^53 heads) and made float only for the moduli;
+    # a point past 2^1000 (lgamma overflows near 2^1020) is checked at 2^1000, whose mass
+    # is at least its own: the Poisson mass falls past its mean |alpha|^2
     past = (n_max // N + 1) * N
-    ks = np.array([*range(0, n_max + 1, N), past], dtype=float)
+    ks = np.array([*range(0, n_max + 1, N), min(past, 2**1000)], dtype=float)
     log_mod = -a2 / 2 + ks * log(abs(alpha)) - 0.5 * np.array([lgamma(k + 1) for k in ks])
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[::N] = np.exp(log_mod[:-1]) * np.exp(1j * ks[:-1] * np.angle(alpha))

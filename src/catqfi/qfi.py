@@ -28,12 +28,6 @@ import numpy as np
 from .channels import SpectralState
 from .fock import TwoModeState
 
-# Pairs with l_i + l_j at or below this contribute zero.  The double-sum
-# form is stable for arbitrarily small positive pair sums (each term is
-# bounded by max(l) * |G_ij|^2), so only exact zeros need guarding; a larger
-# cutoff would silently drop the real contribution of feeble sectors.
-EPS_PAIR = 0.0
-
 GENERATORS = ("n_b", "half_difference")
 
 
@@ -95,7 +89,11 @@ def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float | np.ndarray:
 
     lam_i, lam_j = lam[:, :, None], lam[:, None, :]
     pair_sum = lam_i + lam_j
-    ok = (pair_sum > EPS_PAIR) & ~np.eye(rank, dtype=bool)
+    # pairs with l_i + l_j <= 0 contribute zero.  The double-sum form is stable for
+    # arbitrarily small positive pair sums (each term is bounded by max(l) * |G_ij|^2),
+    # so only exact zeros need guarding; a positive cutoff would silently drop the
+    # real contribution of feeble sectors
+    ok = (pair_sum > 0) & ~np.eye(rank, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         f_pairs = np.sum(np.where(ok, 2.0 * (lam_i - lam_j) ** 2 * abs_m2 / pair_sum, 0.0), axis=(1, 2))
     # null space of the block: what of G v_i its eigenvectors do not span

@@ -4,9 +4,11 @@ import bisect
 import json
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from math import sqrt
 
+import numpy as np
 import pytest
 
 from catqfi import bench, channels, fock, qfi
@@ -473,6 +475,37 @@ def test_verify_consistency_fault_injection(monkeypatch):
     assert any("ecs" in name for name in names)
     failing = next(c for c in report.failures if "ecs" in c.name)
     assert "alpha" in failing.params
+
+
+def test_verify_consistency_catches_a_batch_that_mixes_its_points(monkeypatch):
+    # rotating the per-point QFI totals of a batch corrupts every phase-averaged
+    # and lossy sweep row; a verifier that runs one point per batch never sees it
+    healthy = bench.qfi_mixed
+
+    def rotated(state, generator):
+        f = healthy(state, generator)
+        return np.roll(f, 1) if np.ndim(f) else f
+
+    monkeypatch.setattr(bench, "qfi_mixed", rotated)
+    report = bench.verify_consistency()
+    assert not report.passed
+    assert {"pa-qfi", "lossy-qfi"} <= {c.name.split("[")[0] for c in report.failures}
+
+
+def test_verify_consistency_runs_one_batch_per_curve_and_generator(monkeypatch):
+    def single_point(*args, **kwargs):
+        raise AssertionError("verify evaluated a point outside a batch")
+
+    healthy, calls = bench.numeric_points, Counter()
+
+    def counted(curve, alphas, generator="n_b"):
+        calls[curve, generator] += 1
+        return healthy(curve, alphas, generator)
+
+    monkeypatch.setattr(bench, "numeric_point", single_point)
+    monkeypatch.setattr(bench, "numeric_points", counted)
+    assert bench.verify_consistency().passed
+    assert calls and max(calls.values()) == 1
 
 
 def test_verify_consistency_summary_format(report):

@@ -174,6 +174,27 @@ def test_synthesize_command():
     result = invoke("synthesize", "--alpha", "1.0", "-k", "100")
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["fidelity"] > 1 - 1e-10
+    # 2^2001 heads: the round phases pi/2^j underflow instead of overflowing
+    result = invoke("synthesize", "--alpha", "1.0", "-k", "2000")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["fidelity"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "command, family, extra",
+    [("state", "cat", ()), ("qfi", "extended", ()), ("qfi", "extended", ("--transmission", "0.9"))],
+    ids=["state-cat", "qfi-pure", "qfi-lossy"],
+)
+def test_head_counts_past_float_range_leave_the_vacuum(command, family, extra):
+    # 2^1100 heads: the first support point past the grid is past float range; only the vacuum is on the grid
+    result = invoke(command, "--family", family, "--alpha", "1", "--n-components", str(2**1100), *extra)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    if command == "state":
+        assert payload["amplitudes"][0] == [1.0, 0.0]
+        assert not any(re or im for re, im in payload["amplitudes"][1:])
+    else:
+        assert payload["n_av"] == payload["qfi_closed_form"] == payload["qfi_numeric"] == 0.0
 
 
 def test_crossover_command():
