@@ -577,10 +577,11 @@ def verify_consistency() -> ConsistencyReport:
 
     Every check compares one quantity produced by the analytic route with
     the same quantity from the independent numeric pipeline.  Each curve's
-    numeric points are one `numeric_points` batch per generator, the path
-    every sweep row takes, so a fault in how a batch is built or split
-    fails checks here.  Mixed points whose closed QFI sits below
-    QFI_RESOLUTION are skipped with a note.
+    n_b points are one `numeric_points` batch, the path every sweep row
+    takes, so a fault in how a batch is built or split fails checks here;
+    the half_difference points, which no sweep evaluates, go one by one
+    through `numeric_point`, the route of `catqfi qfi --generator`.  Mixed
+    points whose closed QFI sits below QFI_RESOLUTION are skipped with a note.
     """
     alphas = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
     transmissions = (1.0, 0.9, 0.85)
@@ -634,9 +635,9 @@ def verify_consistency() -> ConsistencyReport:
             add("noon-qfi", {"n": n, "T": t}, t**n * n * n, f_n, this_tol=1e-12)
 
     # phase-reference identity: F_q(phase averaged, n_b) = F_Q2(pure, two-mode +-phi/2), for N = 1, 2, 4
-    fq_alphas = (0.5, 1.5)
     for pure in pures[:3]:
-        for alpha, (_, f_q2) in zip(fq_alphas, numeric_points(pure, fq_alphas, "half_difference")):
+        for alpha in (0.5, 1.5):
+            _, f_q2 = numeric_point(pure, alpha, "half_difference")
             add(f"fq-equals-fq2[{pure.label}]", {"alpha": alpha}, f_q2, averaged[pure.label, alpha])
 
     # the loss kernel at T = 1 is the identity (numeric_points skips the channel there)

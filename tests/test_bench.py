@@ -492,20 +492,27 @@ def test_verify_consistency_catches_a_batch_that_mixes_its_points(monkeypatch):
     assert {"pa-qfi", "lossy-qfi"} <= {c.name.split("[")[0] for c in report.failures}
 
 
-def test_verify_consistency_runs_one_batch_per_curve_and_generator(monkeypatch):
-    def single_point(*args, **kwargs):
-        raise AssertionError("verify evaluated a point outside a batch")
+def test_verify_consistency_batches_each_curve_under_the_sweep_generator(monkeypatch):
+    # n_b, the generator of every sweep row: one numeric_points batch per curve;
+    # half_difference, which no sweep uses: one numeric_point call per point
+    healthy_points, healthy_point = bench.numeric_points, bench.numeric_point
+    batches, singles = Counter(), Counter()
 
-    healthy, calls = bench.numeric_points, Counter()
+    def counted_points(curve, alphas, generator="n_b"):
+        batches[curve, generator] += 1
+        return healthy_points(curve, alphas, generator)
 
-    def counted(curve, alphas, generator="n_b"):
-        calls[curve, generator] += 1
-        return healthy(curve, alphas, generator)
+    def counted_point(curve, alpha, generator="n_b"):
+        singles[curve, generator] += 1
+        return healthy_point(curve, alpha, generator)
 
-    monkeypatch.setattr(bench, "numeric_point", single_point)
-    monkeypatch.setattr(bench, "numeric_points", counted)
+    monkeypatch.setattr(bench, "numeric_points", counted_points)
+    monkeypatch.setattr(bench, "numeric_point", counted_point)
     assert bench.verify_consistency().passed
-    assert calls and max(calls.values()) == 1
+    sweep_batches = [n for (_, generator), n in batches.items() if generator == "n_b"]
+    assert sweep_batches and max(sweep_batches) == 1
+    assert singles and {generator for _, generator in singles} == {"half_difference"}
+    assert all(n == 2 for n in singles.values())
 
 
 def test_verify_consistency_summary_format(report):

@@ -29,11 +29,13 @@ def test_state_coherent_dump():
 
 
 def test_state_cat_dump():
-    result = invoke("state", "--family", "cat", "--alpha", "1.0", "--n-components", "4")
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
-    nonzero = [i for i, (re, im) in enumerate(payload["amplitudes"]) if abs(complex(re, im)) > 0]
-    assert all(i % 4 == 0 for i in nonzero)
+    # at 2^1100 heads the first support point past the grid is past float range
+    for n in (4, 2**1100):
+        result = invoke("state", "--family", "cat", "--alpha", "1.0", "--n-components", str(n))
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        nonzero = [i for i, (re, im) in enumerate(payload["amplitudes"]) if abs(complex(re, im)) > 0]
+        assert nonzero and all(i % n == 0 for i in nonzero)
 
 
 def test_state_extended_dump():
@@ -180,23 +182,6 @@ def test_synthesize_command():
     assert json.loads(result.output)["fidelity"] == 1.0
 
 
-@pytest.mark.parametrize(
-    "command, family, extra",
-    [("state", "cat", ()), ("qfi", "extended", ()), ("qfi", "extended", ("--transmission", "0.9"))],
-    ids=["state-cat", "qfi-pure", "qfi-lossy"],
-)
-def test_head_counts_past_float_range_leave_the_vacuum(command, family, extra):
-    # 2^1100 heads: the first support point past the grid is past float range; only the vacuum is on the grid
-    result = invoke(command, "--family", family, "--alpha", "1", "--n-components", str(2**1100), *extra)
-    assert result.exit_code == 0, result.output
-    payload = json.loads(result.output)
-    if command == "state":
-        assert payload["amplitudes"][0] == [1.0, 0.0]
-        assert not any(re or im for re, im in payload["amplitudes"][1:])
-    else:
-        assert payload["n_av"] == payload["qfi_closed_form"] == payload["qfi_numeric"] == 0.0
-
-
 def test_crossover_command():
     result = invoke(
         "crossover",
@@ -265,8 +250,14 @@ def test_out_of_memory_exit_three(monkeypatch):
 
 @pytest.mark.parametrize(
     "n_components, extra",
-    [("1000000", ()), ("10000000", ("--transmission", "0.9")), (str(2**70), ())],
-    ids=["pure", "lossy-1e7", "pure-2^70"],
+    [
+        ("1000000", ()),
+        ("10000000", ("--transmission", "0.9")),
+        (str(2**70), ()),
+        (str(2**1100), ()),
+        (str(2**1100), ("--transmission", "0.9")),
+    ],
+    ids=["pure", "lossy-1e7", "pure-2^70", "pure-2^1100", "lossy-2^1100"],
 )
 def test_qfi_a_million_heads_ends_in_under_five_seconds(n_components, extra):
     # the cat support 0, N, ... leaves only the vacuum at alpha = 2: F = 0 by both routes;
