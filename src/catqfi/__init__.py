@@ -53,7 +53,6 @@ from .fock import (
     mandel_q,
     noon_state,
     number_moment,
-    overlap,
     phase_shift,
     product_state,
 )

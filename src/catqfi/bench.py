@@ -15,7 +15,6 @@ Sweep rows are output only.
 from __future__ import annotations
 
 import sys
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from math import inf, isfinite, sqrt
@@ -39,7 +38,7 @@ from .fock import (
     number_moment,
     product_state,
 )
-from .qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_pure
+from .qfi import qfi_mixed, qfi_pure
 
 # below this QFI a trace-1 state is the vacuum to double precision, and the
 # grid route cannot resolve the QFI at the 1e-8 relative agreement verify asks
@@ -122,7 +121,7 @@ def _cat4_state(curve, alpha, n_max):
 
 
 def _extended_state(curve, alpha, n_max):
-    return extended_entangled_state(curve.heads, alpha, n_max)
+    return extended_entangled_state(curve.n_components, alpha, n_max)
 
 
 def _noon_grid(curve, alpha, n_max):
@@ -142,15 +141,15 @@ def _noon_qfi(curve, alpha):
 
 
 def _extended_nav(curve, alpha):
-    return cf.extended_moments(curve.heads, alpha).n_av
+    return cf.extended_moments(curve.n_components, alpha).n_av
 
 
 def _extended_qfi(curve, alpha):
-    return cf.moment_qfi(cf.extended_moments(curve.heads, alpha))
+    return cf.moment_qfi(cf.extended_moments(curve.n_components, alpha))
 
 
 def _pa_qfi(curve, alpha):
-    return cf.pa_qfi(curve.heads, alpha, curve.transmission)
+    return cf.pa_qfi(curve.n_components, alpha, curve.transmission)
 
 
 VARIANTS = ("pure", "phase_averaged")
@@ -196,7 +195,7 @@ class FamilyCurve:
     kind: str  # a key of FAMILIES
     variant: str  # pure | phase_averaged
     beta_ratio: float | None = None
-    n_components: int | None = None
+    n_components: int | None = None  # the cat heads N: the family's own where it fixes them
     transmission: float = 1.0
 
     def __post_init__(self):
@@ -210,17 +209,14 @@ class FamilyCurve:
                 raise ParameterError(f"{self.kind} needs an integer n_components >= 1, got {self.n_components}")
         elif self.n_components not in (None, family.heads):
             raise ParameterError(f"{self.kind} takes n_components {family.heads or 'none'}, not {self.n_components}")
+        else:  # the cat heads N the family fixes, None where it fixes none
+            object.__setattr__(self, "n_components", family.heads)
         if ("beta_ratio" in family.params) != (self.beta_ratio is not None):
             raise ParameterError(f"{self.kind} {'needs' if self.beta_ratio is None else 'takes no'} beta")
 
     @property
     def loss(self) -> LossSpec:
         return LossSpec(self.transmission)
-
-    @property
-    def heads(self) -> int | None:
-        """The cat heads N of the state: fixed by the family, else n_components."""
-        return FAMILIES[self.kind].heads or self.n_components
 
     def state(self, alpha: float, n_max: int | None = None):
         """The numeric route's pure state, None where the family has none at alpha (non-integer noon)."""
@@ -252,8 +248,7 @@ def alpha_range(lo: float, hi: float, step: float = 0.05) -> tuple:
 
 def _fig2_curves(variant: str, n_components: tuple, transmission: float = 1.0) -> tuple:
     """noon, ecs, modified, then extended[N] for each N."""
-    curves = [FamilyCurve(k, k, variant, n_components=FAMILIES[k].heads, transmission=transmission)
-              for k in ("noon", "ecs", "modified")]
+    curves = [FamilyCurve(k, k, variant, transmission=transmission) for k in ("noon", "ecs", "modified")]
     curves += [FamilyCurve(f"extended[N={n}]", "extended", variant, n_components=n, transmission=transmission)
                for n in n_components]
     return tuple(curves)
@@ -264,7 +259,7 @@ FIGURES = {
     "fig1": Figure(alpha_range(0.05, 2.2), (
         FamilyCurve("coherent", "coherent", "pure"),
         FamilyCurve("ecs", "ecs", "pure"),
-        *(FamilyCurve(f"cat4[b={b}]", "cat4", "pure", beta_ratio=ratio, n_components=4)
+        *(FamilyCurve(f"cat4[b={b}]", "cat4", "pure", beta_ratio=ratio)
           for b, ratio in (("a", 1.0), ("a/2", 0.5), ("a/4", 0.25), ("0", 0.0))),
     )),
     "fig2a": Figure(alpha_range(0.1, 3.0), _fig2_curves("pure", (4, 8, 16))),
@@ -317,9 +312,7 @@ def numeric_points(curve: FamilyCurve, alphas, generator: str = "n_b") -> list[t
         del states  # the grids are not needed past here, and the loss is where memory peaks
         if curve.transmission < 1.0:
             mixed = loss_channel(mixed, curve.loss)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateSpectrumWarning)
-            qfis = np.atleast_1d(qfi_mixed(mixed, generator)).tolist()
+        qfis = np.atleast_1d(qfi_mixed(mixed, generator)).tolist()
     for i, nav, f in zip(live, navs, qfis):
         out[i] = (nav, f)
     return out
@@ -488,8 +481,8 @@ def find_crossover(
     to about 1e-14 * max(1, N_av).
 
     None where the delta_phi gap has the same sign at both ends of the
-    bracket: the curves do not cross there.  A bracket that is not lo < hi
-    and two equal curves are bad arguments (ParameterError).
+    bracket: the curves cross there an even number of times, possibly none.
+    A bracket that is not lo < hi and two equal curves are bad arguments (ParameterError).
     """
     lo, hi = bracket
     if not lo < hi:
@@ -643,10 +636,7 @@ def verify_consistency() -> ConsistencyReport:
     # the loss kernel at T = 1 is the identity (numeric_points skips the channel there)
     t1_alphas = (0.5, 1.0)
     through = loss_channel(phase_average([pures[0].state(alpha) for alpha in t1_alphas]), LossSpec(1.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrumWarning)
-        f_through = qfi_mixed(through, "n_b").tolist()
-    for alpha, f in zip(t1_alphas, f_through):
+    for alpha, f in zip(t1_alphas, qfi_mixed(through, "n_b").tolist()):
         add("t1-identity[ecs]", {"alpha": alpha}, averaged["ecs", alpha], f, this_tol=1e-10)
 
     for n_comp in (2, 4):

@@ -486,10 +486,6 @@ class CpsOutcome:
     herald_prob_a: float
     herald_prob_b: float
 
-    @property
-    def herald_prob(self) -> float:
-        return self.herald_prob_a * self.herald_prob_b
-
 
 def cps_round_outcome(s: TwoModeState, varphi: float) -> CpsOutcome:
     """One heralded conditional-phase-shift round on mode a, then mode b.

@@ -88,8 +88,8 @@ def state(family, alpha, n_components, n_max):
         out["n_max"] = grid.n_max
         if family == "noon":
             out["n"] = round(alpha * alpha)
-        if curve.heads is not None:
-            out["n_components"] = curve.heads
+        if curve.n_components is not None:
+            out["n_components"] = curve.n_components
         out["norm_sq"] = grid.norm_sq()
         for mode in ("a", "b"):
             out[f"mean_n_{mode}"] = number_moment(grid, mode, 1)
@@ -123,7 +123,7 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
         "family": family,
         "alpha": alpha,
         "beta": None if curve.beta_ratio is None else curve.beta_ratio * alpha,
-        "n_components": curve.heads,
+        "n_components": curve.n_components,
         "transmission": transmission,
         "phase_averaged": phase_averaged,
         "generator": generator,
@@ -184,7 +184,7 @@ def sweep(figure, out, fmt, alpha_min, alpha_max, alpha_step):
 @click.option("--transmission", type=click.FloatRange(0.0, 1.0), default=None)
 @numeric_guard
 def crossover(figure, family_a, family_b, nav_lo, nav_hi, transmission):
-    """Locate the N_av where two families' delta_phi curves cross (null if they do not cross in the bracket)."""
+    """Locate the N_av where two families' delta_phi curves cross (null if their gap has one sign at both ends)."""
     curves = bench.FIGURES[figure].curves
     at_t = [c for c in curves if transmission is None or abs(c.transmission - transmission) < 1e-12]
     picked = []
@@ -201,7 +201,7 @@ def crossover(figure, family_a, family_b, nav_lo, nav_hi, transmission):
 
 @main.command()
 @click.option("--alpha", type=float, required=True)
-@click.option("--iterations", "-k", type=click.IntRange(min=0), required=True)
+@click.option("--iterations", "-k", type=click.IntRange(min=0, max=10_000), required=True, help="CPS rounds, at most 10000")
 @numeric_guard
 def synthesize(alpha, iterations):
     """Generate the N = 2^(k+1) extended state by CPS heralding; report fidelity."""

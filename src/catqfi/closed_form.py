@@ -195,32 +195,6 @@ def pa_qfi(n_components: int, alpha: float, transmission: float = 1.0) -> float:
     return ldexp(f / _cat_series(n_components, x_r, s_r)[0], s_t - s - s_r)
 
 
-def _loss_series(n_components: int, x_r: float, m: int) -> float:
-    """sum over j >= 1, N | (m+j) of (x*R)^j / j!  (inner sum of the lossy spectra)."""
-    N = n_components
-    j0 = (-m) % N
-    if j0 == 0:
-        j0 = N
-    # (x_r)^{j0}/j0! start, then step by N
-    term = 1.0
-    for j in range(1, j0 + 1):
-        term *= x_r / j
-        if term == 0.0:  # underflowed: this and every later term is 0
-            return 0.0
-    total = 0.0
-    j_idx = j0
-    for _ in range(_SERIES_CAP):
-        total += term
-        if term <= _SERIES_RTOL * abs(total):
-            return total
-        for j in range(j_idx + 1, j_idx + N + 1):
-            term *= x_r / j
-            if term == 0.0:
-                return total
-        j_idx += N
-    raise ArithmeticError("loss series failed to converge within 5000 terms")
-
-
 def lossy_noon_mixture(n_components: int, alpha: float, loss: LossSpec, n_cut: int) -> NoonMixture:
     """Spectral rows (n, lambda+_n, lambda-_n) of the phase-averaged N-headed state after loss.
 
@@ -233,8 +207,21 @@ def lossy_noon_mixture(n_components: int, alpha: float, loss: LossSpec, n_cut: i
     N = n_components
     k = _cat_series(N, x)[0]
     k_r = _cat_series(N, x * r)[0]
-    # the loss series depends on m only through m mod N: one per class that occurs
-    tails = [_loss_series(N, x * r, c) for c in range(1, min(N, n_cut) + 1)]
+    # row m takes the loss series sum over j >= 1, N | (m + j), of (xR)^j/j!, a function of
+    # m mod N: one pass over j adds each term to the index (m - 1) % N = (-j - 1) % N of its
+    # class until that class converges; only the classes of rows 1..n_cut are kept
+    tails = [0.0] * min(N, n_cut)
+    open_classes, term, j = set(range(len(tails))), 1.0, 0
+    while open_classes and term > 0.0:  # a term that underflowed ends the sum: every later term is 0
+        if j == _SERIES_CAP * N:
+            raise ArithmeticError("loss series failed to converge within 5000 terms")
+        j += 1
+        term *= x * r / j
+        c = (-j - 1) % N
+        if c in open_classes:
+            tails[c] += term
+            if term <= _SERIES_RTOL * tails[c]:
+                open_classes.remove(c)
     rows = [(0, (1.0 + k_r) / (1.0 + k), 0.0)]
     term = 1.0
     for m in range(1, n_cut + 1):

@@ -299,12 +299,8 @@ def extended_entangled_state(n_components: int, alpha: float, n_max: int | None 
     return TwoModeState(amps).normalize()
 
 
-def overlap(s: TwoModeState, t: TwoModeState) -> complex:
-    if s.n_max != t.n_max:
-        raise ValueError("overlap requires equal cutoffs")
-    return complex(np.vdot(s.amps, t.amps))
-
-
 def fidelity(s: TwoModeState, t: TwoModeState) -> float:
     """|<s|t>|^2 for normalized pure states."""
-    return abs(overlap(s, t)) ** 2
+    if s.n_max != t.n_max:
+        raise ValueError("fidelity requires equal cutoffs")
+    return abs(complex(np.vdot(s.amps, t.amps))) ** 2

@@ -21,8 +21,6 @@ batch's too, are evaluated in one pass and their values summed per point.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .channels import SpectralState
@@ -32,9 +30,9 @@ GENERATORS = ("n_b", "half_difference")
 
 
 class DegenerateSpectrumWarning(RuntimeWarning):
-    """Eigenvalue gaps below 1e-10 within a block: eigenvector derivatives are ambiguous.
-
-    The returned double-sum value is gap-safe and unaffected.
+    """Nothing raises this: both QFI forms in `qfi_mixed` are sums over
+    eigenpairs that a rotation inside a degenerate eigenspace leaves
+    unchanged.  It stays only because `perfbench/workloads.py` imports it.
     """
 
 
@@ -78,10 +76,6 @@ def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float | np.ndarray:
         g[lo:hi, :cells], point[lo:hi] = g_grid[st.na, st.nb], st.point
         lo = hi
 
-    ordered = np.sort(lam, axis=1)
-    gaps = np.diff(ordered, axis=1)[ordered[:, :-1] > 1e-8]
-    if gaps.size and float(np.min(gaps)) < 1e-10:
-        warnings.warn("degenerate spectrum: eigenvalue gap below 1e-10", DegenerateSpectrumWarning, stacklevel=2)
     gv = g[:, :, None] * v
     m = np.conj(v).transpose(0, 2, 1) @ gv  # m[b, i, j] = <v_i|G|v_j> in block b
     g_norm2 = np.sum((np.abs(v) ** 2) * (g * g)[:, :, None], axis=1)

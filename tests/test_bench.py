@@ -4,6 +4,7 @@ import bisect
 import json
 import random
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 from math import sqrt
@@ -48,6 +49,16 @@ def test_family_curve_rejects_parameters_outside_the_table(kind, kwargs):
     fields = {"variant": "pure", **kwargs}
     with pytest.raises(bench.ParameterError):
         bench.FamilyCurve(kind, kind, **fields)
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs, heads",
+    [("ecs", {}, 1), ("modified", {}, 2), ("cat4", {"beta_ratio": 0.5}, 4), ("coherent", {}, None), ("noon", {}, None)],
+)
+def test_family_curve_n_components_is_the_family_head_count(kind, kwargs, heads):
+    curve = bench.FamilyCurve(kind, kind, "pure", **kwargs)
+    assert curve.n_components == heads
+    assert curve == bench.FamilyCurve(kind, kind, "pure", n_components=heads, **kwargs)
 
 
 # the grid route's numerics, by defining module
@@ -117,6 +128,7 @@ def test_sweep_rows_pair_consistency():
     assert paired > 0
 
 
+@pytest.mark.filterwarnings("error")  # nothing on the sweep path warns
 def test_every_default_sweep_row_pair_agrees_unfloored():
     # relative to the closed value itself, with no floor: the 4HCS + coherent
     # form once cancelled O(1) terms and was 3e-8 off at alpha = 0.05
@@ -453,7 +465,9 @@ def test_crossover_modified_never_beats_ecs_backwards():
 
 @pytest.fixture(scope="module")
 def report():
-    return bench.verify_consistency()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing on the verify path warns
+        return bench.verify_consistency()
 
 
 def test_verify_consistency_passes(report):

@@ -176,8 +176,8 @@ def test_synthesize_command():
     result = invoke("synthesize", "--alpha", "1.0", "-k", "100")
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["fidelity"] > 1 - 1e-10
-    # 2^2001 heads: the round phases pi/2^j underflow instead of overflowing
-    result = invoke("synthesize", "--alpha", "1.0", "-k", "2000")
+    # 2^10001 heads, the largest -k: the round phases pi/2^j underflow instead of overflowing
+    result = invoke("synthesize", "--alpha", "1.0", "-k", "10000")
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["fidelity"] == 1.0
 
@@ -445,6 +445,7 @@ def test_state_cat_zero_components_exit_two():
         ("state", "--family", "noon", "--alpha", "1.5"),
         ("state", "--family", "coherent", "--alpha", "1", "--n-max", "-1"),
         ("synthesize", "--alpha", "0", "-k", "1"),
+        ("synthesize", "--alpha", "1", "-k", "10001"),  # one past the largest -k
         ("sweep", "--figure", "fig2a", "--alpha-step", "0"),
         ("sweep", "--figure", "fig2a", "--alpha-step", "-0.1"),
         ("sweep", "--figure", "fig2a", "--alpha-step", "inf"),

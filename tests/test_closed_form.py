@@ -312,6 +312,13 @@ def test_lossy_mixture_full_transmission_kills_minus_branch():
         assert lam_p == pytest.approx(cf.pa_weight(1, 1.0, n), rel=1e-12)
 
 
+def test_lossy_mixture_of_2_to_the_70_heads_is_the_vacuum_row_alone():
+    # a row m <= 32 takes loss terms (xR)^j/j! with N | (m + j), so j >= 2^70 - 32
+    mix = cf.lossy_noon_mixture(2**70, 1.0, LossSpec(0.9), n_cut=32)
+    assert mix.rows[0] == (0, 1.0, 0.0)
+    assert [row[1:] for row in mix.rows[1:]] == [(0.0, 0.0)] * 32
+
+
 @pytest.mark.parametrize("family,n_comp", [("ecs", None), ("modified", None), ("extended", 4)])
 def test_lossy_mixture_matches_channel_pipeline(family, n_comp):
     alpha, t = 1.0, 0.9

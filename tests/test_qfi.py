@@ -145,11 +145,24 @@ def test_qfi_invariant_under_global_phase():
     )
 
 
-def test_degenerate_spectrum_warns():
-    # one block over |1,0> and |2,0> with two equal weights
-    degenerate = SpectralState(8, (BlockStack(np.array([[1, 2]]), np.array([[0, 0]]), np.array([[0.5, 0.5]]), np.eye(2)[None]),))
-    with pytest.warns(DegenerateSpectrumWarning):
-        qfi_mixed(degenerate, "n_b")
+@pytest.mark.parametrize("generator", ["n_b", "half_difference"])
+def test_qfi_mixed_ignores_the_basis_of_a_degenerate_eigenspace(generator):
+    # one block over three cells with weights (0.4, 0.4, 0.2): both forms sum
+    # over eigenpairs, so a rotation of the degenerate pair leaves the QFI as is
+    rng = np.random.default_rng(3)
+    vecs = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+
+    def block_qfi(v):
+        stack = BlockStack(np.array([[0, 1, 2]]), np.array([[2, 0, 1]]), np.array([[0.4, 0.4, 0.2]]), v[None])
+        return qfi_mixed(SpectralState(4, (stack,)), generator)
+
+    reference = block_qfi(vecs)
+    assert reference > 0.01
+    for angle in (0.1, 0.7, 1.3, 2.9):
+        c, s = np.cos(angle), np.sin(angle)
+        turned = vecs.copy()
+        turned[:, 0], turned[:, 1] = c * vecs[:, 0] - s * vecs[:, 1], s * vecs[:, 0] + c * vecs[:, 1]
+        assert abs(block_qfi(turned) - reference) <= 1e-13, angle
 
 
 def test_degenerate_weights_in_different_blocks_do_not_warn():
