@@ -37,7 +37,6 @@ from .closed_form import (
     lossy_noon_mixture,
     moment_qfi,
     pa_qfi,
-    pa_weight,
 )
 from .fock import (
     CatSpec,

@@ -75,9 +75,10 @@ def state(family, alpha, n_components, n_max):
             out["n_components"] = n_components = n_components or 2
             vec = cat_state(CatSpec(n_components, alpha), n_max)
         out["norm_sq"] = vec.norm_sq()
-        out["mean_n"] = vec.moment(1)
-        out["mean_n2"] = vec.moment(2)
-        if vec.moment(1) > 1e-14:
+        p = np.abs(vec.amps) ** 2
+        n = np.arange(len(p), dtype=float)
+        out["mean_n"], out["mean_n2"] = (float(np.sum(n**k * p) / np.sum(p)) for k in (1, 2))
+        if out["mean_n"] > 1e-14:
             out["mandel_q"] = mandel_q(vec)
         out["amplitudes"] = [[a.real, a.imag] for a in vec.amps]
     else:

@@ -5,19 +5,21 @@ cross-validation.  Everything here is evaluated from explicit formulas or
 direct series summation, never from grid numerics, so agreement with the
 fock/channels/qfi pipeline is a genuine two-route check.
 
-The phase-averaged forms (`pa_weight`, `pa_qfi`, `lossy_noon_mixture`) take
-the head count N of the extended state (|C_N>|0> + |0>|C_N>)/sqrt(M): the
-entangled coherent state is N = 1 and the modified entangled state N = 2.
-`pa_qfi` also takes the transmission T of equal per-mode loss and is the
-one phase-averaged QFI at every T.  The spectral rows of the lossy states,
+The phase-averaged forms (`pa_qfi`, `lossy_noon_mixture`) take the head
+count N of the extended state (|C_N>|0> + |0>|C_N>)/sqrt(M): the entangled
+coherent state is N = 1 and the modified entangled state N = 2.  Both take
+the transmission T of equal per-mode loss; `pa_qfi` is the one
+phase-averaged QFI at every T.  The spectral rows of the lossy states,
 `lossy_noon_mixture` and, for the noon state of photon number n,
 `lossy_noon_ladder`, are `NoonMixture`s; the tests check the grid route and
-`pa_qfi` against them.
+`pa_qfi` against them.  The T = 1 rows of `lossy_noon_mixture` are the
+sector weights of the lossless phase-averaged state.
 
 The cat-state forms read the sums K_j = sum_m (N m)^j x^{N m}/(N m)!,
 j = 0, 1, 2, over the support of an N-component cat (photon numbers N*m),
-which `_cat_series` takes in one pass.  The pass stops when a term falls
-below 1e-16 of its sum or underflows to 0, with a hard cap of 5000 terms.
+which `_cat_series` takes in one pass and returns with a power of 2 that
+keeps them in double range.  The pass stops when a term falls below 1e-16
+of its sum or underflows to 0, with a hard cap of 5000 terms.
 `ecs_qfi` keeps its explicit form: it costs about 0.5 microseconds against
 8-32 as a series, and one crossover query against the ECS calls it about
 135 times (the N_av samples over the alpha grid, then a few per solve).
@@ -26,15 +28,14 @@ below 1e-16 of its sum or underflows to 0, with a hard cap of 5000 terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf, ldexp, log
+from math import exp, frexp, ldexp
 
 from .channels import LossSpec
 from .fock import CutoffError
 
 _SERIES_RTOL = 1e-16
 _SERIES_CAP = 5000
-_SHIFT_STEP = 900  # a shifted series divides its terms by 2^900 whenever they pass 2^900
-_SHIFT_AT = 2.0**_SHIFT_STEP
+_SHIFT_STEP = 900  # the cat series divides its terms by 2^900 whenever they pass 2^900
 
 
 @dataclass(frozen=True)
@@ -71,48 +72,40 @@ def moment_qfi(m: MomentPair) -> float:
     return 4.0 * (m.mean_nb2 - m.mean_nb**2)
 
 
-def _shift(x: float) -> int:
-    """The power of 2 that keeps a cat series in double range: e^x / 2^shift <= e^600."""
-    return max(0, int((x - 600.0) / log(2.0)) + 1)
+def _cat_series(n_components: int, x: float) -> tuple[float, float, float, int]:
+    """(K0, K1, K2, e) with 2^e K_j = sum_m (N m)^j x^{N m} / (N m)!, from one term recurrence.
 
-
-def _cat_series(n_components: int, x: float, shift: int = 0) -> tuple[float, float, float]:
-    """(K0, K1, K2) with K_j = 2^-shift * sum_m (N m)^j x^{N m} / (N m)!, from one term recurrence.
-
-    The factor 2^-shift is taken from the terms as they grow, so a ratio of
-    two sums with the same shift stays finite where the sums themselves
-    would overflow.  The sum stops when the K2 term falls below 1e-16 of K2
-    or a term underflows to 0; K2 <= n^2 K0 and K2 <= n K1 at photon number
-    n, so K0 and K1 have then converged at least as tightly.
+    Whenever a term passes 2^900, the term and the three running sums are
+    divided by 2^900 and e grows by 900, so the sums stay in double range
+    where e^x itself would overflow; a ratio of sums from one call needs no
+    e.  The sum stops when the K2 term falls below 1e-16 of K2 or a term
+    underflows to 0; K2 <= n^2 K0 and K2 <= n K1 at photon number n, so K0
+    and K1 have then converged at least as tightly.
     """
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
     if x < 0:
         raise ValueError("series argument must be >= 0")
-    k0, k1, k2 = 1.0, 0.0, 0.0  # the m = 0 term x^0/0!
+    k0, k1, k2, e = 1.0, 0.0, 0.0, 0  # the m = 0 term x^0/0!
     if x == 0.0:
-        return k0, k1, k2
+        return k0, k1, k2, e
     N = n_components
     term = 1.0
-    big = _SHIFT_AT if shift else inf
+    big = ldexp(1.0, _SHIFT_STEP)
     n = 0
     for _ in range(_SERIES_CAP):
         for j in range(n + 1, n + N + 1):
             term *= x / j
             if term > big:
-                step = min(shift, _SHIFT_STEP)
-                term, k0, k1, k2 = (ldexp(v, -step) for v in (term, k0, k1, k2))
-                shift -= step
-                big = _SHIFT_AT if shift else inf
+                term, k0, k1, k2 = (ldexp(v, -_SHIFT_STEP) for v in (term, k0, k1, k2))
+                e += _SHIFT_STEP
             elif term == 0.0:  # underflowed: this and every later term is 0
-                return ldexp(k0, -shift), ldexp(k1, -shift), ldexp(k2, -shift)
+                return k0, k1, k2, e
         n += N
         t2 = term * (n * n)
         k0, k1, k2 = k0 + term, k1 + term * n, k2 + t2
-        if k2 == inf:
-            raise OverflowError(f"cat series exceeds double range at |alpha|^2 = {x:g}")
         if t2 < _SERIES_RTOL * k2:
-            return ldexp(k0, -shift), ldexp(k1, -shift), ldexp(k2, -shift)
+            return k0, k1, k2, e
     raise ArithmeticError("cat series failed to converge within 5000 terms")
 
 
@@ -128,7 +121,7 @@ def fig1_moments(alpha: float, beta: float) -> MomentPair:
     every term is >= 0, so no digits cancel.  Mode a has the same moments.
     """
     y, b2 = alpha * alpha / 2, beta * beta
-    k0, k1, k2 = _cat_series(4, y, _shift(y))
+    k0, k1, k2, _ = _cat_series(4, y)
     nb = (b2 * k0 + 2 * k1) / (4 * k0)
     nb2 = nb + (b2 * b2 * k0 + 8 * b2 * k1 + 4 * (k2 - k1)) / (16 * k0)
     return MomentPair(mean_nb=nb, mean_nb2=nb2, n_av=nb)
@@ -149,33 +142,10 @@ def extended_moments(n_components: int, alpha: float) -> MomentPair:
     Reduces to the entangled coherent state at N = 1 and to the modified
     entangled state at N = 2.
     """
-    x = alpha * alpha
-    shift = _shift(x)
-    k0, k1, k2 = _cat_series(n_components, x, shift)
-    pref = 1.0 / (2.0 * (ldexp(1.0, -shift) + k0))
+    k0, k1, k2, e = _cat_series(n_components, alpha * alpha)
+    pref = 1.0 / (2.0 * (ldexp(1.0, -e) + k0))
     nb, nb2 = pref * k1, pref * k2
     return MomentPair(mean_nb=nb, mean_nb2=nb2, n_av=nb)
-
-
-def pa_weight(n_components: int, alpha: float, n: int) -> float:
-    """Weight of the photon-number-n noon sector of the phase-averaged N-headed state.
-
-    Only multiples of N are occupied.  The n = 0 sector is reported as the
-    full vacuum weight (the noon 'ket' at n = 0 is unnormalized, collapsing
-    both branches onto |00>).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = alpha * alpha
-    k = _cat_series(n_components, x)[0]
-    if n == 0:
-        return 2.0 / (1.0 + k)
-    if n % n_components != 0:
-        return 0.0
-    w = 1.0 / (1.0 + k)
-    for j in range(1, n + 1):
-        w *= x / j
-    return w
 
 
 def pa_qfi(n_components: int, alpha: float, transmission: float = 1.0) -> float:
@@ -183,16 +153,18 @@ def pa_qfi(n_components: int, alpha: float, transmission: float = 1.0) -> float:
 
     F = K2(x T) / ((1 + K0(x)) K0(x R)) with x = |alpha|^2 and R = 1 - T:
     the sum over the rows of `lossy_noon_mixture` with N | m, the only ones
-    where lambda+ != lambda-.  Each series carries its own power-of-2 shift;
-    they are divided one at a time and the net power applied last, so no
-    intermediate leaves double range.  At T = 1, K0(0) = 1 and
+    where lambda+ != lambda-.  Each series returns its own power of 2; the
+    scaled sums are divided one at a time and the net power applied last,
+    so no intermediate leaves double range.  At T = 1, K0(0) = 1 and
     F = K2(x)/(1 + K0(x)).
     """
     x = alpha * alpha
-    x_t, x_r = x * transmission, x * (1.0 - transmission)
-    s_t, s, s_r = _shift(x_t), _shift(x), _shift(x_r)
-    f = _cat_series(n_components, x_t, s_t)[2] / (ldexp(1.0, -s) + _cat_series(n_components, x, s)[0])
-    return ldexp(f / _cat_series(n_components, x_r, s_r)[0], s_t - s - s_r)
+    _, _, k2_t, e_t = _cat_series(n_components, x * transmission)
+    k0, _, _, e = _cat_series(n_components, x)
+    k0_r, _, _, e_r = _cat_series(n_components, x * (1.0 - transmission))
+    # f in [0.5, 1), so f / K0(x R) stays normal and only the last ldexp rounds
+    f, p = frexp(k2_t / (ldexp(1.0, -e) + k0))
+    return ldexp(f / k0_r, p + e_t - e - e_r)
 
 
 def lossy_noon_mixture(n_components: int, alpha: float, loss: LossSpec, n_cut: int) -> NoonMixture:
@@ -205,8 +177,8 @@ def lossy_noon_mixture(n_components: int, alpha: float, loss: LossSpec, n_cut: i
     t, r = loss.transmission, loss.reflectance
     x = alpha * alpha
     N = n_components
-    k = _cat_series(N, x)[0]
-    k_r = _cat_series(N, x * r)[0]
+    # ldexp raises OverflowError where K0 itself leaves double range
+    k, k_r = (ldexp(k0, e) for k0, _, _, e in (_cat_series(N, x), _cat_series(N, x * r)))
     # row m takes the loss series sum over j >= 1, N | (m + j), of (xR)^j/j!, a function of
     # m mod N: one pass over j adds each term to the index (m - 1) % N = (-j - 1) % N of its
     # class until that class converges; only the classes of rows 1..n_cut are kept

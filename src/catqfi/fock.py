@@ -58,12 +58,6 @@ class FockVector:
             raise ValueError("cannot normalize a zero vector")
         return FockVector(self.amps / sqrt(n2))
 
-    def moment(self, order: int = 1) -> float:
-        """<n^order> of the photon-number distribution (state need not be normalized)."""
-        p = np.abs(self.amps) ** 2
-        n = np.arange(len(p), dtype=float)
-        return float(np.sum(n**order * p) / np.sum(p))
-
 
 @dataclass(frozen=True, eq=False)
 class TwoModeState:

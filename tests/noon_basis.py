@@ -4,15 +4,17 @@ A phase-averaged cat-based state, before and after loss, is diagonal in the
 basis (|n,0> +- e^{i n phi}|0,n>)/sqrt(2); `closed_form.NoonMixture` holds
 its spectral rows (n, lambda+_n, lambda-_n).  The functions here move a
 `SpectralState` into and out of that form, so the tests can compare the grid
-route with the analytic spectra, and sum the rows' QFI directly.
+route with the analytic spectra, and sum the rows' QFI directly.  At full
+transmission the rows are the sector weights of the lossless phase-averaged
+state (`lossless_weights`).
 """
 
 from math import sqrt
 
 import numpy as np
 
-from catqfi.channels import BlockStack, SpectralState, _block_densities
-from catqfi.closed_form import NoonMixture
+from catqfi.channels import BlockStack, LossSpec, SpectralState, _block_densities
+from catqfi.closed_form import NoonMixture, lossy_noon_mixture
 from catqfi.fock import CutoffError
 
 WEIGHT_FLOOR = 1e-14
@@ -32,6 +34,15 @@ def to_dense(s: SpectralState) -> np.ndarray:
         idx = st.na * (s.n_max + 1) + st.nb
         rho[idx[:, :, None], idx[:, None, :]] += _block_densities(st)
     return rho
+
+
+def lossless_weights(n_comp: int, alpha: float, n_cut: int) -> list[float]:
+    """Weight of each sector n <= n_cut of the phase-averaged N-headed state: the T = 1 rows' lambda+.
+
+    Only multiples of N are occupied, and the n = 0 entry is the whole vacuum
+    weight.
+    """
+    return [lam_p for _, lam_p, _ in lossy_noon_mixture(n_comp, alpha, LossSpec(1.0), n_cut).rows]
 
 
 def qfi_noon_mixture(mix: NoonMixture) -> float:

@@ -16,7 +16,6 @@ evaluation routes there.
 """
 
 import time
-import warnings
 
 import numpy as np
 
@@ -28,9 +27,9 @@ from catqfi.channels import (
     phase_average,
     synthesize_heralded,
 )
-from catqfi.fock import TwoModeState, extended_entangled_state, fidelity, noon_state
-from catqfi.qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_pure
-from noon_basis import qfi_noon_mixture, to_dense, to_noon_mixture
+from catqfi.fock import TwoModeState, default_cutoff, extended_entangled_state, fidelity, noon_state
+from catqfi.qfi import qfi_mixed, qfi_pure
+from noon_basis import lossless_weights, qfi_noon_mixture, to_dense, to_noon_mixture
 
 RNG = np.random.default_rng(1234)
 
@@ -38,12 +37,6 @@ RNG = np.random.default_rng(1234)
 def report(n: int, ok: bool, detail: str) -> bool:
     print(f"[criterion {n}] {'PASS' if ok else 'FAIL'}: {detail}")
     return ok
-
-
-def quiet_qfi_mixed(s, generator="n_b"):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrumWarning)
-        return qfi_mixed(s, generator)
 
 
 def curves(figure, *labels, transmission=None):
@@ -75,7 +68,7 @@ def test_criterion_2_noon_exactness():
                 cf.lossy_noon_ladder(n, LossSpec(t))
             )
             lossy = loss_channel(phase_average(noon_state(n, max(32, n))), LossSpec(t))
-            numeric = quiet_qfi_mixed(lossy, "n_b")
+            numeric = qfi_mixed(lossy, "n_b")
             worst = max(worst, abs(closed - expected), abs(numeric - expected))
     ok = worst <= 1e-12
     assert report(
@@ -132,7 +125,8 @@ def test_criterion_4_fig2_strict_ordering():
             worst_route = max(
                 worst_route, abs(f_numeric - f_closed) / f_closed, abs(nav_numeric - 2.0) / 2.0
             )
-        weight = cf.pa_weight(4, alphas["extended[N=4]"], 4)
+        alpha = alphas["extended[N=4]"]
+        weight = lossless_weights(4, alpha, default_cutoff(alpha))[4]
         ok = ok and weight > 0.5 and worst_route <= 1e-8
         lines.append(
             f"{figure} N_av=2.0: extended[N=4] n=4 sector weight {weight:.3f} > 0.5; "
@@ -156,7 +150,7 @@ def test_criterion_5_phase_reference_identity():
         for alpha in (0.5, 1.5):
             state = extended_entangled_state(n_comp, alpha)
             f_q2 = qfi_pure(state, "half_difference")
-            f_pa = quiet_qfi_mixed(phase_average(state), "n_b")
+            f_pa = qfi_mixed(phase_average(state), "n_b")
             worst = max(worst, abs(f_q2 - f_pa) / max(abs(f_q2), 1e-6))
     ok = worst <= 1e-8
     assert report(

@@ -19,7 +19,7 @@ from catqfi.fock import (
     number_moment,
 )
 from catqfi.qfi import qfi_pure
-from noon_basis import qfi_noon_mixture, to_noon_mixture
+from noon_basis import lossless_weights, qfi_noon_mixture, to_noon_mixture
 
 
 def series_k_oracle(n_comp: int, alpha: float, order: int = 0, terms: int = 60) -> float:
@@ -61,7 +61,9 @@ def test_normalization_m2_even_cat():
 def test_k_sum_matches_direct_series():
     for n_comp in (1, 2, 4, 8):
         for alpha in (0.3, 1.0, 2.2):
-            assert cf._cat_series(n_comp, alpha * alpha) == pytest.approx(
+            *k, e = cf._cat_series(n_comp, alpha * alpha)
+            assert e == 0
+            assert tuple(k) == pytest.approx(
                 tuple(series_k_oracle(n_comp, alpha, order) for order in range(3)), rel=1e-14
             )
 
@@ -70,7 +72,7 @@ def test_cat_series_stops_when_the_first_term_underflows():
     # 4^10000/10000! underflows to 0, so the running sums never grow; the
     # series used to run all 5000 x N inner steps and raise
     t0 = time.perf_counter()
-    assert cf._cat_series(10**4, 4.0) == (1.0, 0.0, 0.0)
+    assert cf._cat_series(10**4, 4.0) == (1.0, 0.0, 0.0, 0)
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -188,26 +190,29 @@ def test_moment_pair_validates():
 
 
 def test_pa_weight_modified_odd_vanishes():
+    weights = lossless_weights(2, 1.0, 12)
     for n in (1, 3, 5, 9):
-        assert cf.pa_weight(2, 1.0, n) == 0.0
+        assert weights[n] == 0.0
 
 
 def test_pa_weight_extended_non_multiple_vanishes():
-    assert cf.pa_weight(4, 1.0, 6) == 0.0
-    assert cf.pa_weight(4, 1.0, 8) > 0.0
+    weights = lossless_weights(4, 1.0, 12)
+    assert weights[6] == 0.0
+    assert weights[8] > 0.0
 
 
 def test_pa_weights_sum_to_one():
     for n_comp in (1, 2, 4):  # ecs, modified, extended[N=4]
-        total = fsum(cf.pa_weight(n_comp, 1.0, n) for n in range(0, 80))
+        total = fsum(lossless_weights(n_comp, 1.0, 79))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pa_weights_match_numeric_sectors():
     out = phase_average(extended_entangled_state(4, 1.2))
+    weights = lossless_weights(4, 1.2, out.n_max)
     for st in out.stacks:
         for n, w in zip(st.sectors, st.weights[:, 0]):
-            assert w == pytest.approx(cf.pa_weight(4, 1.2, int(n)), rel=1e-9)
+            assert w == pytest.approx(weights[int(n)], rel=1e-9)
 
 
 def test_pa_qfi_noon_square():
@@ -221,13 +226,9 @@ def test_pa_qfi_analytic_values():
 
 
 def test_pa_qfi_extended_vs_engine():
-    from catqfi.qfi import DegenerateSpectrumWarning, qfi_mixed
-    import warnings
+    from catqfi.qfi import qfi_mixed
 
-    state = phase_average(extended_entangled_state(4, 1.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrumWarning)
-        engine = qfi_mixed(state, "n_b")
+    engine = qfi_mixed(phase_average(extended_entangled_state(4, 1.0)), "n_b")
     assert cf.pa_qfi(4, 1.0) == pytest.approx(engine, rel=1e-8)
 
 
@@ -236,14 +237,14 @@ def test_pa_qfi_unknown_family():
     with pytest.raises(ValueError):
         cf.pa_qfi(0, 1.0)
     with pytest.raises(ValueError):
-        cf.pa_weight(0, 1.0, 2)
+        cf.lossy_noon_mixture(0, 1.0, LossSpec(1.0), n_cut=2)
     with pytest.raises(ValueError):
         cf.lossy_noon_mixture(0, 1.0, LossSpec(0.9), n_cut=12)
 
 
 @pytest.mark.parametrize("alpha", [27.0, 40.0])
 def test_n_headed_forms_where_the_series_leave_double_range(alpha):
-    # e^{alpha^2} overflows a double; a shifted series divides it out as it sums
+    # e^{alpha^2} overflows a double; the series divides it out as it sums
     x = alpha * alpha
     assert cf.pa_qfi(1, alpha) == pytest.approx(x * (1 + x) / (1 + exp(-x)), rel=1e-13)
     assert cf.pa_qfi(2, alpha) == pytest.approx(x * (1 + x + (x - 1) * exp(-2 * x)) / (1 + exp(-x)) ** 2, rel=1e-13)
@@ -254,9 +255,25 @@ def test_n_headed_forms_where_the_series_leave_double_range(alpha):
     one = cf.extended_moments(1, alpha)
     assert cf.moment_qfi(one) == pytest.approx(f, rel=1e-10)
     assert one.n_av == pytest.approx(nav, rel=1e-10)
-    # the lossy rows take no shift: past double range they raise, not return NaN
+    # the lossy rows read K0 itself: past double range they raise, not return NaN
     with pytest.raises(ArithmeticError):
         cf.lossy_noon_mixture(1, alpha, LossSpec(0.9), n_cut=2000)
+
+
+def test_scaled_series_values_are_pinned():
+    # values of the forms whose series pass 2^900 and divide it out, pinned bit for bit
+    assert cf.pa_qfi(4, 30.0, 0.9) == 1.7642459203076525e-72
+    assert cf.pa_qfi(1, 27.0, 0.9) == 2.0628423718214178e-58
+    m = cf.extended_moments(4, 40.0)
+    assert (m.mean_nb, m.mean_nb2) == (800.0000000000002, 1280800.000000001)
+    m = cf.fig1_moments(40.0, 20.0)
+    assert (m.mean_nb, m.mean_nb2) == (500.00000000000006, 330500.00000000006)
+
+
+def test_lossy_mixture_reads_k0_where_k2_leaves_double_range():
+    # at N = 64, alpha = 26.7, K2(x) ~ x^2 e^x overflows but K0(x) ~ e^x / 64 fits
+    mix = cf.lossy_noon_mixture(64, 26.7, LossSpec(0.9), n_cut=1000)
+    assert mix.trace() == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +323,14 @@ def test_pa_qfi_full_transmission_is_the_lossless_form(n_comp):
 
 
 def test_lossy_mixture_full_transmission_kills_minus_branch():
-    mix = cf.lossy_noon_mixture(1, 1.0, LossSpec(1.0), n_cut=40)
+    # lambda+ is the lossless weight x^n/n!/(1 + K0), twice that at n = 0, by log-space series
+    alpha = 1.0
+    mix = cf.lossy_noon_mixture(1, alpha, LossSpec(1.0), n_cut=40)
+    norm = 1.0 + series_k_oracle(1, alpha)
     for n, lam_p, lam_m in mix.rows:
         assert lam_m == 0.0
-        assert lam_p == pytest.approx(cf.pa_weight(1, 1.0, n), rel=1e-12)
+        weight = 2.0 if n == 0 else exp(n * log(alpha * alpha) - lgamma(n + 1))
+        assert lam_p == pytest.approx(weight / norm, rel=1e-12)
 
 
 def test_lossy_mixture_of_2_to_the_70_heads_is_the_vacuum_row_alone():

@@ -63,12 +63,18 @@ def test_coherent_amplitude_direct_formula():
     assert abs(vec.amps[2].imag) == 0.0
 
 
+def single_mode_moment(vec, order: int) -> float:
+    """<n^order> of a single-mode state from its photon-number distribution (need not be normalized)."""
+    p = np.abs(vec.amps) ** 2
+    return float(np.sum(np.arange(len(p), dtype=float) ** order * p) / np.sum(p))
+
+
 def test_coherent_mean_photon():
     for alpha in (0.7, 1.3 + 0.4j, 2.5):
         vec = coherent(alpha, 64)
         a2 = abs(alpha) ** 2
-        assert abs(vec.moment(1) - a2) < 1e-10
-        assert abs(vec.moment(2) - (a2 * a2 + a2)) < 1e-10
+        assert abs(single_mode_moment(vec, 1) - a2) < 1e-10
+        assert abs(single_mode_moment(vec, 2) - (a2 * a2 + a2)) < 1e-10
 
 
 def test_coherent_complex_phase():
@@ -223,7 +229,7 @@ def test_cat_mean_photon_two_routes():
     z = fsum(w for _, w in weights)
     mean_series = fsum(n * w for n, w in weights) / z
     cat = cat_state(CatSpec(N, alpha), 48)
-    assert cat.moment(1) == pytest.approx(mean_series, abs=1e-10)
+    assert single_mode_moment(cat, 1) == pytest.approx(mean_series, abs=1e-10)
 
 
 def test_cat_is_nth_order_annihilation_eigenstate():

@@ -105,8 +105,6 @@ def test_phase_average_idempotent(state, t):
         assert max_diff(phase_average(once), once) < 1e-12
 
 
-# the double-sum value is gap safe, so degenerate drawn spectra need no warning
-@pytest.mark.filterwarnings("ignore::catqfi.qfi.DegenerateSpectrumWarning")
 @given(pure_states, transmissions, st.sampled_from(("n_b", "half_difference")))
 def test_block_qfi_matches_dense_qfi(state, t, generator):
     for s in (loss_channel(phase_average(state), LossSpec(t)), loss_channel(state, LossSpec(t))):
@@ -194,7 +192,6 @@ def block_count(s: SpectralState) -> int:
     return sum(len(blocks.na) for blocks in s.stacks)
 
 
-@pytest.mark.filterwarnings("ignore::catqfi.qfi.DegenerateSpectrumWarning")
 @given(st.one_of(table_points().filter(lambda p: p[0].transmission < 1.0), lossy_cat4_points()))
 def test_sector_floor_moves_no_resolved_qfi(point):
     curve, alpha = point

@@ -25,7 +25,7 @@ from catqfi.fock import (
     phase_shift,
     product_state,
 )
-from catqfi.qfi import DegenerateSpectrumWarning, qfi_mixed, qfi_pure
+from catqfi.qfi import qfi_mixed, qfi_pure
 from noon_basis import noon_mixture_to_spectral, qfi_noon_mixture
 
 RNG = np.random.default_rng(11)
@@ -34,12 +34,6 @@ RNG = np.random.default_rng(11)
 def rotated(s: SpectralState, phi: float) -> SpectralState:
     """e^{i phi n_b} applied to every eigenvector of a block-form state."""
     return SpectralState(s.n_max, tuple(replace(st, vecs=st.vecs * np.exp(1j * phi * st.nb)[:, :, None]) for st in s.stacks))
-
-
-def quiet_qfi_mixed(s, generator="n_b"):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrumWarning)
-        return qfi_mixed(s, generator)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +75,10 @@ def test_qfi_pure_rejects_unknown_config():
 def test_qfi_mixed_rank_one_reduces_to_pure():
     state = extended_entangled_state(2, 0.9)
     wrapped = from_pure(state)
-    assert quiet_qfi_mixed(wrapped, "n_b") == pytest.approx(
+    assert qfi_mixed(wrapped, "n_b") == pytest.approx(
         qfi_pure(state, "n_b"), abs=1e-10
     )
-    assert quiet_qfi_mixed(wrapped, "half_difference") == pytest.approx(
+    assert qfi_mixed(wrapped, "half_difference") == pytest.approx(
         qfi_pure(state, "half_difference"), abs=1e-10
     )
 
@@ -94,7 +88,7 @@ def test_qfi_mixed_pa_ecs_eq16():
     expected = a * (1 + a) / (1 + exp(-a))
     assert expected == pytest.approx(1.4621171572600098, abs=1e-14)
     state = phase_average(extended_entangled_state(1, 1.0))
-    assert quiet_qfi_mixed(state, "n_b") == pytest.approx(expected, rel=1e-8)
+    assert qfi_mixed(state, "n_b") == pytest.approx(expected, rel=1e-8)
 
 
 def test_qfi_mixed_pa_modified_eq14():
@@ -102,7 +96,7 @@ def test_qfi_mixed_pa_modified_eq14():
     expected = a * (1 + a + (a - 1) * exp(-2 * a)) / (1 + exp(-a)) ** 2
     assert expected == pytest.approx(1.068893290777046, abs=1e-14)
     state = phase_average(extended_entangled_state(2, 1.0))
-    assert quiet_qfi_mixed(state, "n_b") == pytest.approx(expected, rel=1e-8)
+    assert qfi_mixed(state, "n_b") == pytest.approx(expected, rel=1e-8)
 
 
 def test_phase_reference_identity_across_families():
@@ -113,8 +107,8 @@ def test_phase_reference_identity_across_families():
             state = extended_entangled_state(n_comp, alpha)
             f_q2 = qfi_pure(state, "half_difference")
             pa = phase_average(state)
-            assert quiet_qfi_mixed(pa, "n_b") == pytest.approx(f_q2, rel=1e-8)
-            assert quiet_qfi_mixed(pa, "half_difference") == pytest.approx(f_q2, rel=1e-8)
+            assert qfi_mixed(pa, "n_b") == pytest.approx(f_q2, rel=1e-8)
+            assert qfi_mixed(pa, "half_difference") == pytest.approx(f_q2, rel=1e-8)
 
 
 def test_qfi_invariant_under_evaluation_point():
@@ -123,15 +117,15 @@ def test_qfi_invariant_under_evaluation_point():
         qfi_pure(state, "n_b"), rel=1e-8
     )
     pa = phase_average(state)
-    assert quiet_qfi_mixed(rotated(pa, 0.7), "n_b") == pytest.approx(
-        quiet_qfi_mixed(pa, "n_b"), rel=1e-8
+    assert qfi_mixed(rotated(pa, 0.7), "n_b") == pytest.approx(
+        qfi_mixed(pa, "n_b"), rel=1e-8
     )
 
 
 def test_qfi_lossy_state_invariant_under_evaluation_point():
     lossy = loss_channel(phase_average(extended_entangled_state(2, 1.0)), LossSpec(0.9))
-    assert quiet_qfi_mixed(rotated(lossy, 0.7), "n_b") == pytest.approx(
-        quiet_qfi_mixed(lossy, "n_b"), rel=1e-8
+    assert qfi_mixed(rotated(lossy, 0.7), "n_b") == pytest.approx(
+        qfi_mixed(lossy, "n_b"), rel=1e-8
     )
 
 
@@ -166,19 +160,17 @@ def test_qfi_mixed_ignores_the_basis_of_a_degenerate_eigenspace(generator):
 
 
 def test_degenerate_weights_in_different_blocks_do_not_warn():
-    # the gap test is per block: n_b never couples two blocks, so equal
-    # weights in separate blocks leave every eigenvector derivative defined
     split = SpectralState(8, (BlockStack(np.array([[1], [2]]), np.array([[0], [0]]), np.full((2, 1), 0.5), np.ones((2, 1, 1))),))
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DegenerateSpectrumWarning)
+        warnings.simplefilter("error")
         assert qfi_mixed(split, "n_b") == 0.0
 
 
 def test_qfi_mixed_is_the_sum_of_block_qfis():
     lossy = loss_channel(phase_average(extended_entangled_state(4, 1.3)), LossSpec(0.85))
     assert len(lossy.stacks) > 1
-    parts = [quiet_qfi_mixed(SpectralState(lossy.n_max, (st,)), "n_b") for st in lossy.stacks]
-    assert sum(parts) == pytest.approx(quiet_qfi_mixed(lossy, "n_b"), rel=1e-13)
+    parts = [qfi_mixed(SpectralState(lossy.n_max, (st,)), "n_b") for st in lossy.stacks]
+    assert sum(parts) == pytest.approx(qfi_mixed(lossy, "n_b"), rel=1e-13)
 
 
 def test_qfi_mixed_pads_stacks_of_every_shape():
@@ -189,7 +181,7 @@ def test_qfi_mixed_pads_stacks_of_every_shape():
     shapes = {st.vecs.shape[1:] for st in batch.stacks}
     assert len({m for m, _ in shapes}) > 2 and len({r for _, r in shapes}) > 2
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DegenerateSpectrumWarning)
+        warnings.simplefilter("error")
         together = qfi_mixed(batch, "n_b")
         for p, state in enumerate(states):
             alone = qfi_mixed(loss_channel(phase_average(state), LossSpec(0.9)), "n_b")
@@ -228,7 +220,7 @@ def test_qfi_noon_reduction_agrees_with_qfi_mixed():
         mix = NoonMixture(rows=tuple(rows))
         spectral = noon_mixture_to_spectral(mix, n_max=16, phi=phi)
         assert qfi_noon_mixture(mix) == pytest.approx(
-            quiet_qfi_mixed(spectral, "n_b"), rel=1e-8
+            qfi_mixed(spectral, "n_b"), rel=1e-8
         )
 
 
@@ -243,4 +235,4 @@ def test_lossy_pipeline_equals_fast_path():
     state = extended_entangled_state(1, 1.0)
     lossy = loss_channel(phase_average(state), LossSpec(0.9))
     mix = cf.lossy_noon_mixture(1, 1.0, LossSpec(0.9), n_cut=state.n_max)
-    assert quiet_qfi_mixed(lossy, "n_b") == pytest.approx(qfi_noon_mixture(mix), rel=1e-8)
+    assert qfi_mixed(lossy, "n_b") == pytest.approx(qfi_noon_mixture(mix), rel=1e-8)
