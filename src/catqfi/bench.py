@@ -109,15 +109,18 @@ def _coherent_pair(curve, alpha, n_max):
 
 def _cat4_state(curve, alpha, n_max):
     """|C_4(alpha/sqrt2)>|beta/sqrt2> after the 50:50 beam splitter, sum_k |(alpha i^k + beta)/2>|(beta - alpha i^k)/2>:
-    no amplitude passes sqrt((alpha^2 + beta^2)/2), so each coherent factor's tail check covers the truncation."""
+    no amplitude passes sqrt((alpha^2 + beta^2)/2), so each coherent factor's tail check covers the truncation.
+
+    A real grid: for real alpha and beta the heads come in conjugate pairs, whose imaginary parts
+    cancel to exactly 0, so the phase average, the loss and the QFI run in real arithmetic."""
     beta = curve.beta_ratio * alpha
     if n_max is None:
         n_max = default_cutoff(sqrt((alpha * alpha + beta * beta) / 2))
-    amps = sum(
-        np.outer(coherent((alpha * ik + beta) / 2, n_max).amps, coherent((beta - alpha * ik) / 2, n_max).amps)
-        for ik in (1, 1j, -1, -1j)
-    )
-    return TwoModeState(amps).normalize()
+    heads = [coherent((alpha * ik + beta) / 2, n_max).amps for ik in (1, 1j, -1, -1j)]
+    # mode b of head k is (beta - alpha i^k)/2 = (alpha i^(k+2) + beta)/2, the same number as mode a of head k + 2
+    amps = sum(np.outer(heads[k], heads[(k + 2) % 4]) for k in range(4))
+    # normalized as the complex grid, since a complex division rounds apart from a real one
+    return TwoModeState(TwoModeState(amps).normalize().amps.real.copy())
 
 
 def _extended_state(curve, alpha, n_max):

@@ -25,8 +25,8 @@ test suite cross-checks them:
 
 * sector blocks: every block lies in one sector (any `phase_average`
   output, a noon state).  Blocks holding at most `SECTOR_FLOOR` of their
-  point's trace are dropped first, so a cat4 point at n_max 32 (alpha
-  0.6-1.3) keeps 21-32 of its 65 sectors; no resolved QFI moves.  An
+  point's trace are left out of the scatter, so a cat4 point at n_max 32
+  (alpha 0.6-1.3) keeps 21-32 of its 65 sectors; no resolved QFI moves.  An
   element <x, y|rho|x', y'> (x + y = x' + y') goes to (u_a, u_b) =
   (min(x, x'), min(y, y')) of the plane of its offset d = x - x' = y' - y.
   The d < 0 planes are the conjugates of the d > 0 ones, so only d >= 0 is
@@ -35,12 +35,18 @@ test suite cross-checks them:
   with the real upper-triangular `_loss_matrix` of d, and a box of the
   (0, 0) corner alone, most of a noon-span state, takes a scale factor.
   The d = 0 plane is then the joint photon-number distribution: its
-  positive entries are the output supports, on which each output sector
-  is gathered and diagonalized, in batches of equal support size.  The
-  planes, O(n_max^3) per point, and the input blocks' densities are each
-  refused above `fock.LOSS_LINE_BYTES` before any density is formed.  The
-  sweeps, `verify` and the CLI take this route; `phase_average` of a mixed
-  state is the same scatter and gather.
+  positive entries are the output supports, one block per output sector.
+  A block at least `RANK_WIDTH` wide is factored by rank: a pivoted
+  Cholesky gathers one column of it a step from the planes until the
+  residual falls to `BLOCK_FLOOR`, and a thin SVD of the m x r factor gives
+  its eigenpairs, so a block of rank r costs O(m r) memory instead of
+  O(m^2), and O(m r^2) time instead of O(m^3) (a cat4 block has rank <= 4,
+  one per head).  The narrower blocks, and those of rank above both m / 2
+  and `RANK_WIDTH`, are gathered whole and diagonalized in batches of equal
+  support size.  The planes, O(n_max^3) per point, and the input blocks'
+  densities are each refused above `fock.LOSS_LINE_BYTES` before any
+  density is formed.  The sweeps, `verify` and the CLI take this route;
+  `phase_average` of a mixed state is the same scatter and gather.
 * dense: the full operator sum over the cells the Kraus branches touch and
   one eigendecomposition, returned as one block.  It serves one state that
   was not phase averaged (random or pure states, loss applied before
@@ -77,6 +83,13 @@ BLOCK_FLOOR = 1e-14
 # Either way |dF| < 1e-24, below 1e-12 bench.QFI_RESOLUTION, so only points
 # whose whole QFI is dust can change (they may read 0).
 SECTOR_FLOOR = 1e-35
+
+# sector blocks at least this wide are factored by rank (`_factor_by_rank`), in
+# at most half their width of steps or this many, since a few steps on a small
+# block cost less than an eigh call of its own; narrower blocks, every block of
+# a noon-span state among them, and those that need more steps are
+# diagonalized whole
+RANK_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -166,9 +179,10 @@ class SpectralState:
                            np.concatenate([st.weights.sum(axis=1) for st in self.stacks]), self.points)
 
 
-def _block_densities(st: BlockStack) -> np.ndarray:
-    """rho of every block of a stack on its support: (B, m, m)."""
-    return (st.vecs * st.weights[:, None, :]) @ np.conj(st.vecs).transpose(0, 2, 1)
+def _block_densities(st: BlockStack, keep: np.ndarray | None = None) -> np.ndarray:
+    """rho of the blocks of a stack that keep (B,) marks (all when None), on their support: (kept, m, m)."""
+    vecs, weights = (st.vecs, st.weights) if keep is None or keep.all() else (st.vecs[keep], st.weights[keep])
+    return (vecs * weights[:, None, :]) @ vecs.conj().transpose(0, 2, 1)  # conj() of a real array is itself
 
 
 def from_pure(s: TwoModeState) -> SpectralState:
@@ -187,7 +201,7 @@ def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> S
     may differ in cutoff, is averaged as one batch with a point per state.
     """
     if isinstance(s, SpectralState):
-        return _sector_blocks(_planes(s.stacks, s.n_max, s.points))
+        return _sector_blocks(_planes(s))
     batch = [s] if isinstance(s, TwoModeState) else list(s)
     n_max = max(st.n_max for st in batch)
     n_sec = 2 * n_max + 1
@@ -199,18 +213,20 @@ def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> S
     nb = np.concatenate([nb for _, nb in cells])
     amps = np.concatenate([st.amps[c] for st, c in zip(batch, cells)])
     sec = point * n_sec + na + nb  # sector (point, n)
-    order = np.lexsort((na, sec))
+    m_of = np.bincount(sec)
+    order = np.lexsort((na, sec, m_of[sec]))  # each support size's cells in one run
     na, nb, sec, amps = na[order], nb[order], sec[order], amps[order]
     weights = np.bincount(sec, np.abs(amps) ** 2)
-    m_of = np.bincount(sec)
-    stacks = []
-    for m in np.flatnonzero(np.bincount(m_of)[1:]) + 1:  # the support sizes (np.unique imports numpy.ma)
-        in_m = m_of[sec] == m
-        ka, kb = na[in_m].reshape(-1, m), nb[in_m].reshape(-1, m)
-        block_sec = sec[in_m][::m]
+    sizes = np.bincount(m_of)
+    stacks, lo = [], 0
+    for m in (np.flatnonzero(sizes[1:]) + 1).tolist():  # the support sizes (np.unique imports numpy.ma)
+        hi = lo + m * int(sizes[m])
+        ka, kb = na[lo:hi].reshape(-1, m), nb[lo:hi].reshape(-1, m)
+        block_sec = sec[lo:hi:m]
         w = weights[block_sec]
-        vecs = amps[in_m].reshape(-1, m) / np.sqrt(w)[:, None]
+        vecs = amps[lo:hi].reshape(-1, m) / np.sqrt(w)[:, None]
         stacks.append(BlockStack(ka, kb, w[:, None], vecs[:, :, None], block_sec // n_sec))
+        lo = hi
     return SpectralState(n_max, tuple(stacks), len(batch))
 
 
@@ -229,18 +245,27 @@ def _passes(elements: np.ndarray) -> list:
     return list(zip([0, *cuts], [*cuts, len(elements)])) if len(elements) else []
 
 
+def _end_to_end(sizes: np.ndarray):
+    """(item, offset) of every element of items of the given sizes laid end to end."""
+    item = np.repeat(np.arange(sizes.size), sizes)
+    return item, np.arange(item.size) - (np.cumsum(sizes) - sizes)[item]
+
+
 def _block_pairs(m: np.ndarray):
     """(block, i, j) of every element of (m, m) blocks laid end to end."""
-    block = np.repeat(np.arange(m.size), m * m)
-    return (block, *np.divmod(np.arange(block.size) - (np.cumsum(m * m) - m * m)[block], m[block]))
+    block, at = _end_to_end(m * m)
+    return (block, *np.divmod(at, m[block]))
 
 
-def _lower_pairs(stacks):
-    """(at, d, u_a, u_b, point) of the elements <x, y|rho|x', y'> of the stacks' densities, x + y = x' + y'
-    and d = x - x' >= 0; at indexes the (B, m, m) densities raveled and laid end to end."""
+def _lower_pairs(stacks, keep: np.ndarray):
+    """(at, d, u_a, u_b, point) of the elements <x, y|rho|x', y'> of the densities of the blocks that keep
+    marks (a mask over the stacks' blocks laid end to end), x + y = x' + y' and d = x - x' >= 0; at indexes
+    the kept blocks' (B, m, m) densities raveled and laid end to end."""
     m = np.repeat([st.na.shape[1] for st in stacks], [len(st.na) for st in stacks])
-    na = np.concatenate([st.na.ravel() for st in stacks])
-    nb = np.concatenate([st.nb.ravel() for st in stacks])
+    cells = np.repeat(keep, m)
+    na = np.concatenate([st.na.ravel() for st in stacks])[cells]
+    nb = np.concatenate([st.nb.ravel() for st in stacks])[cells]
+    m, point = m[keep], np.concatenate([st.point for st in stacks])[keep]
     block = np.repeat(np.arange(m.size), m)  # of each cell
     # the cells grouped by block and sector, so that only pairs in one sector are formed
     key = block * (na.max(initial=0) + nb.max(initial=0) + 1) + na + nb
@@ -248,11 +273,11 @@ def _lower_pairs(stacks):
     first = np.flatnonzero(np.diff(key[order], prepend=-1))
     group, i, j = _block_pairs(np.diff(np.append(first, order.size)))
     ket, bra = order[first[group] + i], order[first[group] + j]
-    keep = np.flatnonzero(na[ket] >= na[bra])
-    ket, bra = ket[keep], bra[keep]
+    lower = np.flatnonzero(na[ket] >= na[bra])
+    ket, bra = ket[lower], bra[lower]
     b, cell0 = block[ket], (np.cumsum(m) - m)[block[ket]]
     at = (np.cumsum(m * m) - m * m)[b] + (ket - cell0) * m[b] + bra - cell0
-    return at, na[ket] - na[bra], na[bra], nb[ket], np.concatenate([st.point for st in stacks])[b]
+    return at, na[ket] - na[bra], na[bra], nb[ket], point[b]
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,21 +297,28 @@ class _Planes:
         return self.buf[self.start[d] : self.start[d] + a * self.points * b].reshape(a, self.points, b)
 
 
-def _planes(stacks, n_max: int, points: int) -> _Planes:
-    """The offset planes of the blocks' sector-diagonal elements, in the blocks' dtype.
+def _planes(s: SpectralState, keep: np.ndarray | None = None) -> _Planes:
+    """The offset planes of the sector-diagonal elements of the blocks of s that keep marks (a mask over
+    its blocks laid end to end; all when None), in the blocks' dtype.
 
     Densities and planes past `fock.LOSS_LINE_BYTES` are refused before any
-    density is formed; the boxes are counted from the blocks' supports.
+    density is formed; the boxes are counted from the kept blocks' supports.
     """
-    elements = sum(st.na.size * st.na.shape[1] for st in stacks)
-    if 16 * elements > LOSS_LINE_BYTES:
-        rows, width = sum(st.na.size for st in stacks), max(st.na.shape[1] for st in stacks)
-        raise CutoffError(f"expanding the sector blocks needs {16 * elements:,} bytes for {rows} lines of up"
-                          f" to {width} elements, above the line budget of {LOSS_LINE_BYTES:,} bytes")
-    runs = _passes(np.array([st.na.size * st.na.shape[1] for st in stacks], dtype=int))
+    stacks, n_max, points = s.stacks, s.n_max, s.points
+    bounds = np.cumsum([0, *(len(st.na) for st in stacks)])  # each stack's blocks are keep[bounds[i]:bounds[i + 1]]
+    if keep is None:
+        keep = np.ones(bounds[-1], dtype=bool)
+    kept = np.diff(np.cumsum(np.append(0, keep))[bounds])  # kept blocks per stack
+    width = np.array([st.na.shape[1] for st in stacks], dtype=int)
+    elements = kept * width * width
+    if 16 * elements.sum() > LOSS_LINE_BYTES:
+        raise CutoffError(f"expanding the sector blocks needs {16 * elements.sum():,} bytes for {kept @ width} lines"
+                          f" of up to {width[kept > 0].max()} elements, above the line budget"
+                          f" of {LOSS_LINE_BYTES:,} bytes")
+    runs = [(lo, hi) for lo, hi in _passes(elements) if elements[lo:hi].any()]
     rows, cols = np.zeros(n_max + 1, dtype=int), np.zeros(n_max + 1, dtype=int)
     for lo, hi in runs:
-        pairs = _lower_pairs(stacks[lo:hi])
+        pairs = _lower_pairs(stacks[lo:hi], keep[bounds[lo] : bounds[hi]])
         np.maximum.at(rows, pairs[1], pairs[2] + 1)
         np.maximum.at(cols, pairs[1], pairs[3] + 1)
     dtype = np.result_type(float, *(st.vecs for st in stacks))
@@ -299,45 +331,141 @@ def _planes(stacks, n_max: int, points: int) -> _Planes:
     start = np.cumsum(cells) - cells
     buf = np.zeros(int(cells.sum()) + 1, dtype=dtype)
     for lo, hi in runs:  # a single pass keeps its pairs from the count
-        at, d, u_a, u_b, point = pairs if len(runs) == 1 else _lower_pairs(stacks[lo:hi])
-        rho = [_block_densities(st).ravel() for st in stacks[lo:hi]]
+        if len(runs) > 1:
+            pairs = _lower_pairs(stacks[lo:hi], keep[bounds[lo] : bounds[hi]])
+        at, d, u_a, u_b, point = pairs
+        rho = [_block_densities(stacks[i], keep[bounds[i] : bounds[i + 1]]).ravel() for i in range(lo, hi) if kept[i]]
         rho = rho[0] if len(rho) == 1 else np.concatenate(rho)  # a dense block is not copied
         buf[start[d] + (u_a * points + point) * cols[d] + u_b] = rho[at]
     return _Planes(n_max, points, rows, cols, start, buf)
 
 
+def _stored(planes: _Planes, ki: np.ndarray, kj: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The planes' element of each cell pair (|ki, n - ki>, |kj, n - kj>) of point p as stored:
+    <ki, n - ki|rho|kj, n - kj> where ki >= kj, its conjugate where ki < kj, and 0 outside every box."""
+    u_a, top = np.minimum(ki, kj), np.maximum(ki, kj)
+    d, u_b = top - u_a, n - top
+    width = planes.cols[d]
+    at = planes.start[d] + (u_a * planes.points + p) * width + u_b
+    at[(u_a >= planes.rows[d]) | (u_b >= width)] = planes.buf.size - 1
+    return planes.buf[at]
+
+
+def _factor_by_rank(planes: _Planes, k: np.ndarray, diag: np.ndarray, first: np.ndarray, m: np.ndarray,
+                    n: np.ndarray, p: np.ndarray, floor: np.ndarray):
+    """Eigenpairs of sector blocks from a pivoted Cholesky rho = L L^H that never forms a block whole.
+
+    Block b of the arrays first, m, n, p and floor (sorted by width m) lies on the cells (k, n[b] - k)
+    of point p[b] for k in k[first[b] : first[b] + m[b]], their diagonal diag[first[b] : first[b] + m[b]].
+    Each step adds one column to every block's L: rho's column at the cell of largest residual
+    diagonal, gathered from the planes, less the earlier columns' share.  A block stops once its
+    residual diagonal sums to at most its floor, or after max(m // 2, RANK_WIDTH) steps.  The thin
+    SVD L = U S W^H then gives rho's eigenvalues S^2 and eigenvectors U.  The blocks lie end to end
+    and every step is elementwise or per block, and each factor is padded only to a shape set by
+    its own m and r, so no block's result depends on the rest of the batch.
+
+    Returns the stacks of the blocks that stopped on their floor, their eigenvalues at or below it
+    dropped, and a mask of those blocks.
+    """
+    head = np.cumsum(m) - m  # each block's first cell, laid end to end
+    seg, cell = _end_to_end(m)  # the block of each cell and its place in it
+    kc, nc, pc, resid = k[first[seg] + cell], n[seg], p[seg], diag[first[seg] + cell]
+    steps, cap = np.zeros(m.size, dtype=int), np.maximum(m // 2, RANK_WIDTH)
+    cols = np.zeros((8, seg.size), dtype=planes.buf.dtype)  # L^T, a row per step
+    t = 0  # every block still going has taken t steps
+    while True:
+        left = np.add.reduceat(resid, head)
+        going = (left > floor) & (steps < cap)
+        if not going.any():
+            break
+        hit = np.flatnonzero(resid == np.maximum.reduceat(resid, head)[seg])
+        pivot = hit[np.searchsorted(hit, head)]  # each block's first cell of largest residual
+        kj = kc[pivot][seg]
+        rho_j = _stored(planes, kc, kj, nc, pc)
+        if cols.dtype.kind == "c":
+            rho_j = np.where(kc < kj, rho_j.conj(), rho_j)
+        if t:
+            rho_j -= (cols[:t] * cols[:t, pivot].conj()[:, seg]).sum(axis=0)
+        if t == len(cols):
+            cols = np.concatenate((cols, np.zeros_like(cols)))
+        # a block that stopped takes a zero column
+        l_j = np.multiply(rho_j, (going / np.sqrt(np.where(going, resid[pivot], 1.0)))[seg], out=cols[t])
+        resid -= (l_j * l_j.conj()).real
+        resid[pivot[going]] = 0.0
+        steps += going
+        t += 1
+    done = left <= floor
+    fin = np.flatnonzero(done)
+    if not fin.size:
+        return [], done
+    # the finished blocks by the shape of their factor, padded with zeros to the power of 2 at or above m
+    # and the multiple of 8 at or above r, which no other block sets; each block's rows lie end to end in
+    # `factor` and `cells`
+    height, width = 2 ** np.frexp(m[fin] - 1)[1], -(-steps[fin] // 8) * 8
+    order = np.lexsort((width, height))
+    fin, height, width, w = fin[order], height[order], width[order], m[fin[order]]
+    top = np.cumsum(height) - height
+    block, offset = _end_to_end(w)
+    row, at = top[block] + offset, head[fin][block] + offset
+    factor, cells = np.zeros((height.sum(), width.max()), dtype=cols.dtype), np.zeros(height.sum(), dtype=kc.dtype)
+    factor[row], cells[row] = cols[: width.max(), at].T, kc[at]
+    starts = np.flatnonzero(np.diff(height, prepend=0) | np.diff(width, prepend=0)).tolist()  # of each shape
+    ends = [*starts[1:], fin.size]
+    group = np.repeat(np.arange(len(starts)), np.subtract(ends, starts))
+    vals, vecs = np.zeros((fin.size, width.max())), []
+    for g0, g1 in zip(starts, ends):
+        h, r = int(height[g0]), int(width[g0])
+        u, sv, _ = np.linalg.svd(factor[top[g0] : top[g0] + (g1 - g0) * h].reshape(g1 - g0, h, -1)[:, :, :r],
+                                 full_matrices=False)
+        vals[g0:g1, : sv.shape[1]] = sv * sv  # h of them where h < r
+        vecs.append(u)
+    # svd sorts descending, so the kept eigenvalues lead; a stack takes each run of equal shape, m and rank
+    rank = (vals > floor[fin, None]).sum(axis=1)
+    cut = np.flatnonzero((group[1:] != group[:-1]) | (w[1:] != w[:-1]) | (rank[1:] != rank[:-1])) + 1
+    nf, pf, stacks = n[fin, None], p[fin], []
+    for a, b in zip([0, *cut.tolist()], [*cut.tolist(), fin.size]):
+        g, h, wa, q = int(group[a]), int(height[a]), int(w[a]), int(rank[a])
+        ks = cells[top[a] : top[a] + (b - a) * h].reshape(b - a, h)[:, :wa]
+        u = vecs[g][a - starts[g] : b - starts[g], :wa, :q]
+        stacks.append(BlockStack(ks, nf[a:b] - ks, vals[a:b, :q], u, pf[a:b]))
+    return stacks, done
+
+
 def _sector_blocks(planes: _Planes) -> SpectralState:
-    """The block form of the planes' density: one block per sector, on its cells of positive diagonal,
-    gathered laid end to end by support size and diagonalized in batches of equal size."""
-    rows, cols, start, buf, points = planes.rows, planes.cols, planes.start, planes.buf, planes.points
+    """The block form of the planes' density: one block per sector, on its cells of positive diagonal.
+
+    Blocks at least `RANK_WIDTH` wide are first factored by rank (`_factor_by_rank`); the rest are
+    gathered whole, laid end to end by support size and diagonalized in batches of equal size.
+    """
     size, n_sec = planes.n_max + 1, 2 * planes.n_max + 1
     diag = planes.box(0).real  # the joint photon-number distribution
     x, p, y = np.nonzero(diag > 0)
     key = (p * n_sec + x + y) * size + x
     order = np.argsort(key)
-    sec, k = key[order] // size, x[order]
+    sec, k, weight = key[order] // size, x[order], diag[x, p, y][order]
     first = np.flatnonzero(np.diff(sec, prepend=-1))  # each sector's first cell
     m_of = np.diff(np.append(first, sec.size))
-    trace = np.add.reduceat(diag[x, p, y][order], first)
+    trace = np.add.reduceat(weight, first)
     p_of, n_of = np.divmod(sec[first], n_sec)
-    by_m = np.argsort(m_of, kind="stable")
-    stacks = []
+    stacks, rest = [], np.arange(first.size)
+    wide = np.flatnonzero(m_of >= RANK_WIDTH)
+    if wide.size:
+        wide = wide[np.argsort(m_of[wide], kind="stable")]  # equal widths side by side, to share a stack
+        stacks, factored = _factor_by_rank(planes, k, weight, first[wide], m_of[wide], n_of[wide], p_of[wide],
+                                           BLOCK_FLOOR * trace[wide])
+        rest = np.delete(rest, wide[factored])
+    by_m = rest[np.argsort(m_of[rest], kind="stable")]
     for lo, hi in _passes(m_of[by_m] ** 2):
         sel = by_m[lo:hi]
         m, n, p, floor = m_of[sel], n_of[sel], p_of[sel], BLOCK_FLOOR * trace[sel]
         block, i, j = _block_pairs(m)
         ki, kj = k[first[sel][block] + i], k[first[sel][block] + j]
-        u_a, top = np.minimum(ki, kj), np.maximum(ki, kj)
-        d, u_b = top - u_a, n[block] - top
-        width = cols[d]
-        at = start[d] + (u_a * points + p[block]) * width + u_b
-        at[(u_a >= rows[d]) | (u_b >= width)] = buf.size - 1
-        values = buf[at]
+        values = _stored(planes, ki, kj, n[block], p[block])
         groups = [0, *(np.flatnonzero(m[1:] != m[:-1]) + 1).tolist(), sel.size]  # runs of equal support size
         ends = [0, *np.cumsum(m * m).tolist()]
         for g0, g1 in zip(groups[:-1], groups[1:]):
             w = int(m[g0])
-            # eigh reads the lower triangle, the d >= 0 elements; the upper holds them unconjugated
+            # eigh reads the lower triangle, the d >= 0 elements; the upper holds their conjugates
             vals, vecs = np.linalg.eigh(values[ends[g0] : ends[g1]].reshape(-1, w, w), UPLO="L")
             ks = ki[ends[g0] : ends[g1]].reshape(-1, w, w)[:, :, 0]
             # eigh sorts ascending, so the kept eigenvalues are each block's largest
@@ -346,7 +474,7 @@ def _sector_blocks(planes: _Planes) -> SpectralState:
                 keep = rank == r
                 stacks.append(BlockStack(ks[keep], n[g0:g1][keep, None] - ks[keep], vals[keep, w - r :],
                                          vecs[keep, :, w - r :], p[g0:g1][keep]))
-    return SpectralState(planes.n_max, tuple(stacks), points)
+    return SpectralState(planes.n_max, tuple(stacks), planes.points)
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +512,13 @@ def _loss_matrix(coef: np.ndarray, d: int) -> np.ndarray:
     return flat[: width * width].reshape(width, width)
 
 
-def _weighty_stacks(s: SpectralState) -> tuple:
-    """The stacks of s without the blocks whose trace is at most `SECTOR_FLOOR` of their point's.
-
-    Stacks that lose no block are passed on as they are.
-    """
-    floor = SECTOR_FLOOR * s.point_traces()
-    stacks = []
-    for st in s.stacks:
-        keep = st.weights.sum(axis=1) > floor[st.point]
-        if keep.all():
-            stacks.append(st)
-        elif keep.any():
-            stacks.append(BlockStack(st.na[keep], st.nb[keep], st.weights[keep], st.vecs[keep], st.point[keep]))
-    return tuple(stacks)
+def _weighty(s: SpectralState) -> np.ndarray:
+    """A mask over the blocks of s laid end to end: those whose trace passes `SECTOR_FLOOR` of their point's."""
+    if not s.stacks:
+        return np.zeros(0, dtype=bool)
+    point = np.concatenate([st.point for st in s.stacks])
+    trace = np.concatenate([st.weights.sum(axis=1) for st in s.stacks])
+    return trace > SECTOR_FLOOR * np.bincount(point, trace, s.points)[point]  # as point_traces() sums them
 
 
 def _loss_sectors(s: SpectralState, coef: np.ndarray) -> SpectralState:
@@ -407,7 +528,7 @@ def _loss_sectors(s: SpectralState, coef: np.ndarray) -> SpectralState:
     point's output depends on the rest of the batch.  A box of the (0, 0)
     corner alone takes the j = 0 factor coef[0, d]^2.
     """
-    planes = _planes(_weighty_stacks(s), s.n_max, s.points)
+    planes = _planes(s, _weighty(s))
     rows, cols = planes.rows, planes.cols
     corner = np.flatnonzero((rows == 1) & (cols == 1))
     planes.buf[planes.start[corner, None] + np.arange(s.points)] *= coef[0, corner, None] ** 2
@@ -453,6 +574,19 @@ def _loss_dense(s: SpectralState, coef: np.ndarray) -> SpectralState:
     return SpectralState(n_max, (BlockStack(na[None], nb[None], vals[None, keep], vecs[None][:, :, keep]),))
 
 
+def _sector_diagonal(s: SpectralState) -> bool:
+    """Whether every block of s has cells and lies in one sector (`BlockStack.sectors` of each stack is not
+    None), tested over the stacks laid end to end rather than stack by stack."""
+    widths = [st.na.shape[1] for st in s.stacks]
+    if 0 in widths:
+        return False
+    if not widths:
+        return True
+    n = np.concatenate([st.na.ravel() for st in s.stacks]) + np.concatenate([st.nb.ravel() for st in s.stacks])
+    m = np.repeat(widths, [len(st.na) for st in s.stacks])
+    return bool((n == np.repeat(n[np.cumsum(m) - m], m)).all())
+
+
 def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralState:
     """Equal photon loss on both modes, returned in block form.
 
@@ -462,7 +596,7 @@ def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralSta
     spec = from_pure(s) if isinstance(s, TwoModeState) else s
     t = loss.transmission
     coef = _loss_coeff_table(spec.n_max, t)
-    if all(st.sectors is not None for st in spec.stacks):
+    if _sector_diagonal(spec):
         out = _loss_sectors(spec, coef)
     else:
         out = _loss_dense(spec, coef)

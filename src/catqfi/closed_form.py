@@ -159,8 +159,10 @@ def pa_qfi(n_components: int, alpha: float, transmission: float = 1.0) -> float:
     F = K2(x)/(1 + K0(x)).
     """
     x = alpha * alpha
+    k0, _, k2, e = _cat_series(n_components, x)
+    if transmission == 1.0:  # K2(x T) is the same series, and K0(x R) = 1
+        return k2 / (ldexp(1.0, -e) + k0)
     _, _, k2_t, e_t = _cat_series(n_components, x * transmission)
-    k0, _, _, e = _cat_series(n_components, x)
     k0_r, _, _, e_r = _cat_series(n_components, x * (1.0 - transmission))
     # f in [0.5, 1), so f / K0(x R) stays normal and only the last ldexp rounds
     f, p = frexp(k2_t / (ldexp(1.0, -e) + k0))

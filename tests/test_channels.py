@@ -7,7 +7,7 @@ from math import exp, pi, sqrt
 import numpy as np
 import pytest
 
-from catqfi import channels
+from catqfi import bench, channels
 from catqfi import closed_form as cf
 from catqfi.channels import (
     BlockStack,
@@ -173,6 +173,10 @@ def test_photon_sector_of_vectors():
     assert stack((1, 0), (0, 2)).sectors is None
     two = BlockStack(np.array([[0, 1], [0, 3]]), np.array([[1, 0], [3, 0]]), np.ones((2, 1)), np.ones((2, 2, 1)))
     assert two.sectors.tolist() == [1, 3]
+    # loss takes the sector route when every stack has sectors, a test made over all stacks at once
+    for stacks in [(), (two,), (two, stack((0, 0))), (two, stack((1, 0), (0, 2))), (stack(), two)]:
+        state = SpectralState(4, stacks)
+        assert channels._sector_diagonal(state) == all(st.sectors is not None for st in stacks)
 
 
 def test_loss_sector_blocks_keep_trace_and_sectors():
@@ -327,6 +331,58 @@ def test_lossy_cat4_qfi_matches_loss_before_averaging():
     lost_first = qfi_mixed(phase_average(loss_channel(pure, LossSpec(0.9))), "n_b")
     assert len(loss_channel(pure, LossSpec(0.9)).stacks) == 1  # the dense route: one block
     assert averaged_first == pytest.approx(lost_first, rel=1e-12)
+
+
+def eigh_widths(monkeypatch) -> list:
+    """The width of every batch numpy.linalg.eigh is called on from here on."""
+    widths, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        widths.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return widths
+
+
+def test_wide_lossy_cat4_sectors_are_factored_by_rank(monkeypatch):
+    # the benchmark's lossy cat4 point (n_max 32, sector blocks 1-29 wide, of rank <= 4): only the
+    # widths 1-3, below RANK_WIDTH, reach eigh
+    widths = eigh_widths(monkeypatch)
+    curve = bench.FamilyCurve("cat4", "cat4", "phase_averaged", 0.25, 4, 0.9)
+    bench.numeric_point(curve, 1.146)
+    assert sorted(widths) == [1, 2, 3]
+
+
+def test_a_block_past_its_step_cap_is_diagonalized_whole(monkeypatch):
+    widths = eigh_widths(monkeypatch)
+    n, k = 20, np.arange(3, 15)
+    for rank in (2, 12):
+        factor = RNG.normal(size=(k.size, rank)) + 1j * RNG.normal(size=(k.size, rank))
+        state = SpectralState(16, (BlockStack(k[None], n - k[None], np.ones((1, rank)), factor[None]),))
+        out = phase_average(state)
+        assert [st.weights.shape[1] for st in out.stacks] == [rank]
+        assert np.max(np.abs(dense(out) - dense(state))) < 1e-12
+    assert widths == [12]  # the rank-2 block stopped after 2 of its 6 steps, the full-rank one did not
+
+
+def test_the_rank_route_keeps_each_eigenvalue_above_the_floor(monkeypatch):
+    # a 12-wide block of eigenvalues 1, 1e-6 and 1e-12, the last 100 times BLOCK_FLOOR: the
+    # factorization may not stop before it.  Forming the block rounds at 1e-16, so the smallest
+    # is known to about 1e-4 of itself
+    widths = eigh_widths(monkeypatch)
+    n, k = 20, np.arange(3, 15)
+    vecs = np.linalg.qr(RNG.normal(size=(k.size, 3)) + 1j * RNG.normal(size=(k.size, 3)))[0]
+    lam = np.array([1.0, 1e-6, 1e-12])
+    out = phase_average(SpectralState(16, (BlockStack(k[None], n - k[None], lam[None], vecs[None]),)))
+    assert np.sort(np.concatenate([st.weights.ravel() for st in out.stacks])) == pytest.approx(lam[::-1], rel=1e-2)
+    assert widths == []
+
+
+def test_lossy_cat4_qfi_at_a_large_point():
+    # alpha = beta = 8: n_max 164, sector blocks up to 165 wide, all factored by rank
+    curve = bench.FamilyCurve("cat4", "cat4", "phase_averaged", 1.0, 4, 0.9)
+    assert bench.numeric_point(curve, 8.0)[1] == pytest.approx(31.604177195407036, rel=1e-12)
 
 
 def test_loss_ecs_rows_match_analytic_spectrum():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catqfi import bench, channels
-from catqfi.channels import LossSpec, SpectralState, loss_channel, phase_average
+from catqfi.channels import BlockStack, LossSpec, SpectralState, loss_channel, phase_average
 from catqfi.fock import CatSpec, TwoModeState, beam_splitter_5050, cat_state, coherent, extended_entangled_state
 from catqfi.qfi import qfi_mixed
 from noon_basis import to_dense
@@ -113,6 +113,48 @@ def test_block_qfi_matches_dense_qfi(state, t, generator):
 
 
 @st.composite
+def sector_blocks(draw) -> tuple:
+    """(n_max, n, k, factor): the PSD block factor factor^H on the cells (k, n - k) of sector n.
+
+    Real or complex, 1-40 wide, of rank 0, full rank (past the rank route's step cap from 5 wide
+    on), up to half the width (within it) or any; the factor's columns are scaled over up to 7
+    decades, so the eigenvalues reach down to `BLOCK_FLOOR` of the largest.
+    """
+    m = draw(st.integers(1, 40))
+    rank = draw(st.one_of(st.just(0), st.just(m), st.integers(1, max(1, m // 2)), st.integers(0, m)))
+    n_max = draw(st.integers(m - 1, 48))
+    n = draw(st.integers(m - 1, 2 * n_max - m + 1))  # sector n holds min(n, 2 n_max - n) + 1 cells
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.sort(rng.choice(np.arange(max(0, n - n_max), min(n, n_max) + 1), size=m, replace=False))
+    factor = rng.normal(size=(m, rank))
+    if draw(st.booleans()):
+        factor = factor + 1j * rng.normal(size=(m, rank))
+    return n_max, n, k, factor * np.logspace(0, -draw(st.floats(0.0, 7.0)), rank)
+
+
+@settings(max_examples=100)
+@given(sector_blocks(), st.sampled_from(("n_b", "half_difference")))
+def test_sector_block_eigenpairs_match_eigh(block, generator):
+    # phase averaging a one-block state scatters it to the offset planes and takes it back by sector
+    n_max, n, k, factor = block
+    state = SpectralState(n_max, (BlockStack(k[None], n - k[None], np.ones((1, factor.shape[1])), factor[None]),))
+    out = phase_average(state)
+    rho = factor @ factor.conj().T
+    trace = float(np.trace(rho).real)
+    lam, vecs = np.linalg.eigh(rho)
+    kept = lam > channels.BLOCK_FLOOR * trace
+    got = np.sort(np.concatenate([blocks.weights.ravel() for blocks in out.stacks] + [np.zeros(k.size)]))[::-1]
+    want = np.sort(np.append(lam[kept], np.zeros(k.size)))[::-1]
+    assert np.max(np.abs(got[: k.size] - want[: k.size])) <= 1e-12 * trace
+    assert all(blocks.vecs.dtype == factor.dtype for blocks in out.stacks)
+    expected = SpectralState(n_max, (BlockStack(k[None], n - k[None], lam[None, kept], vecs[None][:, :, kept]),))
+    # relative to the scale of the sums qfi_mixed forms, tr(rho) max G^2: F itself can be
+    # 1000 times smaller, where G varies little over the cells, and rounds as that scale does
+    g = {"n_b": n - k, "half_difference": (n - 2 * k) / 2}[generator]
+    assert abs(qfi_mixed(out, generator) - qfi_mixed(expected, generator)) <= 1e-12 * trace * np.max(g * g, initial=0)
+
+
+@st.composite
 def sector_diagonal_states(draw) -> SpectralState:
     """A phase-averaged drawn state, of rank one per sector or (lost first) of higher rank."""
     state = draw(pure_states)
@@ -202,13 +244,8 @@ def test_sector_floor_moves_no_resolved_qfi(point):
         full = loss_channel(averaged, curve.loss)
     assert block_count(floored) <= block_count(full)
     # the trace of the input blocks the floor drops, summed apart from the ~1 of the rest
-    kept = {(p, n) for blocks in channels._weighty_stacks(averaged) for p, n in zip(blocks.point, blocks.sectors)}
-    dropped = sum(
-        blocks.weights[b].sum()
-        for blocks in averaged.stacks
-        for b in range(len(blocks.na))
-        if (blocks.point[b], blocks.sectors[b]) not in kept
-    )
+    traces = np.concatenate([blocks.weights.sum(axis=1) for blocks in averaged.stacks])
+    dropped = traces[~channels._weighty(averaged)].sum()
     assert dropped <= (2 * averaged.n_max + 1) * channels.SECTOR_FLOOR * averaged.trace()
     f_full = qfi_mixed(full, "n_b")
     if f_full >= bench.QFI_RESOLUTION:
