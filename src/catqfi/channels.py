@@ -36,13 +36,13 @@ test suite cross-checks them:
   (0, 0) corner alone, most of a noon-span state, takes a scale factor.
   The d = 0 plane is then the joint photon-number distribution: its
   positive entries are the output supports, one block per output sector.
-  A block at least `RANK_WIDTH` wide is factored by rank: a pivoted
-  Cholesky gathers one column of it a step from the planes until the
-  residual falls to `BLOCK_FLOOR`, and a thin SVD of the m x r factor gives
-  its eigenpairs, so a block of rank r costs O(m r) memory instead of
-  O(m^2), and O(m r^2) time instead of O(m^3) (a cat4 block has rank <= 4,
-  one per head).  The narrower blocks, and those of rank above both m / 2
-  and `RANK_WIDTH`, are gathered whole and diagonalized in batches of equal
+  A block's width alone picks how it is diagonalized.  A block at least
+  `RANK_WIDTH` wide is factored by rank: a pivoted Cholesky gathers one
+  column of it a step from the planes until the residual falls to
+  `BLOCK_FLOOR`, and a thin SVD of the m x r factor gives its eigenpairs, so
+  a block of rank r costs O(m r) memory instead of O(m^2), and O(m r^2)
+  time instead of O(m^3) (a cat4 block has rank <= 4, one per head).  The
+  narrower blocks are gathered whole and diagonalized in batches of equal
   support size.  The planes, O(n_max^3) per point, and the input blocks'
   densities are each refused above `fock.LOSS_LINE_BYTES` before any
   density is formed.  The sweeps, `verify` and the CLI take this route;
@@ -84,11 +84,12 @@ BLOCK_FLOOR = 1e-14
 # whose whole QFI is dust can change (they may read 0).
 SECTOR_FLOOR = 1e-35
 
-# sector blocks at least this wide are factored by rank (`_factor_by_rank`), in
-# at most half their width of steps or this many, since a few steps on a small
-# block cost less than an eigh call of its own; narrower blocks, every block of
-# a noon-span state among them, and those that need more steps are
-# diagonalized whole
+# sector blocks at least this wide are factored by rank (`_factor_by_rank`),
+# whatever their rank; narrower blocks, every block of a noon-span state among
+# them, are diagonalized whole by a batched eigh.  Each route is the faster one
+# where the commands use it: sending every block through the rank route slowed
+# the four sweeps and verify by a quarter, the time going to svd calls on
+# 2 x 2 blocks, while the wide cat4 blocks of a lossy point factor at rank <= 4
 RANK_WIDTH = 4
 
 
@@ -352,32 +353,28 @@ def _stored(planes: _Planes, ki: np.ndarray, kj: np.ndarray, n: np.ndarray, p: n
 
 
 def _factor_by_rank(planes: _Planes, k: np.ndarray, diag: np.ndarray, first: np.ndarray, m: np.ndarray,
-                    n: np.ndarray, p: np.ndarray, floor: np.ndarray):
+                    n: np.ndarray, p: np.ndarray, floor: np.ndarray) -> list:
     """Eigenpairs of sector blocks from a pivoted Cholesky rho = L L^H that never forms a block whole.
 
     Block b of the arrays first, m, n, p and floor (sorted by width m) lies on the cells (k, n[b] - k)
     of point p[b] for k in k[first[b] : first[b] + m[b]], their diagonal diag[first[b] : first[b] + m[b]].
     Each step adds one column to every block's L: rho's column at the cell of largest residual
     diagonal, gathered from the planes, less the earlier columns' share.  A block stops once its
-    residual diagonal sums to at most its floor, or after max(m // 2, RANK_WIDTH) steps.  The thin
-    SVD L = U S W^H then gives rho's eigenvalues S^2 and eigenvectors U.  The blocks lie end to end
-    and every step is elementwise or per block, and each factor is padded only to a shape set by
-    its own m and r, so no block's result depends on the rest of the batch.
+    residual diagonal sums to at most its floor, within m steps: each step zeroes its pivot's
+    residual, which later steps only lower, so the next pivot is a new cell until every residual
+    is at most 0.  The thin SVD L = U S W^H then gives rho's eigenvalues S^2 and eigenvectors U.
+    The blocks lie end to end and every step is elementwise or per block, and each factor is padded
+    only to a shape set by its own m and r, so no block's result depends on the rest of the batch.
 
-    Returns the stacks of the blocks that stopped on their floor, their eigenvalues at or below it
-    dropped, and a mask of those blocks.
+    Returns the blocks' stacks, their eigenvalues at or below the floor dropped.
     """
     head = np.cumsum(m) - m  # each block's first cell, laid end to end
     seg, cell = _end_to_end(m)  # the block of each cell and its place in it
     kc, nc, pc, resid = k[first[seg] + cell], n[seg], p[seg], diag[first[seg] + cell]
-    steps, cap = np.zeros(m.size, dtype=int), np.maximum(m // 2, RANK_WIDTH)
+    steps = np.zeros(m.size, dtype=int)
     cols = np.zeros((8, seg.size), dtype=planes.buf.dtype)  # L^T, a row per step
     t = 0  # every block still going has taken t steps
-    while True:
-        left = np.add.reduceat(resid, head)
-        going = (left > floor) & (steps < cap)
-        if not going.any():
-            break
+    while (going := np.add.reduceat(resid, head) > floor).any():
         hit = np.flatnonzero(resid == np.maximum.reduceat(resid, head)[seg])
         pivot = hit[np.searchsorted(hit, head)]  # each block's first cell of largest residual
         kj = kc[pivot][seg]
@@ -394,25 +391,21 @@ def _factor_by_rank(planes: _Planes, k: np.ndarray, diag: np.ndarray, first: np.
         resid[pivot[going]] = 0.0
         steps += going
         t += 1
-    done = left <= floor
-    fin = np.flatnonzero(done)
-    if not fin.size:
-        return [], done
-    # the finished blocks by the shape of their factor, padded with zeros to the power of 2 at or above m
-    # and the multiple of 8 at or above r, which no other block sets; each block's rows lie end to end in
-    # `factor` and `cells`
-    height, width = 2 ** np.frexp(m[fin] - 1)[1], -(-steps[fin] // 8) * 8
+    # the blocks by the shape of their factor, padded with zeros to the power of 2 at or above m and the
+    # multiple of 8 at or above r, which no other block sets; each block's rows lie end to end in `factor`
+    # and `cells`
+    height, width = 2 ** np.frexp(m - 1)[1], -(-steps // 8) * 8
     order = np.lexsort((width, height))
-    fin, height, width, w = fin[order], height[order], width[order], m[fin[order]]
+    height, width, w = height[order], width[order], m[order]
     top = np.cumsum(height) - height
     block, offset = _end_to_end(w)
-    row, at = top[block] + offset, head[fin][block] + offset
+    row, at = top[block] + offset, head[order][block] + offset
     factor, cells = np.zeros((height.sum(), width.max()), dtype=cols.dtype), np.zeros(height.sum(), dtype=kc.dtype)
     factor[row], cells[row] = cols[: width.max(), at].T, kc[at]
     starts = np.flatnonzero(np.diff(height, prepend=0) | np.diff(width, prepend=0)).tolist()  # of each shape
-    ends = [*starts[1:], fin.size]
+    ends = [*starts[1:], m.size]
     group = np.repeat(np.arange(len(starts)), np.subtract(ends, starts))
-    vals, vecs = np.zeros((fin.size, width.max())), []
+    vals, vecs = np.zeros((m.size, width.max())), []
     for g0, g1 in zip(starts, ends):
         h, r = int(height[g0]), int(width[g0])
         u, sv, _ = np.linalg.svd(factor[top[g0] : top[g0] + (g1 - g0) * h].reshape(g1 - g0, h, -1)[:, :, :r],
@@ -420,22 +413,23 @@ def _factor_by_rank(planes: _Planes, k: np.ndarray, diag: np.ndarray, first: np.
         vals[g0:g1, : sv.shape[1]] = sv * sv  # h of them where h < r
         vecs.append(u)
     # svd sorts descending, so the kept eigenvalues lead; a stack takes each run of equal shape, m and rank
-    rank = (vals > floor[fin, None]).sum(axis=1)
+    rank = (vals > floor[order, None]).sum(axis=1)
     cut = np.flatnonzero((group[1:] != group[:-1]) | (w[1:] != w[:-1]) | (rank[1:] != rank[:-1])) + 1
-    nf, pf, stacks = n[fin, None], p[fin], []
-    for a, b in zip([0, *cut.tolist()], [*cut.tolist(), fin.size]):
+    ns, ps, stacks = n[order, None], p[order], []
+    for a, b in zip([0, *cut.tolist()], [*cut.tolist(), m.size]):
         g, h, wa, q = int(group[a]), int(height[a]), int(w[a]), int(rank[a])
         ks = cells[top[a] : top[a] + (b - a) * h].reshape(b - a, h)[:, :wa]
         u = vecs[g][a - starts[g] : b - starts[g], :wa, :q]
-        stacks.append(BlockStack(ks, nf[a:b] - ks, vals[a:b, :q], u, pf[a:b]))
-    return stacks, done
+        stacks.append(BlockStack(ks, ns[a:b] - ks, vals[a:b, :q], u, ps[a:b]))
+    return stacks
 
 
 def _sector_blocks(planes: _Planes) -> SpectralState:
     """The block form of the planes' density: one block per sector, on its cells of positive diagonal.
 
-    Blocks at least `RANK_WIDTH` wide are first factored by rank (`_factor_by_rank`); the rest are
-    gathered whole, laid end to end by support size and diagonalized in batches of equal size.
+    A block's width picks its route: blocks at least `RANK_WIDTH` wide are factored by rank
+    (`_factor_by_rank`), and the narrower ones are gathered whole, laid end to end by support size and
+    diagonalized in batches of equal size.
     """
     size, n_sec = planes.n_max + 1, 2 * planes.n_max + 1
     diag = planes.box(0).real  # the joint photon-number distribution
@@ -447,16 +441,14 @@ def _sector_blocks(planes: _Planes) -> SpectralState:
     m_of = np.diff(np.append(first, sec.size))
     trace = np.add.reduceat(weight, first)
     p_of, n_of = np.divmod(sec[first], n_sec)
-    stacks, rest = [], np.arange(first.size)
-    wide = np.flatnonzero(m_of >= RANK_WIDTH)
+    by_m = np.argsort(m_of, kind="stable")  # equal widths side by side, to share a stack
+    narrow, wide = np.split(by_m, [np.searchsorted(m_of[by_m], RANK_WIDTH)])
+    stacks = []
     if wide.size:
-        wide = wide[np.argsort(m_of[wide], kind="stable")]  # equal widths side by side, to share a stack
-        stacks, factored = _factor_by_rank(planes, k, weight, first[wide], m_of[wide], n_of[wide], p_of[wide],
-                                           BLOCK_FLOOR * trace[wide])
-        rest = np.delete(rest, wide[factored])
-    by_m = rest[np.argsort(m_of[rest], kind="stable")]
-    for lo, hi in _passes(m_of[by_m] ** 2):
-        sel = by_m[lo:hi]
+        stacks = _factor_by_rank(planes, k, weight, first[wide], m_of[wide], n_of[wide], p_of[wide],
+                                 BLOCK_FLOOR * trace[wide])
+    for lo, hi in _passes(m_of[narrow] ** 2):
+        sel = narrow[lo:hi]
         m, n, p, floor = m_of[sel], n_of[sel], p_of[sel], BLOCK_FLOOR * trace[sel]
         block, i, j = _block_pairs(m)
         ki, kj = k[first[sel][block] + i], k[first[sel][block] + j]

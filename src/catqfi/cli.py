@@ -130,7 +130,8 @@ def qfi(family, alpha, beta, n_components, transmission, generator, phase_averag
         "generator": generator,
         "n_av": bench.closed_nav(curve, alpha),
     }
-    closed = generator == "n_b" and bench.FAMILIES[family].qfi[variant] is not None
+    # a phase-averaged state commutes with n_a + n_b, so its QFI is the same under both generators
+    closed = (generator == "n_b" or phase_averaged) and bench.FAMILIES[family].qfi[variant] is not None
     result["qfi_closed_form"] = bench.closed_qfi(curve, alpha) if closed else None
     result["qfi_numeric"] = num = None if point is None else point[1]
     result["qfi_numeric_resolved"] = None if num is None else num >= bench.QFI_RESOLUTION

@@ -114,13 +114,17 @@ def default_cutoff(alpha_abs: float) -> int:
     return max(32, ceil(heuristic))
 
 
-def _check_tail(amps: np.ndarray, index: int, tail_sq: float) -> None:
-    """CutoffError unless tail_sq = |amp_index|^2 is within TAIL_TOL of the kept
-    norm^2; index is the last grid point (coherent) or the first support point
-    past the grid (cat)."""
-    if tail_sq > TAIL_TOL * float(np.sum(np.abs(amps) ** 2)):
+def _check_tail(log_kept: np.ndarray, log_tail: float, index: int) -> None:
+    """CutoffError unless |amp_index|^2 is within TAIL_TOL of the kept norm^2,
+    both given by their amplitudes' log moduli, so that the test holds where the
+    squares underflow; index is the last grid point (coherent) or the first
+    support point past the grid (cat)."""
+    top = float(np.max(log_kept))
+    log_norm_sq = 2 * top + log(float(np.sum(np.exp(2 * (log_kept - top)))))
+    if 2 * log_tail - log_norm_sq > log(TAIL_TOL):
         raise CutoffError(
-            f"cutoff too small: |amps[{index}]|^2 = {tail_sq:.3e} exceeds {TAIL_TOL:g} * norm^2"
+            f"cutoff too small: |amps[{index}]|^2 is 10^{(2 * log_tail - log_norm_sq) / log(10):.4g}"
+            f" of the kept norm^2, above {TAIL_TOL:g}"
         )
 
 
@@ -142,7 +146,7 @@ def coherent(alpha: complex, n_max: int) -> FockVector:
     phase = np.full(n_max + 1, alpha / abs(alpha))
     phase[0] = 1
     amps = np.exp(log_mod) * np.cumprod(phase)
-    _check_tail(amps, n_max, abs(amps[n_max]) ** 2)
+    _check_tail(log_mod, log_mod[n_max], n_max)
     return FockVector(amps)
 
 
@@ -168,7 +172,7 @@ def cat_state(spec: CatSpec, n_max: int) -> FockVector:
     log_mod = -a2 / 2 + ks * log(abs(alpha)) - 0.5 * np.array([lgamma(k + 1) for k in ks])
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[::N] = np.exp(log_mod[:-1]) * np.exp(1j * ks[:-1] * np.angle(alpha))
-    _check_tail(amps, past, float(np.exp(2 * log_mod[-1])))
+    _check_tail(log_mod[:-1], log_mod[-1], past)
     return FockVector(amps / np.linalg.norm(amps))
 
 

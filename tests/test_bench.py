@@ -1,8 +1,10 @@
 """Sweep machinery tests: rows, equal-energy lookup, crossover, verifier, encodings."""
 
 import bisect
+import inspect
 import json
 import random
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -456,6 +458,63 @@ def test_crossover_modified_never_beats_ecs_backwards():
     for nav in (1.0, 1.5, 2.0, 2.5, 3.0):
         assert bench.interpolate_at_nav(modified, grid, nav) < bench.interpolate_at_nav(ecs, grid, nav)
     assert bench.find_crossover(modified, ecs, grid, (1.0, 3.0)) is None
+
+
+# the abstract's small-N_av claim on fig1: the N_av window where each cat4 curve beats the ECS, its edges
+# the crossings below and above N_av 0.3 (None: the window runs to that end of the range, or is empty).
+# Below a lower edge the F/N_av of cat4 with beta > 0 tends to 4, while the ECS's stays above 4.02
+FIG1_WINDOWS = [
+    ("cat4[b=a/2]", 0.08864355675262037, 0.7511409596737314),
+    ("cat4[b=a/4]", 0.004829989003738892, 0.6694686792492921),
+    ("cat4[b=0]", None, 0.6264298108513899),
+    ("cat4[b=a]", None, None),
+]
+
+
+@pytest.mark.parametrize("label, lower, upper", FIG1_WINDOWS, ids=[w[0] for w in FIG1_WINDOWS])
+def test_fig1_windows_where_cat4_beats_the_ecs(label, lower, upper):
+    grid = bench.FIGURES["fig1"].alpha_grid
+    ecs, cat4 = curve("fig1", "ecs"), curve("fig1", label)
+    edges = [bench.find_crossover(ecs, cat4, grid, bracket) for bracket in ((0.001, 0.3), (0.3, 1.2))]
+    for got, want in zip(edges, (lower, upper)):
+        assert got == want if want is None else got == pytest.approx(want, abs=1e-12)
+    # cat4 is ahead (the smaller delta_phi) inside the window and behind outside it
+    lo, hi = (lower or 0.0, upper) if upper is not None else (0.0, 0.0)
+    for n_av in np.geomspace(0.001, 1.2, 40):
+        gap = bench.interpolate_at_nav(ecs, grid, n_av) - bench.interpolate_at_nav(cat4, grid, n_av)
+        assert (gap > 0) == (lo < n_av < hi), n_av
+    # the grid route agrees with the closed forms at each edge
+    for n_av in (e for e in edges if e is not None):
+        for c in (ecs, cat4):
+            alpha = bench.alpha_solver(c, grid)(n_av)
+            assert bench.numeric_point(c, alpha)[1] == pytest.approx(bench.closed_qfi(c, alpha), rel=1e-8)
+
+
+def test_brent_bisects_where_interpolation_is_rejected():
+    # a step at 0.3: every secant or inverse-quadratic step is refused once both sides of the
+    # bracket read the same value, so the root is found by the bisection branch alone
+    code = bench._brent.__code__
+    lines, start = inspect.getsourcelines(bench._brent)
+    bisect_lines = {start + i for i, line in enumerate(lines) if line.strip() == "d = e = m"}
+    ran, calls = set(), []
+
+    def trace(frame, event, arg):
+        if frame.f_code is code:
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return trace
+        return None
+
+    step = lambda x: calls.append(x) or (-1.0 if x < 0.3 else 1.0)
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        root = bench._brent(step, 0.0, -1.0, 1.0, 1.0)
+    finally:
+        sys.settrace(outer)
+    assert abs(root - 0.3) <= 1e-14 * max(1.0, root)
+    assert len(calls) < 200
+    assert bisect_lines and ran & bisect_lines
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,9 @@ def test_wide_lossy_cat4_sectors_are_factored_by_rank(monkeypatch):
     assert sorted(widths) == [1, 2, 3]
 
 
-def test_a_block_past_its_step_cap_is_diagonalized_whole(monkeypatch):
+def test_a_wide_block_of_any_rank_is_factored_by_rank(monkeypatch):
+    # 12-wide blocks of rank 2 and of full rank: the width alone picks the route, and the
+    # full-rank factorization runs all 12 steps to its floor
     widths = eigh_widths(monkeypatch)
     n, k = 20, np.arange(3, 15)
     for rank in (2, 12):
@@ -363,7 +365,7 @@ def test_a_block_past_its_step_cap_is_diagonalized_whole(monkeypatch):
         out = phase_average(state)
         assert [st.weights.shape[1] for st in out.stacks] == [rank]
         assert np.max(np.abs(dense(out) - dense(state))) < 1e-12
-    assert widths == [12]  # the rank-2 block stopped after 2 of its 6 steps, the full-rank one did not
+    assert widths == []
 
 
 def test_the_rank_route_keeps_each_eigenvalue_above_the_floor(monkeypatch):

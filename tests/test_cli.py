@@ -113,6 +113,14 @@ def test_qfi_command_two_mode_generator():
     payload = json.loads(result.output)
     assert payload["qfi_closed_form"] is None
     assert payload["qfi_numeric"] > 0
+    # a phase-averaged state commutes with n_a + n_b: its n_b closed form holds under half_difference too
+    for args in (("ecs", "--alpha", "1.5", "--phase-averaged"), ("modified", "--alpha", "1", "--transmission", "0.85"),
+                 ("extended", "--n-components", "4", "--alpha", "2", "--transmission", "0.9"),
+                 ("coherent", "--alpha", "2", "--transmission", "0.85"), ("noon", "--alpha", "2", "--transmission", "0.9")):
+        result = invoke("qfi", "--family", *args, "--generator", "half_difference")
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["qfi_closed_form"] == pytest.approx(payload["qfi_numeric"], rel=1e-8)
 
 
 def test_qfi_command_generator_variant_mismatch():
@@ -236,6 +244,14 @@ def test_numeric_failure_exit_three():
     result = invoke("state", "--family", "coherent", "--alpha", "3.0", "--n-max", "10")
     assert result.exit_code == 3
     assert "numeric failure" in result.output
+
+
+@pytest.mark.parametrize("family, n_max", [("cat", "5"), ("ecs", "10")])
+def test_truncation_under_underflow_exit_three(family, n_max):
+    # the squared amplitudes at alpha = 30 underflow on these grids: a cutoff error, not nan amplitudes
+    result = invoke("state", "--family", family, "--alpha", "30", "--n-max", n_max)
+    assert result.exit_code == 3, result.output
+    assert "numeric failure: cutoff too small" in result.output
 
 
 def test_out_of_memory_exit_three(monkeypatch):

@@ -218,6 +218,15 @@ def test_cat_cutoff_too_small(n_components, alpha, n_max):
         cat_state(CatSpec(n_components, alpha), n_max)
 
 
+@pytest.mark.parametrize("make", [lambda: cat_state(CatSpec(2, 30.0), 5), lambda: coherent(30.0, 0)],
+                         ids=["cat", "coherent"])
+def test_truncation_is_caught_where_the_squared_amplitudes_underflow(make):
+    # at alpha = 30 every kept |amp|^2 is below 1e-190 and underflows to 0, and so does the
+    # dropped one, while the dropped mass is 10^4 (cat) and 1 (coherent) times the kept
+    with pytest.raises(CutoffError, match="cutoff too small"):
+        make()
+
+
 def test_cat_mean_photon_two_routes():
     # grid moment vs term-wise series over the cat's own support
     N, alpha = 4, 1.3

@@ -116,9 +116,9 @@ def test_block_qfi_matches_dense_qfi(state, t, generator):
 def sector_blocks(draw) -> tuple:
     """(n_max, n, k, factor): the PSD block factor factor^H on the cells (k, n - k) of sector n.
 
-    Real or complex, 1-40 wide, of rank 0, full rank (past the rank route's step cap from 5 wide
-    on), up to half the width (within it) or any; the factor's columns are scaled over up to 7
-    decades, so the eigenvalues reach down to `BLOCK_FLOOR` of the largest.
+    Real or complex, 1-40 wide, of rank 0, full rank, up to half the width or any; the factor's
+    columns are scaled over up to 7 decades, so the eigenvalues reach down to `BLOCK_FLOOR` of the
+    largest.  Blocks from `channels.RANK_WIDTH` wide on take the rank route, full-rank ones too.
     """
     m = draw(st.integers(1, 40))
     rank = draw(st.one_of(st.just(0), st.just(m), st.integers(1, max(1, m // 2)), st.integers(0, m)))
