@@ -24,6 +24,7 @@ from .channels import (
     cps_round_outcome,
     from_pure,
     loss_channel,
+    lossy_phase_average,
     phase_average,
     synthesize_heralded,
 )

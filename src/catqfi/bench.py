@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_form as cf
-from .channels import LossSpec, loss_channel, phase_average
+from .channels import LossSpec, loss_channel, lossy_phase_average, phase_average
 from .fock import (
     CatSpec,
     CutoffError,
@@ -311,10 +311,8 @@ def numeric_points(curve: FamilyCurve, alphas, generator: str = "n_b") -> list[t
     if curve.variant == "pure":
         qfis = [qfi_pure(states[i], generator) for i in live]
     else:
-        mixed = phase_average([states[i] for i in live])
-        del states  # the grids are not needed past here, and the loss is where memory peaks
-        if curve.transmission < 1.0:
-            mixed = loss_channel(mixed, curve.loss)
+        batch, states = iter([states[i] for i in live]), None  # the loss alone holds the grids, dropped before its peak
+        mixed = lossy_phase_average(batch, curve.loss) if curve.transmission < 1.0 else phase_average(list(batch))
         qfis = np.atleast_1d(qfi_mixed(mixed, generator)).tolist()
     for i, nav, f in zip(live, navs, qfis):
         out[i] = (nav, f)

@@ -15,38 +15,27 @@ channel exactly trace preserving on the truncated grid.
 
 A `SpectralState` may hold a batch of states, its points: every block
 carries the index of the point it belongs to, and the grid is that of the
-largest cutoff in the batch.  `phase_average` of a sequence of pure states
-builds such a batch, and `loss_channel` and `qfi.qfi_mixed` act on each
-point as if it were alone, so one pass of numpy kernels serves a whole
-chunk of a curve's alpha grid.  Sectors are then keyed (point, n).
+largest cutoff in the batch.  `phase_average` and `lossy_phase_average` of
+a sequence of pure states build such a batch, and every map here and
+`qfi.qfi_mixed` act on each point as if it were alone, so one pass of numpy
+kernels serves a chunk of a curve's alpha grid.  Sectors are keyed (point, n).
 
 `loss_channel` has two routes with the same operator-sum semantics; the
 test suite cross-checks them:
 
-* sector blocks: every block lies in one sector (any `phase_average`
-  output, a noon state).  Blocks holding at most `SECTOR_FLOOR` of their
-  point's trace are left out of the scatter, so a cat4 point at n_max 32
-  (alpha 0.6-1.3) keeps 21-32 of its 65 sectors; no resolved QFI moves.  An
-  element <x, y|rho|x', y'> (x + y = x' + y') goes to (u_a, u_b) =
-  (min(x, x'), min(y, y')) of the plane of its offset d = x - x' = y' - y.
-  The d < 0 planes are the conjugates of the d > 0 ones, so only d >= 0 is
-  kept, each plane as the box its elements occupy (`_Planes`).  Loss moves
-  u_a and u_b and keeps d, so the channel is one product M_d X_d M_d^T
-  with the real upper-triangular `_loss_matrix` of d, and a box of the
-  (0, 0) corner alone, most of a noon-span state, takes a scale factor.
-  The d = 0 plane is then the joint photon-number distribution: its
-  positive entries are the output supports, one block per output sector.
-  A block's width alone picks how it is diagonalized.  A block at least
-  `RANK_WIDTH` wide is factored by rank: a pivoted Cholesky gathers one
-  column of it a step from the planes until the residual falls to
-  `BLOCK_FLOOR`, and a thin SVD of the m x r factor gives its eigenpairs, so
-  a block of rank r costs O(m r) memory instead of O(m^2), and O(m r^2)
-  time instead of O(m^3) (a cat4 block has rank <= 4, one per head).  The
-  narrower blocks are gathered whole and diagonalized in batches of equal
-  support size.  The planes, O(n_max^3) per point, and the input blocks'
-  densities are each refused above `fock.LOSS_LINE_BYTES` before any
-  density is formed.  The sweeps, `verify` and the CLI take this route;
-  `phase_average` of a mixed state is the same scatter and gather.
+* sector blocks, for states whose every block lies in one sector (any
+  `phase_average` output, a noon state), and `lossy_phase_average` of pure
+  states, which the sweeps, `verify` and the CLI use.  The element
+  <x, y|rho|x', y'> (x + y = x' + y') of a phase-averaged state sits at
+  (u_a, u_b) = (min(x, x'), min(y, y')) of the plane of its offset
+  d = x - x' >= 0, each plane kept as the box its elements occupy.  A box,
+  sized by the pairs of runs of occupied n_a in each sector (`_extents`), is
+  the product of two shifted slices of the weighted amplitude grids
+  (`_planes`), so no density is formed.  Loss keeps d: it is one
+  product M_d X_d M_d^T per plane (`_lose`).  The d = 0 plane is then the
+  joint photon-number distribution, whose positive entries are the output
+  supports, one block per sector (`_sector_blocks`).  `phase_average` of a
+  mixed state is the same build without the loss.
 * dense: the full operator sum over the cells the Kraus branches touch and
   one eigendecomposition, returned as one block.  It serves one state that
   was not phase averaged (random or pure states, loss applied before
@@ -58,7 +47,7 @@ test suite cross-checks them:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ldexp, pi, sqrt
@@ -180,12 +169,6 @@ class SpectralState:
                            np.concatenate([st.weights.sum(axis=1) for st in self.stacks]), self.points)
 
 
-def _block_densities(st: BlockStack, keep: np.ndarray | None = None) -> np.ndarray:
-    """rho of the blocks of a stack that keep (B,) marks (all when None), on their support: (kept, m, m)."""
-    vecs, weights = (st.vecs, st.weights) if keep is None or keep.all() else (st.vecs[keep], st.weights[keep])
-    return (vecs * weights[:, None, :]) @ vecs.conj().transpose(0, 2, 1)  # conj() of a real array is itself
-
-
 def from_pure(s: TwoModeState) -> SpectralState:
     na, nb = np.nonzero(s.amps)
     stack = BlockStack(na[None], nb[None], np.ones((1, 1)), s.amps[na, nb][None, :, None])
@@ -195,14 +178,14 @@ def from_pure(s: TwoModeState) -> SpectralState:
 def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> SpectralState:
     """Erase coherences between total-photon-number sectors (Eq.-(3) dephasing).
 
-    Uniform averaging of a common phase on both modes keeps exactly the
-    block-diagonal part with respect to n_a + n_b, so the output is one
-    block per sector; pure inputs need no diagonalization (each sector
-    projection is already an eigenvector).  A sequence of pure states, which
-    may differ in cutoff, is averaged as one batch with a point per state.
+    Uniform averaging of a common phase on both modes keeps exactly the block-
+    diagonal part in n_a + n_b: one block per sector, for a pure input its sector
+    projection, already an eigenvector.  A mixed input is rebuilt through the
+    offset planes, without its sectors under `SECTOR_FLOOR`.  A sequence of pure
+    states, which may differ in cutoff, is one batch with a point per state.
     """
     if isinstance(s, SpectralState):
-        return _sector_blocks(_planes(s))
+        return _sector_blocks(_planes(_grids(s))[0])
     batch = [s] if isinstance(s, TwoModeState) else list(s)
     n_max = max(st.n_max for st in batch)
     n_sec = 2 * n_max + 1
@@ -235,8 +218,8 @@ def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> S
 # offset planes
 # ---------------------------------------------------------------------------
 
-# density elements per pass of the plane scatter and gather: one pass for a
-# cat4 point at n_max 32, index arrays of a few MB each at large cutoffs
+# entries per pass of the run pairs and of the narrow blocks' gather: one pass
+# for a cat4 point at n_max 32, index arrays of a few MB each at large cutoffs
 _PASS_ELEMENTS = 2**18
 
 
@@ -250,35 +233,6 @@ def _end_to_end(sizes: np.ndarray):
     """(item, offset) of every element of items of the given sizes laid end to end."""
     item = np.repeat(np.arange(sizes.size), sizes)
     return item, np.arange(item.size) - (np.cumsum(sizes) - sizes)[item]
-
-
-def _block_pairs(m: np.ndarray):
-    """(block, i, j) of every element of (m, m) blocks laid end to end."""
-    block, at = _end_to_end(m * m)
-    return (block, *np.divmod(at, m[block]))
-
-
-def _lower_pairs(stacks, keep: np.ndarray):
-    """(at, d, u_a, u_b, point) of the elements <x, y|rho|x', y'> of the densities of the blocks that keep
-    marks (a mask over the stacks' blocks laid end to end), x + y = x' + y' and d = x - x' >= 0; at indexes
-    the kept blocks' (B, m, m) densities raveled and laid end to end."""
-    m = np.repeat([st.na.shape[1] for st in stacks], [len(st.na) for st in stacks])
-    cells = np.repeat(keep, m)
-    na = np.concatenate([st.na.ravel() for st in stacks])[cells]
-    nb = np.concatenate([st.nb.ravel() for st in stacks])[cells]
-    m, point = m[keep], np.concatenate([st.point for st in stacks])[keep]
-    block = np.repeat(np.arange(m.size), m)  # of each cell
-    # the cells grouped by block and sector, so that only pairs in one sector are formed
-    key = block * (na.max(initial=0) + nb.max(initial=0) + 1) + na + nb
-    order = np.argsort(key, kind="stable")
-    first = np.flatnonzero(np.diff(key[order], prepend=-1))
-    group, i, j = _block_pairs(np.diff(np.append(first, order.size)))
-    ket, bra = order[first[group] + i], order[first[group] + j]
-    lower = np.flatnonzero(na[ket] >= na[bra])
-    ket, bra = ket[lower], bra[lower]
-    b, cell0 = block[ket], (np.cumsum(m) - m)[block[ket]]
-    at = (np.cumsum(m * m) - m * m)[b] + (ket - cell0) * m[b] + bra - cell0
-    return at, na[ket] - na[bra], na[bra], nb[ket], point[b]
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,47 +252,97 @@ class _Planes:
         return self.buf[self.start[d] : self.start[d] + a * self.points * b].reshape(a, self.points, b)
 
 
-def _planes(s: SpectralState, keep: np.ndarray | None = None) -> _Planes:
-    """The offset planes of the sector-diagonal elements of the blocks of s that keep marks (a mask over
-    its blocks laid end to end; all when None), in the blocks' dtype.
-
-    Densities and planes past `fock.LOSS_LINE_BYTES` are refused before any
-    density is formed; the boxes are counted from the kept blocks' supports.
-    """
-    stacks, n_max, points = s.stacks, s.n_max, s.points
-    bounds = np.cumsum([0, *(len(st.na) for st in stacks)])  # each stack's blocks are keep[bounds[i]:bounds[i + 1]]
-    if keep is None:
-        keep = np.ones(bounds[-1], dtype=bool)
-    kept = np.diff(np.cumsum(np.append(0, keep))[bounds])  # kept blocks per stack
-    width = np.array([st.na.shape[1] for st in stacks], dtype=int)
-    elements = kept * width * width
-    if 16 * elements.sum() > LOSS_LINE_BYTES:
-        raise CutoffError(f"expanding the sector blocks needs {16 * elements.sum():,} bytes for {kept @ width} lines"
-                          f" of up to {width[kept > 0].max()} elements, above the line budget"
-                          f" of {LOSS_LINE_BYTES:,} bytes")
-    runs = [(lo, hi) for lo, hi in _passes(elements) if elements[lo:hi].any()]
-    rows, cols = np.zeros(n_max + 1, dtype=int), np.zeros(n_max + 1, dtype=int)
-    for lo, hi in runs:
-        pairs = _lower_pairs(stacks[lo:hi], keep[bounds[lo] : bounds[hi]])
-        np.maximum.at(rows, pairs[1], pairs[2] + 1)
-        np.maximum.at(cols, pairs[1], pairs[3] + 1)
+def _grids(s: SpectralState) -> np.ndarray:
+    """The eigenvectors of s, each scaled by the square root of its weight, on grids laid out (n_a, point,
+    layer, n_b), refused above `fock.LOSS_LINE_BYTES` before they are allocated.  The planes pair cells
+    of one sector only, so in each sector of a point its blocks take the layers from 0 up, one per
+    eigenvector: a phase-averaged pure state takes one layer."""
+    stacks, size, n_sec = s.stacks, s.n_max + 1, 2 * s.n_max + 1
+    counts = [len(st.na) for st in stacks]
+    rank = np.repeat([st.weights.shape[1] for st in stacks], counts).astype(int)
+    block = np.repeat(np.arange(rank.size), np.repeat([st.na.shape[1] for st in stacks], counts).astype(int))
+    point = np.concatenate([np.zeros(0, dtype=int), *(st.point for st in stacks)])[block]
+    n = np.concatenate([np.zeros(0, dtype=int), *((st.na + st.nb).ravel() for st in stacks)])
+    key = (point * n_sec + n) * rank.size + block  # a piece: the cells of one block in one sector
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))  # each piece's first cell
+    sec, r = key[order][first] // max(rank.size, 1), rank[block[order][first]]
+    below = np.cumsum(r) - r
+    base = below - below[np.searchsorted(sec, sec)]  # the ranks of the sector's earlier pieces
+    layers = int(np.max(base + r, initial=0))
     dtype = np.result_type(float, *(st.vecs for st in stacks))
+    if (nbytes := s.points * layers * size * size * dtype.itemsize) > LOSS_LINE_BYTES:
+        raise CutoffError(f"the eigenvector grids need {nbytes:,} bytes for {s.points * layers} x {size} x {size}"
+                          f" elements, above the line budget of {LOSS_LINE_BYTES:,} bytes")
+    layer = np.empty(n.size, dtype=int)
+    layer[order] = np.repeat(base, np.diff(np.append(first, n.size)))
+    g = np.zeros((size, s.points, layers, size), dtype=dtype)
+    lo = 0
+    for st in stacks:
+        at = layer[lo : lo + st.na.size].reshape(st.na.shape)[:, :, None] + np.arange(st.weights.shape[1])
+        g[st.na[:, :, None], st.point[:, None, None], at, st.nb[:, :, None]] = st.vecs * np.sqrt(st.weights)[:, None]
+        lo += st.na.size
+    return g
+
+
+def _extents(x: np.ndarray, sec: np.ndarray, size: int, itemsize: int):
+    """(rows, cols) of the plane boxes spanning the cells (x, sec - x) of each sector key sec: in sector n, a run
+    [a1, b1] of their n_a at or after a run [a2, b2] reaches each offset d in [max(0, a1 - b2), b1 - a2] at
+    u_a = min(b2, b1 - d) and u_b = n - max(a1, a2 + d).  Each (run pair, d) owns a plane element, so their
+    count is refused above `fock.LOSS_LINE_BYTES` before any pair is formed, in `_passes` of the runs."""
+    key = np.sort(sec * (size + 1) + x)
+    head = np.flatnonzero(np.diff(key, prepend=-2) != 1)  # each run's first cell
+    run_sec, a = np.divmod(key[head], size + 1)
+    b = a + np.diff(np.append(head, key.size)) - 1
+    first = np.searchsorted(run_sec, run_sec)  # the first run of each run's sector
+    k = np.arange(run_sec.size) - first  # the runs before each in its sector
+    # a run reaches b - a + 1 offsets with itself, and with each earlier run both lengths less one
+    reach = (k + 1) * (b - a + 1) + head - head[first] - k
+    if (nbytes := int(reach.sum()) * itemsize) > LOSS_LINE_BYTES:
+        raise CutoffError(f"the offset planes need at least {nbytes:,} bytes, above the line budget"
+                          f" of {LOSS_LINE_BYTES:,} bytes")
+    rows, cols = np.zeros(size, dtype=int), np.zeros(size, dtype=int)
+    for lo, hi in _passes(reach):
+        r1, j = _end_to_end(k[lo:hi] + 1)
+        r1, r2 = r1 + lo, first[r1 + lo] + j
+        a1, b1, a2, b2 = a[r1], b[r1], a[r2], b[r2]
+        low = np.maximum(0, a1 - b2)
+        pair, step = _end_to_end(b1 - a2 - low + 1)
+        d = low[pair] + step
+        np.maximum.at(rows, d, np.minimum(b2[pair], b1[pair] - d) + 1)
+        np.maximum.at(cols, d, run_sec[r1][pair] % (2 * size - 1) - np.maximum(a1[pair], a2[pair] + d) + 1)
+    return rows, cols
+
+
+def _planes(g: np.ndarray):
+    """The offset planes of the phase average of the weighted amplitude grids g (n_a, point, layer, n_b),
+    and each point's trace.  The sectors holding at most `SECTOR_FLOOR` of their point's trace are zeroed
+    in g first.  Plane d pairs the cells (u_a + d, u_b) and (u_a, u_b + d) of a sector, so its box is
+    g[d:d+a, :, :, :b] * conj(g[:a, :, :, d:d+b]) summed over the layers, sized to the cells of positive
+    square (`_extents`) and refused above `fock.LOSS_LINE_BYTES` before it is allocated."""
+    size, points, n_sec = g.shape[0], g.shape[1], 2 * g.shape[0] - 1
+    dens = (g.real**2 + g.imag**2).sum(axis=2)  # the joint photon-number distribution
+    x, p, y = np.nonzero(dens > 0)
+    sec = p * n_sec + x + y
+    weight = np.bincount(sec, dens[x, p, y], points * n_sec)
+    trace = weight.reshape(points, n_sec).sum(axis=1)
+    keep = weight[sec] > SECTOR_FLOOR * trace[p]
+    g[x[~keep], p[~keep], :, y[~keep]] = dens[x[~keep], p[~keep], y[~keep]] = 0.0
+    rows, cols = _extents(x[keep], sec[keep], size, g.dtype.itemsize)
     cells = rows * points * cols
-    nbytes = int(cells.sum()) * dtype.itemsize
-    if nbytes > LOSS_LINE_BYTES:
+    if (nbytes := int(cells.sum()) * g.dtype.itemsize) > LOSS_LINE_BYTES:
         raise CutoffError(f"the offset planes need {nbytes:,} bytes for {np.count_nonzero(cells)} offsets of up to"
                           f" {rows.max()} x {cols.max()} elements a point, above the line budget"
                           f" of {LOSS_LINE_BYTES:,} bytes")
     start = np.cumsum(cells) - cells
-    buf = np.zeros(int(cells.sum()) + 1, dtype=dtype)
-    for lo, hi in runs:  # a single pass keeps its pairs from the count
-        if len(runs) > 1:
-            pairs = _lower_pairs(stacks[lo:hi], keep[bounds[lo] : bounds[hi]])
-        at, d, u_a, u_b, point = pairs
-        rho = [_block_densities(stacks[i], keep[bounds[i] : bounds[i + 1]]).ravel() for i in range(lo, hi) if kept[i]]
-        rho = rho[0] if len(rho) == 1 else np.concatenate(rho)  # a dense block is not copied
-        buf[start[d] + (u_a * points + point) * cols[d] + u_b] = rho[at]
-    return _Planes(n_max, points, rows, cols, start, buf)
+    planes = _Planes(size - 1, points, rows, cols, start, np.zeros(int(cells.sum()) + 1, dtype=g.dtype))
+    planes.box(0)[:] = dens[: rows[0], :, : cols[0]]
+    corner = np.flatnonzero(rows[1:] * cols[1:] == 1) + 1  # the (0, 0) corner alone, most of a noon-span state
+    planes.buf[start[corner, None] + np.arange(points)] = (g[corner, :, :, 0] * g[0, :, :, corner].conj()).sum(axis=2)
+    for d in (np.flatnonzero(rows[1:] * cols[1:] > 1) + 1).tolist():
+        a, b = rows[d], cols[d]  # conj() of a real array is itself
+        np.einsum("xply,xply->xpy", g[d : d + a, :, :, :b], g[:a, :, :, d : d + b].conj(), out=planes.box(d))
+    return planes, trace
 
 
 def _stored(planes: _Planes, ki: np.ndarray, kj: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -450,7 +454,8 @@ def _sector_blocks(planes: _Planes) -> SpectralState:
     for lo, hi in _passes(m_of[narrow] ** 2):
         sel = narrow[lo:hi]
         m, n, p, floor = m_of[sel], n_of[sel], p_of[sel], BLOCK_FLOOR * trace[sel]
-        block, i, j = _block_pairs(m)
+        block, at = _end_to_end(m * m)  # every element of the (m, m) blocks laid end to end
+        i, j = np.divmod(at, m[block])
         ki, kj = k[first[sel][block] + i], k[first[sel][block] + j]
         values = _stored(planes, ki, kj, n[block], p[block])
         groups = [0, *(np.flatnonzero(m[1:] != m[:-1]) + 1).tolist(), sel.size]  # runs of equal support size
@@ -504,26 +509,12 @@ def _loss_matrix(coef: np.ndarray, d: int) -> np.ndarray:
     return flat[: width * width].reshape(width, width)
 
 
-def _weighty(s: SpectralState) -> np.ndarray:
-    """A mask over the blocks of s laid end to end: those whose trace passes `SECTOR_FLOOR` of their point's."""
-    if not s.stacks:
-        return np.zeros(0, dtype=bool)
-    point = np.concatenate([st.point for st in s.stacks])
-    trace = np.concatenate([st.weights.sum(axis=1) for st in s.stacks])
-    return trace > SECTOR_FLOOR * np.bincount(point, trace, s.points)[point]  # as point_traces() sums them
-
-
-def _loss_sectors(s: SpectralState, coef: np.ndarray) -> SpectralState:
-    """Loss on a state of sector blocks, the blocks under `SECTOR_FLOOR` dropped: X_d -> M_d X_d M_d^T.
-
-    M_d is upper triangular, so each offset's box holds its output and no
-    point's output depends on the rest of the batch.  A box of the (0, 0)
-    corner alone takes the j = 0 factor coef[0, d]^2.
-    """
-    planes = _planes(s, _weighty(s))
+def _lose(planes: _Planes, coef: np.ndarray) -> None:
+    """Loss on the planes in place: X_d -> M_d X_d M_d^T.  M_d is upper triangular, so each box holds its
+    output and no point's output depends on the rest of the batch; a (0, 0) corner box takes coef[0, d]^2."""
     rows, cols = planes.rows, planes.cols
     corner = np.flatnonzero((rows == 1) & (cols == 1))
-    planes.buf[planes.start[corner, None] + np.arange(s.points)] *= coef[0, corner, None] ** 2
+    planes.buf[planes.start[corner, None] + np.arange(planes.points)] *= coef[0, corner, None] ** 2
     for d in np.flatnonzero(rows * cols > 1).tolist():
         a, b = rows[d], cols[d]
         box = planes.box(d).reshape(a, -1)
@@ -531,7 +522,22 @@ def _loss_sectors(s: SpectralState, coef: np.ndarray) -> SpectralState:
         # mode a on the real and imaginary parts as columns of their own, mode b on the rows
         half = (mat[:a, :a] @ box.view(box.real.dtype)).view(box.dtype)
         np.matmul(half.reshape(-1, b), mat[:b, :b].T, out=box.reshape(-1, b))
-    return _sector_blocks(planes)
+
+
+def _check_trace(before: np.ndarray, out: SpectralState, t: float) -> SpectralState:
+    """out, unless the trace of one of its points deviates from before (points,) beyond 1e-8."""
+    after = out.point_traces()
+    if (bad := np.flatnonzero(np.abs(after - before) > 1e-8)).size:
+        p = bad[0]
+        where = f" at point {p}" if out.points > 1 else ""
+        raise CutoffError(f"trace loss{where}: {before[p]:.12f} -> {after[p]:.12f} under T={t}")
+    return out
+
+
+def _lossy(planes: _Planes, before: np.ndarray, t: float) -> SpectralState:
+    """Loss at transmission t on planes of points whose traces were before (points,), in block form."""
+    _lose(planes, _loss_coeff_table(planes.n_max, t))
+    return _check_trace(before, _sector_blocks(planes), t)
 
 
 def _loss_dense(s: SpectralState, coef: np.ndarray) -> SpectralState:
@@ -550,8 +556,7 @@ def _loss_dense(s: SpectralState, coef: np.ndarray) -> SpectralState:
             for l in range(n_max + 1):
                 branch = np.zeros((n_max + 1, n_max + 1), dtype=complex)
                 branch[: n_max + 1 - k, : n_max + 1 - l] = coef[l, None, : n_max + 1 - l] * ak[:, l:]
-                nrm = np.linalg.norm(branch)
-                if nrm < 1e-16:
+                if np.linalg.norm(branch) < 1e-16:
                     continue
                 cols.append(sw * branch.ravel())
     if not cols:
@@ -566,19 +571,6 @@ def _loss_dense(s: SpectralState, coef: np.ndarray) -> SpectralState:
     return SpectralState(n_max, (BlockStack(na[None], nb[None], vals[None, keep], vecs[None][:, :, keep]),))
 
 
-def _sector_diagonal(s: SpectralState) -> bool:
-    """Whether every block of s has cells and lies in one sector (`BlockStack.sectors` of each stack is not
-    None), tested over the stacks laid end to end rather than stack by stack."""
-    widths = [st.na.shape[1] for st in s.stacks]
-    if 0 in widths:
-        return False
-    if not widths:
-        return True
-    n = np.concatenate([st.na.ravel() for st in s.stacks]) + np.concatenate([st.nb.ravel() for st in s.stacks])
-    m = np.repeat(widths, [len(st.na) for st in s.stacks])
-    return bool((n == np.repeat(n[np.cumsum(m) - m], m)).all())
-
-
 def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralState:
     """Equal photon loss on both modes, returned in block form.
 
@@ -587,18 +579,23 @@ def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralSta
     """
     spec = from_pure(s) if isinstance(s, TwoModeState) else s
     t = loss.transmission
-    coef = _loss_coeff_table(spec.n_max, t)
-    if _sector_diagonal(spec):
-        out = _loss_sectors(spec, coef)
-    else:
-        out = _loss_dense(spec, coef)
-    before, after = spec.point_traces(), out.point_traces()
-    bad = np.flatnonzero(np.abs(after - before) > 1e-8)
-    if bad.size:
-        p = bad[0]
-        where = f" at point {p}" if spec.points > 1 else ""
-        raise CutoffError(f"trace loss{where}: {before[p]:.12f} -> {after[p]:.12f} under T={t}")
-    return out
+    if all(st.sectors is not None for st in spec.stacks):
+        return _lossy(*_planes(_grids(spec)), t)
+    return _check_trace(spec.point_traces(), _loss_dense(spec, _loss_coeff_table(spec.n_max, t)), t)
+
+
+def lossy_phase_average(states: Iterable[TwoModeState], loss: LossSpec) -> SpectralState:
+    """`loss_channel(phase_average(states), loss)` from the pure states' grids: a batch, one point a state.
+    No grid is held past the planes, so an iterator's grids, held nowhere else, are freed before the loss."""
+    states = list(states)
+    size = max(st.n_max for st in states) + 1
+    g = np.zeros((size, len(states), 1, size), dtype=np.result_type(float, *(st.amps for st in states)))
+    for p, st in enumerate(states):  # laid out (n_a, point, layer, n_b), as `_grids` lays them
+        g[: st.n_max + 1, p, 0, : st.n_max + 1] = st.amps
+    del states, st
+    planes, before = _planes(g)
+    del g
+    return _lossy(planes, before, loss.transmission)
 
 
 # ---------------------------------------------------------------------------

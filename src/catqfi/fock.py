@@ -32,7 +32,7 @@ import numpy as np
 
 TAIL_TOL = 1e-12
 N_MAX_LIMIT = 2000  # largest cutoff per mode: a complex (n_max+1)^2 grid of 64 MB
-LOSS_LINE_BYTES = 2**27  # largest offset-plane buffer, or input densities, of the sector loss (channels): 128 MiB
+LOSS_LINE_BYTES = 2**27  # largest offset-plane buffer, or eigenvector grids, of the sector loss (channels): 128 MiB
 
 
 class CutoffError(RuntimeError):
@@ -114,8 +114,8 @@ def default_cutoff(alpha_abs: float) -> int:
     return max(32, ceil(heuristic))
 
 
-def _check_tail(log_kept: np.ndarray, log_tail: float, index: int) -> None:
-    """CutoffError unless |amp_index|^2 is within TAIL_TOL of the kept norm^2,
+def _check_tail(log_kept: np.ndarray, log_tail: float, index: int) -> float:
+    """The log of the kept norm^2, after a CutoffError unless |amp_index|^2 is within TAIL_TOL of it,
     both given by their amplitudes' log moduli, so that the test holds where the
     squares underflow; index is the last grid point (coherent) or the first
     support point past the grid (cat)."""
@@ -126,6 +126,7 @@ def _check_tail(log_kept: np.ndarray, log_tail: float, index: int) -> None:
             f"cutoff too small: |amps[{index}]|^2 is 10^{(2 * log_tail - log_norm_sq) / log(10):.4g}"
             f" of the kept norm^2, above {TAIL_TOL:g}"
         )
+    return log_norm_sq
 
 
 def coherent(alpha: complex, n_max: int) -> FockVector:
@@ -170,9 +171,11 @@ def cat_state(spec: CatSpec, n_max: int) -> FockVector:
     past = (n_max // N + 1) * N
     ks = np.array([*range(0, n_max + 1, N), min(past, 2**1000)], dtype=float)
     log_mod = -a2 / 2 + ks * log(abs(alpha)) - 0.5 * np.array([lgamma(k + 1) for k in ks])
+    log_norm_sq = _check_tail(log_mod[:-1], log_mod[-1], past)
+    # where the squares leave double range np.linalg.norm loses them, so the log moduli carry the norm
+    shift = log_norm_sq / 2 if log_norm_sq < log(np.finfo(float).tiny) else 0.0
     amps = np.zeros(n_max + 1, dtype=complex)
-    amps[::N] = np.exp(log_mod[:-1]) * np.exp(1j * ks[:-1] * np.angle(alpha))
-    _check_tail(log_mod[:-1], log_mod[-1], past)
+    amps[::N] = np.exp(log_mod[:-1] - shift) * np.exp(1j * ks[:-1] * np.angle(alpha))
     return FockVector(amps / np.linalg.norm(amps))
 
 

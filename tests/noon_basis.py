@@ -13,7 +13,7 @@ from math import sqrt
 
 import numpy as np
 
-from catqfi.channels import BlockStack, LossSpec, SpectralState, _block_densities
+from catqfi.channels import BlockStack, LossSpec, SpectralState
 from catqfi.closed_form import NoonMixture, lossy_noon_mixture
 from catqfi.fock import CutoffError
 
@@ -22,6 +22,11 @@ WEIGHT_FLOOR = 1e-14
 
 class NoonSupportError(ValueError):
     """State has weight outside span{|n,0>, |0,n>} beyond tolerance."""
+
+
+def _block_densities(st: BlockStack) -> np.ndarray:
+    """rho of every block of a stack, on its support: (B, m, m)."""
+    return (st.vecs * st.weights[:, None, :]) @ st.vecs.conj().transpose(0, 2, 1)
 
 
 def to_dense(s: SpectralState) -> np.ndarray:

@@ -66,7 +66,7 @@ def test_family_curve_n_components_is_the_family_head_count(kind, kwargs, heads)
 # the grid route's numerics, by defining module
 GRID_FUNCTIONS = {
     fock: ("cat_state", "coherent", "beam_splitter_5050", "extended_entangled_state", "noon_state", "default_cutoff"),
-    channels: ("phase_average", "loss_channel"),
+    channels: ("phase_average", "loss_channel", "lossy_phase_average"),
     qfi: ("qfi_mixed", "qfi_pure"),
 }
 
@@ -648,3 +648,44 @@ def test_json_records_mirror_csv():
     }
     coherent_rec = next(r for r in payload if r["family"] == "coherent")
     assert coherent_rec["qfi"] == pytest.approx(2.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's view of the package
+# ---------------------------------------------------------------------------
+
+
+def test_the_benchmark_reaches_every_name_it_uses(monkeypatch):
+    # perfbench/workloads.py and perfbench/spans.py import or wrap these names, and their tree changes
+    # only with the benchmark, so the package keeps them
+    for module, names in {
+        fock: ("beam_splitter_5050", "cat_state", "coherent", "default_cutoff", "CatSpec"),
+        channels: ("LossSpec", "loss_channel", "phase_average", "SpectralState"),
+        qfi: ("qfi_mixed", "DegenerateSpectrumWarning"),
+        bench: ("FamilyCurve", "numeric_point"),
+    }.items():
+        for name in names:
+            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+    assert issubclass(qfi.DegenerateSpectrumWarning, Warning)
+    # the lossy cat4 reference: dense loss on the pure state, then phase_average of a SpectralState
+    alpha, beta_ratio, t = 1.0, 0.5, 0.9
+    n_max = fock.default_cutoff(sqrt((1 + beta_ratio**2) / 2) * alpha)
+    pure = fock.beam_splitter_5050(fock.cat_state(fock.CatSpec(4, alpha / sqrt(2)), n_max),
+                                   fock.coherent(beta_ratio * alpha / sqrt(2), n_max)).normalize()
+    averaged = channels.phase_average(channels.loss_channel(pure, channels.LossSpec(t)))
+    assert isinstance(averaged, channels.SpectralState)
+    weight, vector = averaged.terms[0]  # SpectralState.terms: (weight, grid) pairs, read by spans.py
+    assert isinstance(weight, float) and vector.amps.shape == (n_max + 1, n_max + 1)
+    curve = bench.FamilyCurve("cat4", "cat4", "phase_averaged", beta_ratio, 4, t)
+    assert bench.numeric_point(curve, alpha)[1] == pytest.approx(qfi.qfi_mixed(averaged, "n_b"), rel=1e-12)
+    # perfbench's test_reproduce_reaches_every_layer counts loss_channel calls in verify: its t1 identity check
+    calls = Counter()
+    traced = bench.loss_channel
+
+    def counted(*args, **kwargs):
+        calls["loss_channel"] += 1
+        return traced(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "loss_channel", counted)
+    assert bench.verify_consistency().passed
+    assert calls["loss_channel"] > 0

@@ -18,6 +18,7 @@ from catqfi.channels import (
     cps_round_outcome,
     from_pure,
     loss_channel,
+    lossy_phase_average,
     phase_average,
     synthesize_heralded,
 )
@@ -160,7 +161,7 @@ def test_terms_view_expands_blocks_to_the_grid():
     assert np.max(np.abs(rebuilt - dense(state))) < 1e-14
 
 
-def test_photon_sector_of_vectors():
+def test_photon_sector_of_vectors(monkeypatch):
     def stack(*cells):
         na, nb = (np.array([[c[i] for c in cells]], dtype=int).reshape(1, len(cells)) for i in (0, 1))
         return BlockStack(na, nb, np.ones((1, 1)), np.ones((1, len(cells), 1)))
@@ -173,10 +174,20 @@ def test_photon_sector_of_vectors():
     assert stack((1, 0), (0, 2)).sectors is None
     two = BlockStack(np.array([[0, 1], [0, 3]]), np.array([[1, 0], [3, 0]]), np.ones((2, 1)), np.ones((2, 2, 1)))
     assert two.sectors.tolist() == [1, 3]
-    # loss takes the sector route when every stack has sectors, a test made over all stacks at once
+
+    # loss takes the sector route when every stack has sectors
+    def route(name):
+        def taken(*args):
+            raise LookupError(name)
+
+        return taken
+
+    monkeypatch.setattr(channels, "_lossy", route("sectors"))
+    monkeypatch.setattr(channels, "_loss_dense", route("dense"))
     for stacks in [(), (two,), (two, stack((0, 0))), (two, stack((1, 0), (0, 2))), (stack(), two)]:
-        state = SpectralState(4, stacks)
-        assert channels._sector_diagonal(state) == all(st.sectors is not None for st in stacks)
+        with pytest.raises(LookupError) as taken:
+            loss_channel(SpectralState(4, stacks), LossSpec(0.9))
+        assert taken.value.args[0] == ("sectors" if all(st.sectors is not None for st in stacks) else "dense")
 
 
 def test_loss_sector_blocks_keep_trace_and_sectors():
@@ -202,6 +213,14 @@ def test_loss_sector_route_on_a_mixed_sector_state_matches_dense_route():
     out_blocks = loss_channel(state, LossSpec(0.7))
     out_dense = dense_loss(state, 0.7)
     assert np.max(np.abs(dense(out_blocks) - dense(out_dense))) < 1e-12
+
+
+def test_blocks_sharing_a_sector_keep_apart():
+    # |1,1> beside a noon pair of sector 2, two blocks: laid on one grid they would gain coherences
+    noon = (np.array([0, 2]), np.array([2, 0]), [0.5], [[1 / sqrt(2)], [1 / sqrt(2)]])
+    state = SpectralState(4, (block([1], [1], [0.5], [[1.0]]), block(*noon)))
+    assert np.max(np.abs(dense(phase_average(state)) - dense(state))) < 1e-15
+    assert np.max(np.abs(dense(loss_channel(state, LossSpec(0.7))) - dense(dense_loss(state, 0.7)))) < 1e-12
 
 
 def test_loss_of_a_batch_gives_each_point_its_qfi_alone():
@@ -244,12 +263,12 @@ def test_loss_memory_grows_as_lines_not_as_kraus_copies():
 
 
 def test_loss_refuses_lines_above_the_budget(monkeypatch):
-    # the blocks' densities (972,240 bytes) are refused before any is expanded
+    # the offset planes (502,320 bytes) are refused before any is allocated
     state = phase_average(cat4_pure(2.0, 2.0, 44))
     monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**16)
     tracemalloc.start()
     try:
-        with pytest.raises(CutoffError, match=r"needs [\d,]+ bytes for \d+ lines of up to 45 elements.*65,536 bytes"):
+        with pytest.raises(CutoffError, match=r"planes need [\d,]+ bytes for \d+ offsets of up to 45 x 45 .*65,536 bytes"):
             loss_channel(state, LossSpec(0.9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -259,8 +278,9 @@ def test_loss_refuses_lines_above_the_budget(monkeypatch):
 
 def test_loss_refuses_a_line_array_past_the_element_budget(monkeypatch):
     # at beta = 0 only every fourth sector is occupied, and sectors 40 and 44
-    # fall under SECTOR_FLOOR: the ten kept densities take 78,880 bytes, and
-    # their offset planes, a (37 - d)^2 box at each offset d <= 36, 281,200
+    # fall under SECTOR_FLOOR: the one grid of the blocks' eigenvectors takes
+    # 32,400 bytes, and their offset planes, a (37 - d)^2 box at each offset
+    # d <= 36, 281,200
     state = phase_average(cat4_pure(2.0, 0.0, 44))
     monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**17)
     tracemalloc.start()
@@ -273,26 +293,58 @@ def test_loss_refuses_a_line_array_past_the_element_budget(monkeypatch):
     assert peak < 2**20
 
 
+def test_loss_refuses_eigenvector_grids_above_the_budget(monkeypatch):
+    # a phase-averaged pure state is rank one in every sector, so its eigenvectors share one grid
+    state = phase_average(cat4_pure(2.0, 0.0, 44))
+    monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError, match=r"eigenvector grids need 32,400 bytes for 1 x 45 x 45 .*16,384"):
+            loss_channel(state, LossSpec(0.9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_loss_refuses_run_pairs_above_the_budget(monkeypatch):
+    # on a checkerboard every occupied cell is a run of its own, so a sector of c
+    # cells has c (c + 1) / 2 run pairs: 348,551 (pair, offset) entries, each
+    # owning a plane element of 8 bytes, are refused before any pair is formed
+    amps = np.zeros((201, 201))
+    amps[::2, ::2] = 1.0
+    state = phase_average(TwoModeState(amps).normalize())
+    monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError, match=r"offset planes need at least 2,788,408 bytes, .* of 1,048,576 bytes"):
+            loss_channel(state, LossSpec(0.9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+
+
 def test_loss_trace_check_is_per_point(monkeypatch):
     # defects of +d and -d on the two points cancel in the batch total
     state = extended_entangled_state(1, 1.0, 32)
     batch = phase_average([state, state])
-    exact = channels._loss_sectors
+    exact = channels._lose
 
-    def skewed(s, coef):
-        out = exact(s, coef)
-        first, *rest = out.stacks
-        weights = first.weights.copy()
-        weights[np.flatnonzero(first.point == 0)[0], -1] += 1e-6
-        weights[np.flatnonzero(first.point == 1)[0], -1] -= 1e-6
-        return SpectralState(out.n_max, (replace(first, weights=weights), *rest), out.points)
+    def skewed(planes, coef):
+        exact(planes, coef)
+        planes.box(0)[0, :, 0] += [1e-6, -1e-6]  # the vacuum of each point
 
-    monkeypatch.setattr(channels, "_loss_sectors", skewed)
-    lost = skewed(batch, _loss_coeff_table(batch.n_max, 0.9))
+    planes, _ = channels._planes(channels._grids(batch))
+    skewed(planes, _loss_coeff_table(batch.n_max, 0.9))
+    lost = channels._sector_blocks(planes)
     assert lost.trace() == pytest.approx(batch.trace(), abs=1e-12)
     assert np.all(np.abs(lost.point_traces() - batch.point_traces()) > 1e-8)
+    monkeypatch.setattr(channels, "_lose", skewed)
     with pytest.raises(CutoffError, match="at point 0"):
         loss_channel(batch, LossSpec(0.9))
+    with pytest.raises(CutoffError, match="at point 0"):
+        lossy_phase_average([state, state], LossSpec(0.9))
 
 
 def test_loss_coefficients_do_not_depend_on_the_table_size():
@@ -361,7 +413,7 @@ def test_a_wide_block_of_any_rank_is_factored_by_rank(monkeypatch):
     n, k = 20, np.arange(3, 15)
     for rank in (2, 12):
         factor = RNG.normal(size=(k.size, rank)) + 1j * RNG.normal(size=(k.size, rank))
-        state = SpectralState(16, (BlockStack(k[None], n - k[None], np.ones((1, rank)), factor[None]),))
+        state = SpectralState(17, (BlockStack(k[None], n - k[None], np.ones((1, rank)), factor[None]),))
         out = phase_average(state)
         assert [st.weights.shape[1] for st in out.stacks] == [rank]
         assert np.max(np.abs(dense(out) - dense(state))) < 1e-12
@@ -376,7 +428,7 @@ def test_the_rank_route_keeps_each_eigenvalue_above_the_floor(monkeypatch):
     n, k = 20, np.arange(3, 15)
     vecs = np.linalg.qr(RNG.normal(size=(k.size, 3)) + 1j * RNG.normal(size=(k.size, 3)))[0]
     lam = np.array([1.0, 1e-6, 1e-12])
-    out = phase_average(SpectralState(16, (BlockStack(k[None], n - k[None], lam[None], vecs[None]),)))
+    out = phase_average(SpectralState(17, (BlockStack(k[None], n - k[None], lam[None], vecs[None]),)))
     assert np.sort(np.concatenate([st.weights.ravel() for st in out.stacks])) == pytest.approx(lam[::-1], rel=1e-2)
     assert widths == []
 

@@ -227,6 +227,31 @@ def test_truncation_is_caught_where_the_squared_amplitudes_underflow(make):
         make()
 
 
+def test_a_cat_whose_kept_squares_underflow_is_the_vacuum():
+    # N = 5000 at alpha = 30 keeps only |0>, of amplitude e^-450 (about 1e-196): np.linalg.norm
+    # squares it to 0, so the grid is normalized from its log moduli instead
+    assert np.array_equal(cat_state(CatSpec(5000, 30.0), 10).amps, np.eye(11)[0])
+    result = CliRunner().invoke(cli.main, ["state", "--family", "cat", "--alpha", "30", "--n-components", "5000",
+                                           "--n-max", "10"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert (payload["norm_sq"], payload["mean_n"]) == (1.0, 0.0)
+    assert payload["amplitudes"] == [[1.0, 0.0]] + [[0.0, 0.0]] * 10
+
+
+@pytest.mark.parametrize("n_components, alpha", [(1, 0.9), (2, 1e-3), (3, 1.2 * np.exp(0.4j)), (4, 2.0), (8, 5.0),
+                                                 (64, 7.0), (5000, 2.0), (2, 26.5)])
+def test_in_range_cat_amplitudes_keep_their_numerical_normalization(n_components, alpha):
+    # where the squares stay in double range (at alpha = 26.5 the vacuum's square is e^-702) the
+    # grid is divided by np.linalg.norm, bit for bit
+    n_max = default_cutoff(abs(alpha))
+    ks = np.arange(0, n_max + 1, n_components, dtype=float)
+    log_mod = -abs(alpha) ** 2 / 2 + ks * log(abs(alpha)) - 0.5 * np.array([lgamma(k + 1) for k in ks])
+    amps = np.zeros(n_max + 1, dtype=complex)
+    amps[::n_components] = np.exp(log_mod) * np.exp(1j * ks * np.angle(alpha))
+    assert np.array_equal(cat_state(CatSpec(n_components, alpha), n_max).amps, amps / np.linalg.norm(amps))
+
+
 def test_cat_mean_photon_two_routes():
     # grid moment vs term-wise series over the cat's own support
     N, alpha = 4, 1.3

@@ -243,10 +243,78 @@ def test_sector_floor_moves_no_resolved_qfi(point):
         patch.setattr(channels, "SECTOR_FLOOR", 0.0)
         full = loss_channel(averaged, curve.loss)
     assert block_count(floored) <= block_count(full)
-    # the trace of the input blocks the floor drops, summed apart from the ~1 of the rest
-    traces = np.concatenate([blocks.weights.sum(axis=1) for blocks in averaged.stacks])
-    dropped = traces[~channels._weighty(averaged)].sum()
+    # the weight of the input sectors the floor drops, summed apart from the ~1 of the rest
+    weights = np.concatenate([blocks.weights.sum(axis=1) for blocks in averaged.stacks])  # one block a sector
+    dropped = weights[weights <= channels.SECTOR_FLOOR * weights.sum()].sum()
     assert dropped <= (2 * averaged.n_max + 1) * channels.SECTOR_FLOOR * averaged.trace()
     f_full = qfi_mixed(full, "n_b")
     if f_full >= bench.QFI_RESOLUTION:
         assert abs(qfi_mixed(floored, "n_b") - f_full) <= 1e-12 * f_full
+
+
+@st.composite
+def sparse_states(draw) -> TwoModeState:
+    """Pure states on random supports: several runs of n_a per sector, gaps, empty sectors, or the noon span;
+    real or complex."""
+    n_max = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=(n_max + 1, n_max + 1))
+    if draw(st.booleans()):
+        amps = amps + 1j * rng.normal(size=amps.shape)
+    amps[rng.random(amps.shape) > draw(st.floats(0.2, 1.0))] = 0.0
+    n = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
+    amps[np.isin(n, rng.choice(2 * n_max + 1, size=draw(st.integers(0, 2 * n_max)), replace=False))] = 0.0
+    if draw(st.booleans()):
+        amps[1:, 1:] = 0.0  # the noon span
+    amps[0, n_max] += 1.0  # at least one cell
+    return TwoModeState(amps).normalize()
+
+
+def padded(s: TwoModeState, n_max: int) -> TwoModeState:
+    amps = np.zeros((n_max + 1, n_max + 1), dtype=s.amps.dtype)
+    amps[: s.n_max + 1, : s.n_max + 1] = s.amps
+    return TwoModeState(amps)
+
+
+def point(s: SpectralState, p: int) -> SpectralState:
+    """The blocks of point p of a batch, as a state of its own."""
+    stacks = tuple(replace(b, na=b.na[k], nb=b.nb[k], weights=b.weights[k], vecs=b.vecs[k], point=b.point[k] * 0)
+                   for b in s.stacks for k in [b.point == p])
+    return SpectralState(s.n_max, stacks)
+
+
+@settings(max_examples=100)
+@given(st.lists(sparse_states(), min_size=1, max_size=3), transmissions)
+def test_planes_from_grids_match_loss_before_averaging(states, t):
+    # the reference: the dense operator sum on each pure state, then its coherences between sectors erased
+    lost = channels.lossy_phase_average(states, LossSpec(t))
+    assert lost.points == len(states)
+    n_max = lost.n_max
+    n = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)).ravel()
+    for p, state in enumerate(states):
+        dense = to_dense(channels._loss_dense(channels.from_pure(padded(state, n_max)),
+                                              channels._loss_coeff_table(n_max, t)))
+        dense[n[:, None] != n[None, :]] = 0.0
+        assert np.max(np.abs(to_dense(point(lost, p)) - dense)) <= 1e-12
+        assert np.max(np.abs(to_dense(point(loss_channel(phase_average(states), LossSpec(t)), p)) - dense)) <= 1e-12
+
+
+@given(st.lists(sparse_states(), min_size=1, max_size=3))
+def test_plane_boxes_are_the_extents_of_their_cell_pairs(states):
+    # every pair of occupied cells of one sector, (u_a + d, u_b) and (u_a, u_b + d), by brute force
+    planes, _ = channels._planes(channels._grids(phase_average(states)))
+    rows, cols = np.zeros(planes.n_max + 1, dtype=int), np.zeros(planes.n_max + 1, dtype=int)
+    for state in states:
+        x, y = np.nonzero(np.abs(state.amps) ** 2)
+        for i in range(x.size):
+            for j in range(x.size):
+                if x[i] + y[i] == x[j] + y[j] and x[i] >= x[j]:
+                    d = x[i] - x[j]
+                    rows[d], cols[d] = max(rows[d], x[j] + 1), max(cols[d], y[i] + 1)
+    assert np.array_equal(planes.rows, rows) and np.array_equal(planes.cols, cols)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channels, "_PASS_ELEMENTS", 3)  # the run pairs formed a few runs at a time
+        split, _ = channels._planes(channels._grids(phase_average(states)))
+    assert np.array_equal(split.rows, rows) and np.array_equal(split.cols, cols)
+    if all(not s.amps[1:, 1:].any() for s in states):
+        assert np.all(rows[1:] * cols[1:] <= 1)  # a noon-span box past d = 0 is its corner alone
