@@ -30,15 +30,16 @@ from .fock import (
     TwoModeState,
     cat_state,
     check_grid_size,
-    coherent,
+    coherent_amps,
     default_cutoff,
-    extended_entangled_state,
+    extended_grids,
     mandel_q,
-    noon_state,
-    number_moment,
-    product_state,
+    noon_grids,
+    normalized,
+    number_moments,
+    product_grids,
 )
-from .qfi import qfi_mixed, qfi_pure
+from .qfi import qfi_mixed, qfi_pure_grids
 
 # below this QFI a trace-1 state is the vacuum to double precision, and the
 # grid route cannot resolve the QFI at the 1e-8 relative agreement verify asks
@@ -89,10 +90,12 @@ class Family:
 
     params: the shape parameters a curve sets, beta_ratio (finite, >= 0, with
     alpha > 0) and n_components (integer >= 1); heads: the cat heads N the
-    family fixes; build: (curve, alpha, n_max) -> the numeric route's pure
-    state, None where the family has none at alpha (n_max None: the family's
-    cutoff); nav: closed-form N_av = <n_a>; qfi: variant -> closed-form QFI
-    under n_b, None where there is none.
+    family fixes; build: (curve, alphas, n_max) -> (grids, live), the numeric
+    route's pure states at the alphas where the family has one, stacked
+    (n_a, point, n_b) as the `fock` builders stack them, and the mask of those
+    alphas (n_max None: each point's own cutoff); nav: closed-form
+    N_av = <n_a>; qfi: variant -> closed-form QFI under n_b, None where there
+    is none.
     """
 
     params: tuple
@@ -102,36 +105,51 @@ class Family:
     heads: int | None = None
 
 
-def _coherent_pair(curve, alpha, n_max):
-    half = coherent(alpha / sqrt(2), default_cutoff(alpha) if n_max is None else n_max)
-    return product_state(half, half)
+def _cutoffs(amplitudes, n_max) -> list:
+    """n_max at every point where it is given, else `default_cutoff` of each point's largest coherent
+    amplitude; a Python float each, so that an overflowed square reads inf and the grid limit refuses it."""
+    return [default_cutoff(a) if n_max is None else n_max for a in amplitudes]
 
 
-def _cat4_state(curve, alpha, n_max):
+def _everywhere(alphas: np.ndarray) -> np.ndarray:
+    return np.ones(len(alphas), dtype=bool)
+
+
+def _coherent_pair(curve, alphas, n_max):
+    half = coherent_amps(alphas / sqrt(2), _cutoffs(alphas.tolist(), n_max))
+    return product_grids(half, half), _everywhere(alphas)
+
+
+def _cat4_state(curve, alphas, n_max):
     """|C_4(alpha/sqrt2)>|beta/sqrt2> after the 50:50 beam splitter, sum_k |(alpha i^k + beta)/2>|(beta - alpha i^k)/2>:
     no amplitude passes sqrt((alpha^2 + beta^2)/2), so each coherent factor's tail check covers the truncation.
 
     A real grid: for real alpha and beta the heads come in conjugate pairs, whose imaginary parts
     cancel to exactly 0, so the phase average, the loss and the QFI run in real arithmetic."""
-    beta = curve.beta_ratio * alpha
-    if n_max is None:
-        n_max = default_cutoff(sqrt((alpha * alpha + beta * beta) / 2))
-    heads = [coherent((alpha * ik + beta) / 2, n_max).amps for ik in (1, 1j, -1, -1j)]
-    # mode b of head k is (beta - alpha i^k)/2 = (alpha i^(k+2) + beta)/2, the same number as mode a of head k + 2
-    amps = sum(np.outer(heads[k], heads[(k + 2) % 4]) for k in range(4))
-    # normalized as the complex grid, since a complex division rounds apart from a real one
-    return TwoModeState(TwoModeState(amps).normalize().amps.real.copy())
+    betas = curve.beta_ratio * alphas
+    cut = _cutoffs([sqrt((a * a + b * b) / 2) for a, b in zip(alphas.tolist(), betas.tolist())], n_max)
+    # head k of each point, (alpha i^k + beta)/2; mode b of head k is (beta - alpha i^k)/2 = (alpha i^(k+2) + beta)/2,
+    # the same number as mode a of head k + 2
+    amplitudes = (alphas[:, None] * np.array([1, 1j, -1, -1j]) + betas[:, None]) / 2
+    heads = coherent_amps(amplitudes.ravel(), np.repeat(cut, 4)).reshape(len(alphas), 4, -1)
+    grids = product_grids(heads[:, 0], heads[:, 2])
+    for k in (1, 2, 3):
+        grids += product_grids(heads[:, k], heads[:, (k + 2) % 4])
+    # the imaginary parts are 0, so the real grid is normalized as the complex one
+    return normalized(grids.real), _everywhere(alphas)
 
 
-def _extended_state(curve, alpha, n_max):
-    return extended_entangled_state(curve.n_components, alpha, n_max)
+def _extended_state(curve, alphas, n_max):
+    return extended_grids(curve.n_components, alphas, _cutoffs(np.abs(alphas).tolist(), n_max)), _everywhere(alphas)
 
 
-def _noon_grid(curve, alpha, n_max):
-    check_grid_size(alpha * alpha)  # before rounding, which cannot take the inf of an overflowed square
-    n = round(alpha * alpha)
-    integer = abs(alpha * alpha - n) < 1e-9
-    return noon_state(n, max(32, n) if n_max is None else n_max) if integer else None
+def _noon_grid(curve, alphas, n_max):
+    squares = [a * a for a in alphas.tolist()]
+    check_grid_size(max(squares))  # before rounding, which cannot take the inf of an overflowed square
+    ns = np.round(squares).astype(int)
+    live = np.abs(np.array(squares) - ns) < 1e-9  # the noon state exists at integer alpha^2 only
+    ns = ns[live]
+    return noon_grids(ns, np.maximum(32, ns) if n_max is None else n_max), live
 
 
 def _half_alpha_sq(curve, alpha):
@@ -221,9 +239,11 @@ class FamilyCurve:
     def loss(self) -> LossSpec:
         return LossSpec(self.transmission)
 
-    def state(self, alpha: float, n_max: int | None = None):
-        """The numeric route's pure state, None where the family has none at alpha (non-integer noon)."""
-        return FAMILIES[self.kind].build(self, alpha, n_max)
+    def state(self, alpha: float, n_max: int | None = None) -> TwoModeState | None:
+        """The numeric route's pure state, None where the family has none at alpha (non-integer noon):
+        the family's build at one point."""
+        grids, live = FAMILIES[self.kind].build(self, np.array([alpha], dtype=float), n_max)
+        return TwoModeState(grids[:, 0]) if live[0] else None
 
 
 @dataclass(frozen=True)
@@ -299,22 +319,25 @@ def numeric_points(curve: FamilyCurve, alphas, generator: str = "n_b") -> list[t
     """(N_av, QFI) at each alpha through the truncated-Fock pipeline; None
     where the family has no numeric realization (non-integer noon).
 
-    Mixed states are phase averaged, lost and evaluated as one batch, so a
-    failure at any alpha raises for the whole call.
+    The states are built as one stack, and the moments, the phase average,
+    the loss and the QFI each take it whole, so a failure at any alpha raises
+    for the whole call.
     """
-    states = [curve.state(alpha) for alpha in alphas]
-    live = [i for i, state in enumerate(states) if state is not None]
-    out = [None] * len(states)
-    if not live:
+    alphas = np.asarray(alphas, dtype=float)
+    if not alphas.size:
+        return []
+    grids, live = FAMILIES[curve.kind].build(curve, alphas, None)
+    out = [None] * len(live)
+    if not live.any():
         return out
-    navs = [number_moment(states[i], "a", 1) for i in live]
+    navs = number_moments(grids, "a").tolist()
     if curve.variant == "pure":
-        qfis = [qfi_pure(states[i], generator) for i in live]
+        qfis = qfi_pure_grids(grids, generator).tolist()
     else:
-        batch, states = iter([states[i] for i in live]), None  # the loss alone holds the grids, dropped before its peak
-        mixed = lossy_phase_average(batch, curve.loss) if curve.transmission < 1.0 else phase_average(list(batch))
+        # the loss takes the stack over, zeroing its sectors under the floor in place
+        mixed = lossy_phase_average(grids, curve.loss) if curve.transmission < 1.0 else phase_average(grids)
         qfis = np.atleast_1d(qfi_mixed(mixed, generator)).tolist()
-    for i, nav, f in zip(live, navs, qfis):
+    for i, nav, f in zip(np.flatnonzero(live).tolist(), navs, qfis):
         out[i] = (nav, f)
     return out
 
@@ -339,10 +362,13 @@ def _make_row(figure: str, curve: FamilyCurve, alpha: float, nav: float, f: floa
     )
 
 
-# alphas of a curve per numeric_points call in a sweep, sized by peak memory:
-# in a library-level sweep of all four figures plus verify, whole-grid
-# batches raised peak RSS from 39.4 to 46.7 MB and chunks of 16 to 40.6 MB,
-# while chunks of 8 kept 39.4 MB at the speed of 16
+# alphas of a curve per numeric_points call in a sweep, sized by time and
+# memory: the four sweeps plus verify in one process (medians of five passes,
+# one BLAS thread) took 264-281 ms in chunks of 4 (tracemalloc peak
+# 0.93 MiB), 197-199 ms in chunks of 8 (1.09 MiB), 176-179 ms in chunks of 16
+# (1.59 MiB, and peak RSS 1 MB above 8's) and 202-229 ms as whole curves
+# (6.75 MiB, peak RSS +8 MB), whose states are all padded to the curve's
+# largest cutoff
 _SWEEP_CHUNK = 8
 
 _ROW_ERRORS = (CutoffError, ArithmeticError)

@@ -16,7 +16,8 @@ channel exactly trace preserving on the truncated grid.
 A `SpectralState` may hold a batch of states, its points: every block
 carries the index of the point it belongs to, and the grid is that of the
 largest cutoff in the batch.  `phase_average` and `lossy_phase_average` of
-a sequence of pure states build such a batch, and every map here and
+a stack of pure grids (n_a, point, n_b), as the `fock` builders return it,
+or of a sequence of pure states build such a batch, and every map here and
 `qfi.qfi_mixed` act on each point as if it were alone, so one pass of numpy
 kernels serves a chunk of a curve's alpha grid.  Sectors are keyed (point, n).
 
@@ -54,7 +55,7 @@ from math import ldexp, pi, sqrt
 
 import numpy as np
 
-from .fock import LOSS_LINE_BYTES, CutoffError, TwoModeState, extended_entangled_state, phase_shift
+from .fock import LOSS_LINE_BYTES, CutoffError, TwoModeState, extended_entangled_state, phase_shift, stack_grids
 
 # eigenvalues at or below this fraction of their block's trace are dropped, so
 # that tiny sectors keep full relative precision
@@ -153,6 +154,18 @@ class SpectralState:
     stacks: tuple
     points: int = 1
 
+    def __post_init__(self):
+        """A ValueError names the first cell of a block that lies off the grid."""
+        # one pass over every stack's cells: most states hold many small stacks
+        cells = np.concatenate([np.zeros(1, dtype=int), *(c.ravel() for st in self.stacks for c in (st.na, st.nb))])
+        if cells.min() >= 0 and cells.max() <= self.n_max:
+            return
+        for i, st in enumerate(self.stacks):
+            if (off := (np.minimum(st.na, st.nb) < 0) | (np.maximum(st.na, st.nb) > self.n_max)).any():
+                b, c = np.argwhere(off)[0]
+                raise ValueError(f"cell (n_a, n_b) = ({st.na[b, c]}, {st.nb[b, c]}) of block {b} of stack {i} lies off"
+                                 f" the {self.n_max + 1} x {self.n_max + 1} grid")
+
     @property
     def terms(self) -> Sequence:
         """Every (weight, eigenvector) pair, the vector on the full grid: a view for inspection."""
@@ -175,27 +188,25 @@ def from_pure(s: TwoModeState) -> SpectralState:
     return SpectralState(s.n_max, (stack,) if na.size else ())
 
 
-def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> SpectralState:
+def phase_average(s: TwoModeState | SpectralState | np.ndarray | Sequence[TwoModeState]) -> SpectralState:
     """Erase coherences between total-photon-number sectors (Eq.-(3) dephasing).
 
     Uniform averaging of a common phase on both modes keeps exactly the block-
     diagonal part in n_a + n_b: one block per sector, for a pure input its sector
     projection, already an eigenvector.  A mixed input is rebuilt through the
-    offset planes, without its sectors under `SECTOR_FLOOR`.  A sequence of pure
-    states, which may differ in cutoff, is one batch with a point per state.
+    offset planes, without its sectors under `SECTOR_FLOOR`.  A stack of pure
+    grids (n_a, point, n_b), as the `fock` builders return it, or a sequence of
+    pure states, which may differ in cutoff, is one batch with a point per state.
     """
     if isinstance(s, SpectralState):
         return _sector_blocks(_planes(_grids(s))[0])
-    batch = [s] if isinstance(s, TwoModeState) else list(s)
-    n_max = max(st.n_max for st in batch)
-    n_sec = 2 * n_max + 1
+    grids = _stacked(s)
+    size, points = grids.shape[:2]
+    n_sec = 2 * size - 1
     # sector weights of a pure state are exact slice norms: keep them all,
     # however small, so that feeble high-n sectors stay verifiable
-    cells = [np.nonzero(np.abs(st.amps) ** 2) for st in batch]
-    point = np.repeat(np.arange(len(batch)), [na.size for na, _ in cells])
-    na = np.concatenate([na for na, _ in cells])
-    nb = np.concatenate([nb for _, nb in cells])
-    amps = np.concatenate([st.amps[c] for st, c in zip(batch, cells)])
+    na, point, nb = np.nonzero(np.abs(grids) ** 2)
+    amps = grids[na, point, nb]
     sec = point * n_sec + na + nb  # sector (point, n)
     m_of = np.bincount(sec)
     order = np.lexsort((na, sec, m_of[sec]))  # each support size's cells in one run
@@ -211,7 +222,14 @@ def phase_average(s: TwoModeState | SpectralState | Sequence[TwoModeState]) -> S
         vecs = amps[lo:hi].reshape(-1, m) / np.sqrt(w)[:, None]
         stacks.append(BlockStack(ka, kb, w[:, None], vecs[:, :, None], block_sec // n_sec))
         lo = hi
-    return SpectralState(n_max, tuple(stacks), len(batch))
+    return SpectralState(size - 1, tuple(stacks), points)
+
+
+def _stacked(s: TwoModeState | np.ndarray | Iterable[TwoModeState]) -> np.ndarray:
+    """Pure states as a stack of grids (n_a, point, n_b): a stack as it is, else laid out anew."""
+    if isinstance(s, np.ndarray):
+        return s
+    return stack_grids([s] if isinstance(s, TwoModeState) else list(s))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +394,8 @@ def _factor_by_rank(planes: _Planes, k: np.ndarray, diag: np.ndarray, first: np.
     seg, cell = _end_to_end(m)  # the block of each cell and its place in it
     kc, nc, pc, resid = k[first[seg] + cell], n[seg], p[seg], diag[first[seg] + cell]
     steps = np.zeros(m.size, dtype=int)
-    cols = np.zeros((8, seg.size), dtype=planes.buf.dtype)  # L^T, a row per step
+    dtype = planes.buf.dtype
+    cols = np.zeros((0, seg.size), dtype=dtype)  # L^T, a row per step, grown 8 rows at first and then doubled
     t = 0  # every block still going has taken t steps
     while (going := np.add.reduceat(resid, head) > floor).any():
         hit = np.flatnonzero(resid == np.maximum.reduceat(resid, head)[seg])
@@ -388,7 +407,10 @@ def _factor_by_rank(planes: _Planes, k: np.ndarray, diag: np.ndarray, first: np.
         if t:
             rho_j -= (cols[:t] * cols[:t, pivot].conj()[:, seg]).sum(axis=0)
         if t == len(cols):
-            cols = np.concatenate((cols, np.zeros_like(cols)))
+            if (nbytes := max(8, 2 * t) * seg.size * dtype.itemsize) > LOSS_LINE_BYTES:
+                raise CutoffError(f"the rank factors need {nbytes:,} bytes for {max(8, 2 * t)} x {seg.size} elements,"
+                                  f" above the line budget of {LOSS_LINE_BYTES:,} bytes")
+            cols = np.concatenate((cols, np.zeros((max(8, t), seg.size), dtype=dtype)))
         # a block that stopped takes a zero column
         l_j = np.multiply(rho_j, (going / np.sqrt(np.where(going, resid[pivot], 1.0)))[seg], out=cols[t])
         resid -= (l_j * l_j.conj()).real
@@ -404,7 +426,10 @@ def _factor_by_rank(planes: _Planes, k: np.ndarray, diag: np.ndarray, first: np.
     top = np.cumsum(height) - height
     block, offset = _end_to_end(w)
     row, at = top[block] + offset, head[order][block] + offset
-    factor, cells = np.zeros((height.sum(), width.max()), dtype=cols.dtype), np.zeros(height.sum(), dtype=kc.dtype)
+    if (nbytes := int(height.sum()) * int(width.max()) * dtype.itemsize) > LOSS_LINE_BYTES:
+        raise CutoffError(f"the padded rank factors need {nbytes:,} bytes for {height.sum()} x {width.max()} elements,"
+                          f" above the line budget of {LOSS_LINE_BYTES:,} bytes")
+    factor, cells = np.zeros((height.sum(), width.max()), dtype=dtype), np.zeros(height.sum(), dtype=kc.dtype)
     factor[row], cells[row] = cols[: width.max(), at].T, kc[at]
     starts = np.flatnonzero(np.diff(height, prepend=0) | np.diff(width, prepend=0)).tolist()  # of each shape
     ends = [*starts[1:], m.size]
@@ -584,17 +609,13 @@ def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralSta
     return _check_trace(spec.point_traces(), _loss_dense(spec, _loss_coeff_table(spec.n_max, t)), t)
 
 
-def lossy_phase_average(states: Iterable[TwoModeState], loss: LossSpec) -> SpectralState:
+def lossy_phase_average(states: np.ndarray | Iterable[TwoModeState], loss: LossSpec) -> SpectralState:
     """`loss_channel(phase_average(states), loss)` from the pure states' grids: a batch, one point a state.
-    No grid is held past the planes, so an iterator's grids, held nowhere else, are freed before the loss."""
-    states = list(states)
-    size = max(st.n_max for st in states) + 1
-    g = np.zeros((size, len(states), 1, size), dtype=np.result_type(float, *(st.amps for st in states)))
-    for p, st in enumerate(states):  # laid out (n_a, point, layer, n_b), as `_grids` lays them
-        g[: st.n_max + 1, p, 0, : st.n_max + 1] = st.amps
-    del states, st
-    planes, before = _planes(g)
-    del g
+
+    A stack of grids (n_a, point, n_b), as the `fock` builders return it, is taken over: its cells in
+    sectors under `SECTOR_FLOOR` are zeroed in place, and nothing of it is held past the planes.
+    """
+    planes, before = _planes(_stacked(states)[:, :, None])
     return _lossy(planes, before, loss.transmission)
 
 

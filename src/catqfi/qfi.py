@@ -36,13 +36,19 @@ class DegenerateSpectrumWarning(RuntimeWarning):
     """
 
 
-def qfi_pure(s: TwoModeState, generator: str = "n_b") -> float:
-    """QFI 4 Var(G) of a normalized pure state under e^{iG phi}."""
-    p = np.abs(s.amps) ** 2
-    g = _generator_grid(s.n_max, generator)
-    m1 = float(np.sum(g * p))
-    m2 = float(np.sum(g * g * p))
+def qfi_pure_grids(grids: np.ndarray, generator: str = "n_b") -> np.ndarray:
+    """QFI 4 Var(G) of each normalized pure state of a stack (n_a, point, n_b) under e^{iG phi}: (points,)."""
+    g = _generator_grid(grids.shape[0] - 1, generator).ravel()
+    # each point's grid laid out whole, so that its sums run as np.sum runs them on the grid alone
+    p = np.ascontiguousarray(np.abs(grids.transpose(1, 0, 2)) ** 2).reshape(grids.shape[1], -1)
+    m1 = (g * p).sum(axis=1)
+    m2 = (g * g * p).sum(axis=1)
     return 4.0 * (m2 - m1 * m1)
+
+
+def qfi_pure(s: TwoModeState, generator: str = "n_b") -> float:
+    """QFI 4 Var(G) of a normalized pure state under e^{iG phi}: `qfi_pure_grids` at one point."""
+    return float(qfi_pure_grids(s.amps[:, None], generator)[0])
 
 
 def _generator_grid(n_max: int, generator: str) -> np.ndarray:

@@ -13,6 +13,8 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catqfi import bench, channels, fock, qfi
 from catqfi import closed_form as cf
@@ -65,9 +67,11 @@ def test_family_curve_n_components_is_the_family_head_count(kind, kwargs, heads)
 
 # the grid route's numerics, by defining module
 GRID_FUNCTIONS = {
-    fock: ("cat_state", "coherent", "beam_splitter_5050", "extended_entangled_state", "noon_state", "default_cutoff"),
+    fock: ("cat_state", "coherent", "beam_splitter_5050", "extended_entangled_state", "noon_state", "default_cutoff",
+           "cat_amps", "coherent_amps", "extended_grids", "noon_grids", "product_grids", "stack_grids", "normalized",
+           "number_moments"),
     channels: ("phase_average", "loss_channel", "lossy_phase_average"),
-    qfi: ("qfi_mixed", "qfi_pure"),
+    qfi: ("qfi_mixed", "qfi_pure", "qfi_pure_grids"),
 }
 
 
@@ -238,6 +242,74 @@ def test_numeric_points_batch_of_mixed_cutoffs():
         assert rel_close(got, bench.numeric_point(curve, alpha))
 
 
+@st.composite
+def family_chunks(draw) -> tuple:
+    """(curve, alphas, n_max): a curve of any table family, a chunk of 1-8 alphas in [0, 3] (cutoffs 32-59, so a
+    chunk often mixes them; alphas near 0 and at 0 included), and n_max None or explicit.  cat4 takes beta = alpha,
+    whose k = 2 head is zero, among its ratios; noon takes integer and non-integer alpha^2."""
+    kind = draw(st.sampled_from(tuple(bench.FAMILIES)))
+    params = bench.FAMILIES[kind].params
+    beta_ratio = draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 2.0)) if "beta_ratio" in params else None
+    n_components = draw(st.integers(1, 16)) if "n_components" in params else None
+    curve = bench.FamilyCurve(kind, kind, "pure", beta_ratio, n_components)
+    amplitude = st.sampled_from((0.0, 1e-300, 1e-8, 0.05)) | st.floats(0.0, 3.0)
+    if kind == "noon":
+        amplitude = st.integers(0, 9).map(sqrt) | amplitude
+    alphas = draw(st.lists(amplitude, min_size=1, max_size=8))
+    return curve, np.array(alphas), draw(st.sampled_from((None, 45, 64)))
+
+
+@settings(max_examples=150, deadline=None)
+@example((bench.FamilyCurve("cat4", "cat4", "pure", beta_ratio=1.0), np.array([0.5, 3.0, 1e-8]), None))
+@example((bench.FamilyCurve("ecs", "ecs", "pure"), np.array([0.0, 2.9, 0.3, 1.7]), 64))
+@given(family_chunks())
+def test_each_family_builds_a_chunk_as_its_points_alone(chunk):
+    # row by row to 1e-15, each grid zero past its own cutoff; a chunk refused for its cutoff has a point refused
+    # alone; no RuntimeWarning (an error under the test settings) on either route
+    curve, alphas, n_max = chunk
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            grids, live = bench.FAMILIES[curve.kind].build(curve, alphas, n_max)
+        except fock.CutoffError:
+            with pytest.raises(fock.CutoffError):
+                for alpha in alphas:
+                    curve.state(alpha, n_max)
+            return
+        alone = [curve.state(alpha, n_max) for alpha in alphas]
+    assert live.tolist() == [state is not None for state in alone]
+    assert grids.shape[1] == live.sum()
+    for got, state in zip(grids.transpose(1, 0, 2), (state for state in alone if state is not None)):
+        size = state.n_max + 1
+        assert got.dtype == state.amps.dtype == np.float64  # every table family is real at real alpha
+        assert np.max(np.abs(got[:size, :size] - state.amps)) <= 1e-15
+        assert not got[size:].any() and not got[:, size:].any()
+
+
+@pytest.mark.parametrize("kind", tuple(bench.FAMILIES))
+@pytest.mark.parametrize("variant, transmission", [("pure", 1.0), ("phase_averaged", 1.0), ("phase_averaged", 0.9)])
+def test_a_numeric_points_chunk_calls_its_family_builder_once(monkeypatch, kind, variant, transmission):
+    # no per-point build: the chunk is one stack, and no one-point state is made
+    family = bench.FAMILIES[kind]
+    calls = []
+
+    def counted(curve, alphas, n_max):
+        calls.append(len(alphas))
+        return family.build(curve, alphas, n_max)
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("numeric_points built a point alone")
+
+    monkeypatch.setitem(bench.FAMILIES, kind, replace(family, build=counted))
+    monkeypatch.setattr(bench.FamilyCurve, "state", no_state)
+    n_components = 4 if "n_components" in family.params else None
+    curve = bench.point_curve(kind, variant, 1.0, n_components=n_components, transmission=transmission)
+    alphas = (1.0, 1.5, 2.0, sqrt(2.0), 2.5, 3.0, 0.5, sqrt(3.0))[: bench._SWEEP_CHUNK]
+    points = bench.numeric_points(curve, alphas)
+    assert calls == [len(alphas)]
+    assert sum(p is not None for p in points) == (5 if kind == "noon" else len(alphas))  # alpha^2 = 1, 4, 2, 9, 3
+
+
 @pytest.mark.parametrize(
     "alpha, beta, transmission, n_max, expected",
     [(3.0, 3.0, 0.85, 59, 14.523773265279909), (2.0, 1.0, 0.9, 39, 2.3710076415834576)],
@@ -285,10 +357,10 @@ def test_sweep_chunk_failure_drops_only_its_row(monkeypatch, capsys):
     bad_alpha = grid[chunk + 2]  # inside the second chunk
     ecs = bench.FAMILIES["ecs"]
 
-    def failing(curve, alpha, n_max):
-        if alpha == bad_alpha and curve.transmission == 0.9:
+    def failing(curve, alphas, n_max):
+        if bad_alpha in alphas and curve.transmission == 0.9:
             raise bench.CutoffError("injected")
-        return ecs.build(curve, alpha, n_max)
+        return ecs.build(curve, alphas, n_max)
 
     monkeypatch.setitem(bench.FAMILIES, "ecs", replace(ecs, build=failing))
     rows = bench.run_sweep("fig4", grid)

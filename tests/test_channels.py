@@ -76,9 +76,9 @@ def dense_loss(s, t: float) -> SpectralState:
 
 
 def cat4_pure(alpha: float, beta: float, n_max: int) -> TwoModeState:
-    """4-headed cat and coherent state through the 50:50 beam splitter (Fig. 1 input)."""
+    """4-headed cat and coherent state through the 50:50 beam splitter (Fig. 1 input), a complex grid."""
     return beam_splitter_5050(
-        cat_state(CatSpec(4, alpha / sqrt(2)), n_max), coherent(beta / sqrt(2), n_max)
+        cat_state(CatSpec(4, complex(alpha / sqrt(2))), n_max), coherent(complex(beta / sqrt(2)), n_max)
     ).normalize()
 
 
@@ -225,7 +225,7 @@ def test_blocks_sharing_a_sector_keep_apart():
 
 def test_loss_of_a_batch_gives_each_point_its_qfi_alone():
     # noon-span lines (mostly the j = 0 factor) beside cat4 lines, at two cutoffs
-    states = [extended_entangled_state(2, 0.7, 32), cat4_pure(1.0, 0.5, 40)]
+    states = [extended_entangled_state(2, 0.7 + 0j, 32), cat4_pure(1.0, 0.5, 40)]  # complex, both
     batch = qfi_mixed(loss_channel(phase_average(states), LossSpec(0.85)), "n_b")
     for p, state in enumerate(states):
         assert batch[p] == qfi_mixed(loss_channel(phase_average(state), LossSpec(0.85)), "n_b")
@@ -325,6 +325,36 @@ def test_loss_refuses_run_pairs_above_the_budget(monkeypatch):
     assert peak < 2**22
 
 
+def test_loss_refuses_rank_factors_above_the_budget(monkeypatch):
+    # after loss every cell of a 101 x 101 checkerboard state is occupied, and its sector blocks (up to
+    # 101 wide) need more than 16 factor steps: the rank factor's rows, 8 bytes for each of the 10,189
+    # cells of the wide blocks, are refused before they grow from 16 to 32; the planes take 1.4 MB
+    amps = np.zeros((101, 101))
+    amps[::2, ::2] = 1.0
+    state = phase_average(TwoModeState(amps).normalize())
+    monkeypatch.setattr(channels, "LOSS_LINE_BYTES", 2**21)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError, match=r"rank factors need 2,608,384 bytes for 32 x 10189 .* of 2,097,152 bytes"):
+            loss_channel(state, LossSpec(0.9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**23
+
+
+def test_a_spectral_state_refuses_cells_off_its_grid():
+    # the cells (k, 20 - k), k = 3..14, reach n_b = 17: on a 17 x 17 grid (n_max 16) the first of
+    # them, (3, 17), is named, where the index n_a (n_max + 1) + n_b would alias it onto (4, 0)
+    n, k = 20, np.arange(3, 15)
+    wide = BlockStack(k[None], n - k[None], np.ones((1, 1)), np.full((1, k.size, 1), 1 / sqrt(k.size)))
+    with pytest.raises(ValueError, match=r"cell \(n_a, n_b\) = \(3, 17\) of block 0 of stack 0 lies off the 17 x 17"):
+        SpectralState(16, (wide,))
+    assert SpectralState(17, (wide,)).trace() == pytest.approx(1.0)
+    with pytest.raises(ValueError, match=r"\(-1, 2\) of block 0 of stack 1"):
+        SpectralState(4, (block([0], [1], [1.0], [[1.0]]), block([-1], [2], [1.0], [[1.0]])))
+
+
 def test_loss_trace_check_is_per_point(monkeypatch):
     # defects of +d and -d on the two points cancel in the batch total
     state = extended_entangled_state(1, 1.0, 32)
@@ -361,7 +391,7 @@ def test_dense_loss_rejects_a_batch():
 
 
 def test_phase_average_batch_keeps_each_point():
-    states = [extended_entangled_state(2, 0.7, 32), cat4_pure(1.0, 0.5, 40)]
+    states = [extended_entangled_state(2, 0.7 + 0j, 32), cat4_pure(1.0, 0.5, 40)]  # complex, both
     batch = phase_average(states)
     assert (batch.points, batch.n_max) == (2, 40)
     assert batch.point_traces() == pytest.approx([1.0, 1.0], abs=1e-12)

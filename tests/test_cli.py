@@ -258,7 +258,7 @@ def test_out_of_memory_exit_three(monkeypatch):
     def no_memory(*args):
         raise MemoryError("Unable to allocate a sector block")
 
-    monkeypatch.setattr(bench, "coherent", no_memory)
+    monkeypatch.setattr(bench, "coherent_amps", no_memory)
     result = invoke("qfi", "--family", "cat4", "--alpha", "1.0")
     assert result.exit_code == 3, result.output
     assert "numeric failure: Unable to allocate a sector block" in result.output

@@ -218,6 +218,20 @@ def test_cat_cutoff_too_small(n_components, alpha, n_max):
         cat_state(CatSpec(n_components, alpha), n_max)
 
 
+@pytest.mark.parametrize("build, cutoffs", [(lambda a, c: fock.coherent_amps(a, c), (12, 40)),
+                                             (lambda a, c: fock.cat_amps(2, a, c), (10, 40))])
+def test_each_point_of_a_chunk_is_tail_checked_at_its_own_cutoff(build, cutoffs):
+    # at alpha = 3 a cutoff of 12 (coherent) or 10 (two-headed cat) drops more than TAIL_TOL, 40 does not:
+    # the chunk is refused, naming the short point, and each point's row is zero past its own cutoff
+    short, enough = cutoffs
+    for order, point in (((short, enough), 0), ((enough, short), 1)):
+        with pytest.raises(CutoffError, match=f"cutoff too small: .* at point {point}$"):
+            build([3.0, 3.0], order)
+    rows = build([3.0, 0.5], (enough, short))
+    assert np.max(np.abs(rows[1, : short + 1] - build([0.5], [short])[0])) <= 1e-15  # the norm sums padded rows
+    assert not rows[1, short + 1 :].any()
+
+
 @pytest.mark.parametrize("make", [lambda: cat_state(CatSpec(2, 30.0), 5), lambda: coherent(30.0, 0)],
                          ids=["cat", "coherent"])
 def test_truncation_is_caught_where_the_squared_amplitudes_underflow(make):
