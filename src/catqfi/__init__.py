@@ -18,10 +18,8 @@ from .bench import (
 )
 from .channels import (
     BlockStack,
-    CpsOutcome,
     LossSpec,
     SpectralState,
-    cps_round_outcome,
     from_pure,
     loss_channel,
     lossy_phase_average,

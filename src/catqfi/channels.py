@@ -51,11 +51,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ldexp, pi, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .fock import LOSS_LINE_BYTES, CutoffError, TwoModeState, extended_entangled_state, phase_shift, stack_grids
+from .fock import LOSS_LINE_BYTES, CutoffError, TwoModeState, cat_amps, extended_entangled_state, stack_grids
 
 # eigenvalues at or below this fraction of their block's trace are dropped, so
 # that tiny sectors keep full relative precision
@@ -405,7 +405,7 @@ def _factor_by_rank(planes: _Planes, k: np.ndarray, diag: np.ndarray, first: np.
         if cols.dtype.kind == "c":
             rho_j = np.where(kc < kj, rho_j.conj(), rho_j)
         if t:
-            rho_j -= (cols[:t] * cols[:t, pivot].conj()[:, seg]).sum(axis=0)
+            rho_j -= np.einsum("ts,ts->s", cols[:t], cols[:t, pivot].conj()[:, seg])
         if t == len(cols):
             if (nbytes := max(8, 2 * t) * seg.size * dtype.itemsize) > LOSS_LINE_BYTES:
                 raise CutoffError(f"the rank factors need {nbytes:,} bytes for {max(8, 2 * t)} x {seg.size} elements,"
@@ -624,33 +624,6 @@ def lossy_phase_average(states: np.ndarray | Iterable[TwoModeState], loss: LossS
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CpsOutcome:
-    state: TwoModeState
-    herald_prob_a: float
-    herald_prob_b: float
-
-
-def cps_round_outcome(s: TwoModeState, varphi: float) -> CpsOutcome:
-    """One heralded conditional-phase-shift round on mode a, then mode b.
-
-    Detecting the ancilla in |+> implements |psi> -> (1 + e^{i varphi n})|psi>/2
-    per mode before renormalization; the squared norm of that map is the
-    herald success probability, tracked as a diagnostic.
-    """
-    out = s
-    probs = []
-    for mode in ("a", "b"):
-        mapped = TwoModeState(0.5 * (out.amps + phase_shift(out, mode, varphi).amps))
-        p = mapped.norm_sq()
-        # rounding of e^{i phi} leaves ~1e-32 in branches that vanish exactly
-        if p <= 1e-24:
-            raise ValueError(f"heralded branch on mode {mode} has zero norm")
-        probs.append(p)
-        out = mapped.normalize()
-    return CpsOutcome(state=out, herald_prob_a=probs[0], herald_prob_b=probs[1])
-
-
 def synthesize_heralded(alpha: float, k: int) -> tuple[TwoModeState, list]:
     """Generate the N = 2^{k+1} extended entangled state, with each round's
     (mode a, mode b) herald success probabilities.
@@ -659,19 +632,38 @@ def synthesize_heralded(alpha: float, k: int) -> tuple[TwoModeState, list]:
     normalized, which is exactly the 50:50 beam-splitter output of two
     2-headed cats |C_2(alpha/sqrt2)>: their four heads land on (+-alpha, 0)
     and (0, +-alpha).  It is built from cat amplitudes at the default
-    cutoff, so the cat's own tail check catches truncation.  Then k CPS
-    rounds run with varphi_j = 2*pi/2^{j+1} = pi 2^-j (which underflows to 0
-    at large j rather than overflowing), heralding mode a first, then
-    mode b (the fidelity targets are order independent).
+    cutoff, so the cat's own tail check catches truncation.  Round j of k
+    heralds the conditional phase shift varphi_j = 2*pi/2^{j+1} on mode a,
+    then mode b: |psi> -> (1 + e^{i varphi_j n})|psi>/2, whose squared norm
+    is the herald probability.  Before round j the support is exactly the
+    multiples of 2^j on each mode, where that factor is exactly 1 on the
+    multiples of 2^{j+1} and 0 on the rest: the herald is a 0/1 mask that
+    zeroes the odd multiples of 2^j, and no phase is formed.  Before round j
+    the heralded cat C_N, N = 2^{j+1}, runs its tail test at the grid's
+    cutoff (`fock.cat_amps`), so a state past the grid is refused, not
+    renormalized.  Once N passes the cutoff the first support point past the
+    grid is N itself, whose share only falls as N grows: the checks stop there.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    state = extended_entangled_state(2, alpha)
+    amps = extended_entangled_state(2, alpha).amps
+    n_max = amps.shape[0] - 1
+    bits = n_max.bit_length()  # 2^bits is the first power of 2 past the grid
     herald_probs = []
     for j in range(1, k + 1):
-        outcome = cps_round_outcome(state, ldexp(pi, -j))
-        herald_probs.append((outcome.herald_prob_a, outcome.herald_prob_b))
-        state = outcome.state
-    return state, herald_probs
+        if j < bits:  # 2^j <= n_max
+            cat_amps(2 ** (j + 1), [alpha], [n_max])
+        half = 1 << min(j, bits)
+        odd = slice(half, None, 2 * half)  # the odd multiples of 2^j: none once 2^j passes the grid
+        probs = []
+        for mode, cells in (("a", np.s_[odd, :]), ("b", np.s_[:, odd])):
+            amps[cells] = 0.0
+            p = float(np.sum(amps * amps))
+            if not p > 0:
+                raise ValueError(f"heralded branch on mode {mode} has zero norm")
+            probs.append(p)
+            amps *= 1.0 / sqrt(p)
+        herald_probs.append(tuple(probs))
+    return TwoModeState(amps), herald_probs

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import SpectralState
-from .fock import TwoModeState
+from .fock import LOSS_LINE_BYTES, CutoffError, TwoModeState
 
 GENERATORS = ("n_b", "half_difference")
 
@@ -66,15 +66,21 @@ def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float | np.ndarray:
     G is diagonal on the grid, so it maps each block's support into itself:
     F is the sum of the blocks' QFIs.  Every block is evaluated in one pass,
     the stacks padded to the largest support and rank with zero weights and
-    zero vectors, which add nothing to either form.  A float for a one-point
-    state, else the QFI of each point of the batch, (points,).
+    zero vectors, which add nothing to either form; the padded eigenvectors
+    are refused above `fock.LOSS_LINE_BYTES` before they are allocated.  A
+    float for a one-point state, else the QFI of each point of the batch,
+    (points,).
     """
     g_grid = _generator_grid(s.n_max, generator)
     blocks = sum(len(st.na) for st in s.stacks)
     width = max((st.na.shape[1] for st in s.stacks), default=0)
     rank = max((st.weights.shape[1] for st in s.stacks), default=0)
+    dtype = np.result_type(float, *(st.vecs for st in s.stacks))
+    if (nbytes := blocks * width * rank * dtype.itemsize) > LOSS_LINE_BYTES:
+        raise CutoffError(f"the padded QFI blocks need {nbytes:,} bytes for {blocks} x {width} x {rank} elements,"
+                          f" above the line budget of {LOSS_LINE_BYTES:,} bytes")
     lam, g, point = np.zeros((blocks, rank)), np.zeros((blocks, width)), np.zeros(blocks, dtype=int)
-    v = np.zeros((blocks, width, rank), dtype=np.result_type(float, *(st.vecs for st in s.stacks)))
+    v = np.zeros((blocks, width, rank), dtype=dtype)
     lo = 0
     for st in s.stacks:
         hi, (_, cells, r) = lo + len(st.na), st.vecs.shape

@@ -4,12 +4,14 @@ import bisect
 import inspect
 import json
 import random
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,32 +534,45 @@ def test_crossover_modified_never_beats_ecs_backwards():
     assert bench.find_crossover(modified, ecs, grid, (1.0, 3.0)) is None
 
 
-# the abstract's small-N_av claim on fig1: the N_av window where each cat4 curve beats the ECS, its edges
-# the crossings below and above N_av 0.3 (None: the window runs to that end of the range, or is empty).
-# Below a lower edge the F/N_av of cat4 with beta > 0 tends to 4, while the ECS's stays above 4.02
-FIG1_WINDOWS = [
-    ("cat4[b=a/2]", 0.08864355675262037, 0.7511409596737314),
-    ("cat4[b=a/4]", 0.004829989003738892, 0.6694686792492921),
-    ("cat4[b=0]", None, 0.6264298108513899),
-    ("cat4[b=a]", None, None),
+# the N_av windows where one curve beats another (the smaller delta_phi), each edge the crossing solved in
+# one of two brackets (None: the window runs to that end of the scan, or is empty).  fig1 holds the
+# abstract's small-N_av claim: below a lower edge the F/N_av of cat4 with beta > 0 tends to 4, while the
+# ECS's stays above 4.02.  fig2a and fig2b hold the extended[N=4] dip at N_av 2, where it falls behind the
+# ECS and the modified state, pure or phase averaged
+FIG1_SCAN, FIG1_BRACKETS = (0.001, 1.2), ((0.001, 0.3), (0.3, 1.2))
+FIG2_SCAN, FIG2_BRACKETS = (0.3, 3.5), ((1.5, 2.3), (2.3, 3.2))
+WINDOWS = [
+    ("fig1", "cat4[b=a/2]", "ecs", 0.08864355675262037, 0.7511409596737314),
+    ("fig1", "cat4[b=a/4]", "ecs", 0.004829989003738892, 0.6694686792492921),
+    ("fig1", "cat4[b=0]", "ecs", None, 0.6264298108513899),
+    ("fig1", "cat4[b=a]", "ecs", None, None),
+    *(
+        (figure, ahead, "extended[N=4]", lower, upper)
+        for figure in ("fig2a", "fig2b")
+        for ahead, lower, upper in (
+            ("ecs", 1.9580148594964144, 2.692282835982099),
+            ("modified", 1.7899429755329572, 2.858426768732317),
+        )
+    ),
 ]
 
 
-@pytest.mark.parametrize("label, lower, upper", FIG1_WINDOWS, ids=[w[0] for w in FIG1_WINDOWS])
-def test_fig1_windows_where_cat4_beats_the_ecs(label, lower, upper):
-    grid = bench.FIGURES["fig1"].alpha_grid
-    ecs, cat4 = curve("fig1", "ecs"), curve("fig1", label)
-    edges = [bench.find_crossover(ecs, cat4, grid, bracket) for bracket in ((0.001, 0.3), (0.3, 1.2))]
+@pytest.mark.parametrize("figure, ahead, behind, lower, upper", WINDOWS, ids=[f"{w[0]}-{w[1]}" for w in WINDOWS])
+def test_windows_where_one_curve_beats_another(figure, ahead, behind, lower, upper):
+    scan, brackets = (FIG1_SCAN, FIG1_BRACKETS) if figure == "fig1" else (FIG2_SCAN, FIG2_BRACKETS)
+    grid = bench.FIGURES[figure].alpha_grid
+    behind, ahead = curve(figure, behind), curve(figure, ahead)
+    edges = [bench.find_crossover(behind, ahead, grid, bracket) for bracket in brackets]
     for got, want in zip(edges, (lower, upper)):
         assert got == want if want is None else got == pytest.approx(want, abs=1e-12)
-    # cat4 is ahead (the smaller delta_phi) inside the window and behind outside it
+    # ahead has the smaller delta_phi inside the window and the larger outside it
     lo, hi = (lower or 0.0, upper) if upper is not None else (0.0, 0.0)
-    for n_av in np.geomspace(0.001, 1.2, 40):
-        gap = bench.interpolate_at_nav(ecs, grid, n_av) - bench.interpolate_at_nav(cat4, grid, n_av)
+    for n_av in np.geomspace(*scan, 40):
+        gap = bench.interpolate_at_nav(behind, grid, n_av) - bench.interpolate_at_nav(ahead, grid, n_av)
         assert (gap > 0) == (lo < n_av < hi), n_av
     # the grid route agrees with the closed forms at each edge
     for n_av in (e for e in edges if e is not None):
-        for c in (ecs, cat4):
+        for c in (behind, ahead):
             alpha = bench.alpha_solver(c, grid)(n_av)
             assert bench.numeric_point(c, alpha)[1] == pytest.approx(bench.closed_qfi(c, alpha), rel=1e-8)
 
@@ -761,3 +776,12 @@ def test_the_benchmark_reaches_every_name_it_uses(monkeypatch):
     monkeypatch.setattr(bench, "loss_channel", counted)
     assert bench.verify_consistency().passed
     assert calls["loss_channel"] > 0
+
+
+def test_benchmark_selftest_passes():
+    # perfbench imports and reads catqfi names (beam_splitter_5050, DegenerateSpectrumWarning,
+    # SpectralState.terms, bench.loss_channel) and traces reproduce into loss_channel, numeric_point and the
+    # fock builders: its self-test fails where a change to src/ breaks any of them
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -2,7 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
-from math import exp, pi, sqrt
+from math import exp, ldexp, sqrt
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from catqfi.channels import (
     SpectralState,
     _loss_coeff_table,
     _loss_dense,
-    cps_round_outcome,
     from_pure,
     loss_channel,
     lossy_phase_average,
@@ -27,6 +26,7 @@ from catqfi.fock import (
     CutoffError,
     TwoModeState,
     beam_splitter_5050,
+    cat_amps,
     cat_state,
     coherent,
     default_cutoff,
@@ -590,45 +590,12 @@ def test_to_noon_mixture_nonzero_phase():
 # ---------------------------------------------------------------------------
 
 
-def test_cps_zero_phase_is_identity():
-    state = extended_entangled_state(2, 1.0, 24)
-    outcome = cps_round_outcome(state, 0.0)
-    assert np.max(np.abs(outcome.state.amps - state.amps)) < 1e-14
-    assert outcome.herald_prob_a == pytest.approx(1.0)
-    assert outcome.herald_prob_b == pytest.approx(1.0)
-
-
-def test_cps_vacuum_fixed_point():
-    vac = product_state(coherent(0.0, 12), coherent(0.0, 12))
-    out = cps_round_outcome(vac, 1.1).state
-    assert abs(out.amps[0, 0] - 1.0) < 1e-14
-
-
-def test_cps_round_heralds_four_headed_cat():
-    # (|a>+|-a>)|0> + |0>(|a>+|-a>) --pi/2--> C4 in one arm or the other
-    alpha, n_max = 1.0, 40
-    plus = cat_state(CatSpec(2, alpha), n_max).amps
-    amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    amps[:, 0] += plus
-    amps[0, :] += plus
-    state = TwoModeState(amps).normalize()
-    out = cps_round_outcome(state, pi / 2).state
-    target = extended_entangled_state(4, alpha, n_max)
-    assert fidelity(out, target) > 1 - 1e-10
-
-
-def test_cps_zero_norm_branch():
-    amps = np.zeros((9, 9), dtype=complex)
-    amps[1, 0] = 1.0  # single photon in mode a
-    with pytest.raises(ValueError):
-        cps_round_outcome(TwoModeState(amps), pi)
-
-
 def test_synthesize_matches_cat_built_target():
-    for k in (0, 1, 2):
-        built = synthesize_heralded(1.0, k)[0]
-        target = extended_entangled_state(2 ** (k + 1), 1.0, built.n_max)
-        assert fidelity(built, target) > 1 - 1e-10
+    # at alpha 8.5 the seventh round keeps 1.8e-22 of the state on mode b, which no rounding residue may swamp
+    for alpha, k in ((1.0, 0), (1.0, 1), (1.0, 2), (8.5, 7)):
+        built = synthesize_heralded(alpha, k)[0]
+        target = extended_entangled_state(2 ** (k + 1), alpha, built.n_max)
+        assert fidelity(built, target) > 1 - 1e-10, (alpha, k)
 
 
 def _beam_split_cats(alpha: float) -> TwoModeState:
@@ -642,22 +609,48 @@ def test_synthesis_starts_from_the_beam_split_pair_of_cats():
     for alpha in (0.3, 1.0, 2.0, 3.0, 5.0):
         built = extended_entangled_state(2, alpha)
         assert np.max(np.abs(_beam_split_cats(alpha).amps - built.amps)) <= 1e-14, alpha
-    for alpha in (0.8, 1.0, 2.0):
-        state, probs = _beam_split_cats(alpha), []
-        for k in range(4):
-            synthesized, heralds = synthesize_heralded(alpha, k)
-            assert np.allclose(heralds, probs, rtol=0, atol=1e-12), (alpha, k)
-            assert np.max(np.abs(synthesized.amps - state.amps)) <= 1e-12, (alpha, k)
-            outcome = cps_round_outcome(state, 2 * pi / 2 ** (k + 2))
-            probs.append((outcome.herald_prob_a, outcome.herald_prob_b))
-            state = outcome.state
+
+
+def _herald_closed_form(alpha: float, heads: int) -> tuple[float, float]:
+    """(p_a, p_b) of the round that takes the extended state with N heads to 2N: with
+    K0(M) = sum_m x^{Mm}/(Mm)! at x = alpha^2, the unnormalized state |C_N>|0> + |0>|C_N> has norm^2
+    2 K0(N) + 2, keeps K0(2N) + K0(N) + 2 of it on mode a and 2 K0(2N) + 2 on mode b."""
+
+    def k0(m: int) -> float:
+        value, _, _, e = cf._cat_series(m, alpha * alpha)
+        return ldexp(value, e)
+
+    k_n, k_2n = k0(heads), k0(2 * heads)
+    return (k_2n + k_n + 2) / (2 * k_n + 2), (2 * k_2n + 2) / (k_2n + k_n + 2)
+
+
+def test_synthesis_herald_probabilities_match_their_closed_form():
+    # before round j the state is the extended state with N = 2^j heads; every round up to k = 10 stays on
+    # the grid at these alphas, down to a herald probability of 8e-29 at alpha 9, k = 7
+    for alpha in (0.3, 0.8, 1.0, 2.0, 3.0, 5.0, 7.0, 8.0, 8.5, 9.0):
+        heralds = synthesize_heralded(alpha, 10)[1]
+        assert len(heralds) == 10
+        for j, probs in enumerate(heralds, start=1):
+            assert probs == pytest.approx(_herald_closed_form(alpha, 2**j), rel=1e-12, abs=0), (alpha, j)
 
 
 def test_synthesize_herald_probabilities_in_range():
-    state = synthesize_heralded(0.8, 0)[0]
-    outcome = cps_round_outcome(state, pi / 2)
-    assert 0 < outcome.herald_prob_a <= 1
-    assert 0 < outcome.herald_prob_b <= 1
+    for p_a, p_b in synthesize_heralded(0.8, 3)[1]:
+        assert 0 < p_a <= 1
+        assert 0 < p_b <= 1
+
+
+def test_synthesis_tail_checks_stop_past_the_grid(monkeypatch):
+    # n_max 32 at alpha 1: the heralded cats of N = 4 .. 64 are checked, the 9994 rounds after them are not
+    calls = []
+
+    def counted(n_components, alphas, n_maxes):
+        calls.append(n_components)
+        return cat_amps(n_components, alphas, n_maxes)
+
+    monkeypatch.setattr(channels, "cat_amps", counted)
+    synthesize_heralded(1.0, 10_000)
+    assert calls == [4, 8, 16, 32, 64]
 
 
 def test_synthesize_validates_arguments():

@@ -188,6 +188,12 @@ def test_synthesize_command():
     result = invoke("synthesize", "--alpha", "1.0", "-k", "10000")
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["fidelity"] == 1.0
+    # the seventh round's mode-b herald at alpha 9 keeps 8e-29 of the state: exact, not a zero-norm branch
+    result = invoke("synthesize", "--alpha", "9", "-k", "7")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["fidelity"] == pytest.approx(1.0, abs=1e-12)
+    assert 0 < payload["herald_probs"][-1][1] < 1e-28
 
 
 def test_crossover_command():
@@ -374,14 +380,18 @@ def test_qfi_grid_beyond_limit_exit_three(family, extra, alpha):
     assert "grid limit" in result.output
 
 
-@pytest.mark.parametrize("alpha, iterations", [("45", "1"), ("1e300", "0")])
-def test_synthesize_grid_beyond_limit_exit_three(alpha, iterations):
-    # alpha 45 needs n_max 2495; the limit is checked before the grid is allocated
+@pytest.mark.parametrize(
+    "alpha, iterations, message",
+    [("45", "1", "grid limit"), ("1e300", "0", "grid limit"), ("26", "10", "cutoff too small"), ("10", "7", "cutoff too small")],
+)
+def test_synthesize_state_beyond_the_grid_exit_three(alpha, iterations, message):
+    # alpha 45 needs n_max 2495; the limit is checked before the grid is allocated.  At alpha 26 (10) the
+    # N = 1024 (256) cat heralded by the last round reaches past its default cutoff 956 (220)
     t0 = time.perf_counter()
     result = invoke("synthesize", "--alpha", alpha, "-k", iterations)
     assert time.perf_counter() - t0 < 1.0
     assert result.exit_code == 3, result.output
-    assert "grid limit" in result.output
+    assert message in result.output
 
 
 def test_qfi_cat4_at_large_n_av_matches_its_closed_form():

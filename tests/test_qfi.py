@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from catqfi import bench
+from catqfi import bench, qfi
 from catqfi.channels import (
     BlockStack,
     LossSpec,
@@ -19,6 +19,7 @@ from catqfi.channels import (
 )
 from catqfi.closed_form import NoonMixture
 from catqfi.fock import (
+    CutoffError,
     coherent,
     extended_entangled_state,
     noon_state,
@@ -186,6 +187,18 @@ def test_qfi_mixed_pads_stacks_of_every_shape():
         for p, state in enumerate(states):
             alone = qfi_mixed(loss_channel(phase_average(state), LossSpec(0.9)), "n_b")
             assert together[p] == pytest.approx(alone, rel=1e-14)
+
+
+def test_qfi_mixed_refuses_padded_blocks_above_the_budget(monkeypatch):
+    state = phase_average(product_state(coherent(1.1, 20), coherent(0.7j, 20)))
+    blocks = sum(len(st.na) for st in state.stacks)
+    width = max(st.na.shape[1] for st in state.stacks)
+    nbytes = blocks * width * 16  # complex eigenvectors of rank 1
+    monkeypatch.setattr(qfi, "LOSS_LINE_BYTES", nbytes)
+    assert qfi_mixed(state, "n_b") > 0
+    monkeypatch.setattr(qfi, "LOSS_LINE_BYTES", nbytes - 1)
+    with pytest.raises(CutoffError, match=f"{nbytes:,} bytes for {blocks} x {width} x 1 elements"):
+        qfi_mixed(state, "n_b")
 
 
 # ---------------------------------------------------------------------------
