@@ -18,11 +18,13 @@ from .bench import (
 )
 from .channels import (
     BlockStack,
+    Layers,
     LossSpec,
     SpectralState,
     from_pure,
+    head_layers,
+    layer_blocks,
     loss_channel,
-    lossy_phase_average,
     phase_average,
     synthesize_heralded,
 )

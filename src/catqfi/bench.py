@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_form as cf
-from .channels import LossSpec, loss_channel, lossy_phase_average, phase_average
+from .channels import LossSpec, class_layers, head_layers, layer_blocks, loss_channel, noon_layers, phase_average
 from .fock import (
     CatSpec,
     CutoffError,
@@ -93,13 +93,18 @@ class Family:
     family fixes; build: (curve, alphas, n_max) -> (grids, live), the numeric
     route's pure states at the alphas where the family has one, stacked
     (n_a, point, n_b) as the `fock` builders stack them, and the mask of those
-    alphas (n_max None: each point's own cutoff); nav: closed-form
-    N_av = <n_a>; qfi: variant -> closed-form QFI under n_b, None where there
-    is none.
+    alphas (n_max None: each point's own cutoff); layers: (curve, alphas) ->
+    `channels.Layers`, the numeric route's state after loss at the curve's
+    T < 1 at those live alphas, as layer grids at sqrt(T) times the family's
+    amplitudes with exact weights (coherent heads for `coherent` and `cat4`,
+    residue classes of one coherent row for the extended states, the Kraus
+    ladder for `noon`); nav: closed-form N_av = <n_a>; qfi: variant ->
+    closed-form QFI under n_b, None where there is none.
     """
 
     params: tuple
     build: Callable
+    layers: Callable
     nav: Callable
     qfi: dict
     heads: int | None = None
@@ -120,18 +125,26 @@ def _coherent_pair(curve, alphas, n_max):
     return product_grids(half, half), _everywhere(alphas)
 
 
+def _coherent_layers(curve, alphas):
+    half = alphas[:, None] / sqrt(2)
+    return head_layers(half, half, curve.transmission)
+
+
+def _cat4_heads(curve, alphas):
+    """Head k of each point, (alpha i^k + beta)/2, (points, 4); mode b of head k is
+    (beta - alpha i^k)/2 = (alpha i^(k+2) + beta)/2, the same number as mode a of head k + 2."""
+    return (alphas[:, None] * np.array([1, 1j, -1, -1j]) + curve.beta_ratio * alphas[:, None]) / 2
+
+
 def _cat4_state(curve, alphas, n_max):
     """|C_4(alpha/sqrt2)>|beta/sqrt2> after the 50:50 beam splitter, sum_k |(alpha i^k + beta)/2>|(beta - alpha i^k)/2>:
     no amplitude passes sqrt((alpha^2 + beta^2)/2), so each coherent factor's tail check covers the truncation.
 
     A real grid: for real alpha and beta the heads come in conjugate pairs, whose imaginary parts
-    cancel to exactly 0, so the phase average, the loss and the QFI run in real arithmetic."""
+    cancel to exactly 0, so the phase average and the QFI run in real arithmetic."""
     betas = curve.beta_ratio * alphas
     cut = _cutoffs([sqrt((a * a + b * b) / 2) for a, b in zip(alphas.tolist(), betas.tolist())], n_max)
-    # head k of each point, (alpha i^k + beta)/2; mode b of head k is (beta - alpha i^k)/2 = (alpha i^(k+2) + beta)/2,
-    # the same number as mode a of head k + 2
-    amplitudes = (alphas[:, None] * np.array([1, 1j, -1, -1j]) + betas[:, None]) / 2
-    heads = coherent_amps(amplitudes.ravel(), np.repeat(cut, 4)).reshape(len(alphas), 4, -1)
+    heads = coherent_amps(_cat4_heads(curve, alphas).ravel(), np.repeat(cut, 4)).reshape(len(alphas), 4, -1)
     grids = product_grids(heads[:, 0], heads[:, 2])
     for k in (1, 2, 3):
         grids += product_grids(heads[:, k], heads[:, (k + 2) % 4])
@@ -143,6 +156,15 @@ def _extended_state(curve, alphas, n_max):
     return extended_grids(curve.n_components, alphas, _cutoffs(np.abs(alphas).tolist(), n_max)), _everywhere(alphas)
 
 
+def _cat4_layers(curve, alphas):
+    heads = _cat4_heads(curve, alphas)
+    return head_layers(heads, heads[:, [2, 3, 0, 1]], curve.transmission)
+
+
+def _class_layers(curve, alphas):
+    return class_layers(curve.n_components, alphas, curve.transmission)
+
+
 def _noon_grid(curve, alphas, n_max):
     squares = [a * a for a in alphas.tolist()]
     check_grid_size(max(squares))  # before rounding, which cannot take the inf of an overflowed square
@@ -150,6 +172,11 @@ def _noon_grid(curve, alphas, n_max):
     live = np.abs(np.array(squares) - ns) < 1e-9  # the noon state exists at integer alpha^2 only
     ns = ns[live]
     return noon_grids(ns, np.maximum(32, ns) if n_max is None else n_max), live
+
+
+def _noon_layers(curve, alphas):
+    ns = np.round(alphas * alphas).astype(int)
+    return noon_layers(ns, np.maximum(32, ns), curve.transmission)
 
 
 def _half_alpha_sq(curve, alpha):
@@ -181,24 +208,26 @@ VARIANTS = ("pure", "phase_averaged")
 # sector n of its phase average is a binomial state with 4 Var(n_b) = n.
 FAMILIES = {
     "coherent": Family(
-        (), _coherent_pair, _half_alpha_sq,
+        (), _coherent_pair, _coherent_layers, _half_alpha_sq,
         {"pure": lambda c, a: 2 * a * a, "phase_averaged": lambda c, a: c.transmission * a * a},
     ),
     "cat4": Family(
-        ("beta_ratio",), _cat4_state, lambda c, a: cf.fig1_moments(a, c.beta_ratio * a).n_av,
+        ("beta_ratio",), _cat4_state, _cat4_layers, lambda c, a: cf.fig1_moments(a, c.beta_ratio * a).n_av,
         {"pure": lambda c, a: cf.moment_qfi(cf.fig1_moments(a, c.beta_ratio * a)), "phase_averaged": None}, heads=4,
     ),
     "ecs": Family(
-        (), _extended_state, lambda c, a: cf.ecs_qfi(a)[1],
+        (), _extended_state, _class_layers, lambda c, a: cf.ecs_qfi(a)[1],
         {"pure": lambda c, a: cf.ecs_qfi(a)[0], "phase_averaged": _pa_qfi}, heads=1,
     ),
     "modified": Family(
-        (), _extended_state, _extended_nav, {"pure": _extended_qfi, "phase_averaged": _pa_qfi}, heads=2,
+        (), _extended_state, _class_layers, _extended_nav, {"pure": _extended_qfi, "phase_averaged": _pa_qfi},
+        heads=2,
     ),
     "extended": Family(
-        ("n_components",), _extended_state, _extended_nav, {"pure": _extended_qfi, "phase_averaged": _pa_qfi},
+        ("n_components",), _extended_state, _class_layers, _extended_nav,
+        {"pure": _extended_qfi, "phase_averaged": _pa_qfi},
     ),
-    "noon": Family((), _noon_grid, _half_alpha_sq, {"pure": _noon_qfi, "phase_averaged": _noon_qfi}),
+    "noon": Family((), _noon_grid, _noon_layers, _half_alpha_sq, {"pure": _noon_qfi, "phase_averaged": _noon_qfi}),
 }
 
 
@@ -319,9 +348,10 @@ def numeric_points(curve: FamilyCurve, alphas, generator: str = "n_b") -> list[t
     """(N_av, QFI) at each alpha through the truncated-Fock pipeline; None
     where the family has no numeric realization (non-integer noon).
 
-    The states are built as one stack, and the moments, the phase average,
-    the loss and the QFI each take it whole, so a failure at any alpha raises
-    for the whole call.
+    The states are built as one stack, and the moments, the phase average
+    and the QFI each take it whole, so a failure at any alpha raises for the
+    whole call.  N_av is always the pure state's.  Below T = 1 the mixed
+    state is the family's `layers` at the live alphas, never the pure grids.
     """
     alphas = np.asarray(alphas, dtype=float)
     if not alphas.size:
@@ -334,8 +364,10 @@ def numeric_points(curve: FamilyCurve, alphas, generator: str = "n_b") -> list[t
     if curve.variant == "pure":
         qfis = qfi_pure_grids(grids, generator).tolist()
     else:
-        # the loss takes the stack over, zeroing its sectors under the floor in place
-        mixed = lossy_phase_average(grids, curve.loss) if curve.transmission < 1.0 else phase_average(grids)
+        if curve.transmission < 1.0:
+            mixed = layer_blocks(FAMILIES[curve.kind].layers(curve, alphas[live]), curve.transmission)
+        else:
+            mixed = phase_average(grids)
         qfis = np.atleast_1d(qfi_mixed(mixed, generator)).tolist()
     for i, nav, f in zip(np.flatnonzero(live).tolist(), navs, qfis):
         out[i] = (nav, f)

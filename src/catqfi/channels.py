@@ -15,18 +15,29 @@ channel exactly trace preserving on the truncated grid.
 
 A `SpectralState` may hold a batch of states, its points: every block
 carries the index of the point it belongs to, and the grid is that of the
-largest cutoff in the batch.  `phase_average` and `lossy_phase_average` of
-a stack of pure grids (n_a, point, n_b), as the `fock` builders return it,
-or of a sequence of pure states build such a batch, and every map here and
-`qfi.qfi_mixed` act on each point as if it were alone, so one pass of numpy
-kernels serves a chunk of a curve's alpha grid.  Sectors are keyed (point, n).
+largest cutoff in the batch.  `phase_average` of a stack of pure grids
+(n_a, point, n_b), as the `fock` builders return it, or of a sequence of
+pure states builds such a batch, and every map here and `qfi.qfi_mixed` act
+on each point as if it were alone, so one pass of numpy kernels serves a
+chunk of a curve's alpha grid.  Sectors are keyed (point, n).
 
-`loss_channel` has two routes with the same operator-sum semantics; the
-test suite cross-checks them:
+The commands (the sweeps, `verify` and `catqfi qfi`) reach a lossy
+phase-averaged state through `layer_blocks`, and `loss_channel` is the
+second route that the tests check it against:
 
+* layers, the commands' route.  Loss maps a coherent head |g> to the head
+  |sqrt(T) g>, so every state family's lossy state is a short sum
+  rho = sum_ll' B_ll' |L_l><L_l'| over product layers L_l = |a_l>|b_l> at
+  sqrt(T) times its amplitudes, with a small Hermitian weight matrix B
+  whose entries are known exactly (`Layers`).  `head_layers` builds it for
+  a sum of coherent heads, `class_layers` for the extended states as
+  residue classes of one coherent row, and `noon_layers` for the noon
+  state's Kraus ladder.  `layer_blocks` gathers each sector's layer rows
+  H_n and returns the sector blocks: narrow ones from rho_n = H_n B H_n^H,
+  formed elementwise and kept with the block for the QFI, wide ones from
+  the thin SVD of H_n W, W W^H = B.
 * sector blocks, for states whose every block lies in one sector (any
-  `phase_average` output, a noon state), and `lossy_phase_average` of pure
-  states, which the sweeps, `verify` and the CLI use.  The element
+  `phase_average` output, a noon state).  The element
   <x, y|rho|x', y'> (x + y = x' + y') of a phase-averaged state sits at
   (u_a, u_b) = (min(x, x'), min(y, y')) of the plane of its offset
   d = x - x' >= 0, each plane kept as the box its elements occupy.  A box,
@@ -55,17 +66,27 @@ from math import sqrt
 
 import numpy as np
 
-from .fock import LOSS_LINE_BYTES, CutoffError, TwoModeState, cat_amps, extended_entangled_state, stack_grids
+from .fock import (
+    LOSS_LINE_BYTES,
+    CutoffError,
+    TwoModeState,
+    cat_amps,
+    coherent_amps,
+    default_cutoff,
+    extended_entangled_state,
+    stack_grids,
+)
 
 # eigenvalues at or below this fraction of their block's trace are dropped, so
 # that tiny sectors keep full relative precision
 BLOCK_FLOOR = 1e-14
 
 # sector blocks holding at most this fraction of their point's trace are
-# dropped before photon loss.  A point has at most 2 n_max + 1 sectors, so it
-# loses at most (2 n_max + 1) 1e-35 of its trace, 4.0e-32 at fock.N_MAX_LIMIT.
-# Loss is trace preserving and commutes with the phase shift, so the QFI
-# moves as if that part E were dropped after the channel.  By convexity it
+# dropped: after the loss on the layers, before it on the offset planes.  A
+# point has at most 2 n_max + 1 sectors, so it loses at most (2 n_max + 1) 1e-35
+# of its trace, 4.0e-32 at fock.N_MAX_LIMIT.  Loss is trace preserving and
+# commutes with the phase shift, so either way the QFI moves as if that part E
+# were dropped after the channel.  By convexity it
 # rises by at most E's own QFI, at most tr(E) (2 n_max)^2.  Continuity bounds
 # on the fall go as sqrt(tr(E)) only, but a 60-digit check on random 4-level
 # states (tr(E) from 1e-6 down to 1e-22, near-singular ones included)
@@ -74,12 +95,13 @@ BLOCK_FLOOR = 1e-14
 # whose whole QFI is dust can change (they may read 0).
 SECTOR_FLOOR = 1e-35
 
-# sector blocks at least this wide are factored by rank (`_factor_by_rank`),
-# whatever their rank; narrower blocks, every block of a noon-span state among
-# them, are diagonalized whole by a batched eigh.  Each route is the faster one
-# where the commands use it: sending every block through the rank route slowed
-# the four sweeps and verify by a quarter, the time going to svd calls on
-# 2 x 2 blocks, while the wide cat4 blocks of a lossy point factor at rank <= 4
+# sector blocks at least this wide are factored by rank, whatever their rank:
+# from their layers (`layer_blocks`) or by a pivoted Cholesky on the planes
+# (`_factor_by_rank`).  Narrower blocks, every block of a noon-span state among
+# them, are formed whole and diagonalized by a batched eigh.  Each route is the
+# faster one where it is used: sending every block through the rank route
+# slowed the four sweeps and verify by a quarter, the time going to svd calls
+# on 2 x 2 blocks, while the wide cat4 blocks of a lossy point factor at rank <= 4
 RANK_WIDTH = 4
 
 
@@ -105,7 +127,10 @@ class BlockStack:
     Block b spans the grid cells |na[b, i], nb[b, i]> (na, nb: (B, m));
     weights[b] (r,) are its eigenvalues and the columns of vecs[b] (m, r) its
     orthonormal eigenvectors restricted to those cells.  point[b] is the
-    batch state the block belongs to (all 0 when omitted).
+    batch state the block belongs to (all 0 when omitted).  density[b] (m, m),
+    where given, is the block's density on those cells, formed elementwise
+    before its eigenvalues were floored: `qfi.qfi_mixed` reads its coherences
+    from it, not from differences of eigenvalues.
     """
 
     na: np.ndarray
@@ -113,6 +138,7 @@ class BlockStack:
     weights: np.ndarray
     vecs: np.ndarray
     point: np.ndarray | None = None
+    density: np.ndarray | None = None
 
     def __post_init__(self):
         if self.point is None:
@@ -404,8 +430,10 @@ def _factor_by_rank(planes: _Planes, k: np.ndarray, diag: np.ndarray, first: np.
         rho_j = _stored(planes, kc, kj, nc, pc)
         if cols.dtype.kind == "c":
             rho_j = np.where(kc < kj, rho_j.conj(), rho_j)
-        if t:
-            rho_j -= np.einsum("ts,ts->s", cols[:t], cols[:t, pivot].conj()[:, seg])
+        # less each earlier column's share, a step at a time: each cell's pivot entry is gathered for one
+        # step only, never as a t x cells array
+        for row, pivot_row in zip(cols[:t], cols[:t, pivot].conj()):
+            rho_j -= row * pivot_row[seg]
         if t == len(cols):
             if (nbytes := max(8, 2 * t) * seg.size * dtype.itemsize) > LOSS_LINE_BYTES:
                 raise CutoffError(f"the rank factors need {nbytes:,} bytes for {max(8, 2 * t)} x {seg.size} elements,"
@@ -549,20 +577,12 @@ def _lose(planes: _Planes, coef: np.ndarray) -> None:
         np.matmul(half.reshape(-1, b), mat[:b, :b].T, out=box.reshape(-1, b))
 
 
-def _check_trace(before: np.ndarray, out: SpectralState, t: float) -> SpectralState:
-    """out, unless the trace of one of its points deviates from before (points,) beyond 1e-8."""
-    after = out.point_traces()
+def _check_trace(before: np.ndarray, after: np.ndarray, t: float) -> None:
+    """A CutoffError where a point's trace after (points,) deviates from before beyond 1e-8."""
     if (bad := np.flatnonzero(np.abs(after - before) > 1e-8)).size:
         p = bad[0]
-        where = f" at point {p}" if out.points > 1 else ""
+        where = f" at point {p}" if len(after) > 1 else ""
         raise CutoffError(f"trace loss{where}: {before[p]:.12f} -> {after[p]:.12f} under T={t}")
-    return out
-
-
-def _lossy(planes: _Planes, before: np.ndarray, t: float) -> SpectralState:
-    """Loss at transmission t on planes of points whose traces were before (points,), in block form."""
-    _lose(planes, _loss_coeff_table(planes.n_max, t))
-    return _check_trace(before, _sector_blocks(planes), t)
 
 
 def _loss_dense(s: SpectralState, coef: np.ndarray) -> SpectralState:
@@ -605,18 +625,258 @@ def loss_channel(s: TwoModeState | SpectralState, loss: LossSpec) -> SpectralSta
     spec = from_pure(s) if isinstance(s, TwoModeState) else s
     t = loss.transmission
     if all(st.sectors is not None for st in spec.stacks):
-        return _lossy(*_planes(_grids(spec)), t)
-    return _check_trace(spec.point_traces(), _loss_dense(spec, _loss_coeff_table(spec.n_max, t)), t)
+        planes, before = _planes(_grids(spec))
+        _lose(planes, _loss_coeff_table(planes.n_max, t))
+        out = _sector_blocks(planes)
+    else:
+        before, out = spec.point_traces(), _loss_dense(spec, _loss_coeff_table(spec.n_max, t))
+    _check_trace(before, out.point_traces(), t)
+    return out
 
 
-def lossy_phase_average(states: np.ndarray | Iterable[TwoModeState], loss: LossSpec) -> SpectralState:
-    """`loss_channel(phase_average(states), loss)` from the pure states' grids: a batch, one point a state.
+# ---------------------------------------------------------------------------
+# layers: loss on the coherent heads
+# ---------------------------------------------------------------------------
 
-    A stack of grids (n_a, point, n_b), as the `fock` builders return it, is taken over: its cells in
-    sectors under `SECTOR_FLOOR` are zeroed in place, and nothing of it is held past the planes.
+
+@dataclass(frozen=True, eq=False)
+class Layers:
+    """A batch of mixed states rho_p = sum_ll' weights[p, l, l'] |L_pl><L_pl'| over product layers.
+
+    Layer l of point p is the grid |a[p, l]>|b[p, l]> of two single-mode rows
+    (points, layers, n_max + 1), zero past the point's cutoff; a point that
+    needs fewer layers than the batch holds zero rows and zero weights in the
+    rest.  weights (points, layers, layers) is Hermitian, and it carries the
+    input state's norm, so each point's trace is 1 up to what the cutoff drops.
+    pairs holds the (j, k) with L_k the complex conjugate of L_j at every
+    point, the weights symmetric to match: the state is then real, and
+    `layer_blocks` runs in real arithmetic on Re L_j and Im L_j instead.
     """
-    planes, before = _planes(_stacked(states)[:, :, None])
-    return _lossy(planes, before, loss.transmission)
+
+    a: np.ndarray
+    b: np.ndarray
+    weights: np.ndarray
+    pairs: tuple = ()
+
+
+def head_layers(gammas, deltas, t: float) -> Layers:
+    """The normalized head sums sum_j |gamma_pj>|delta_pj> (points, heads) after loss at transmission t.
+
+    Loss maps |g_j><g_k| to A_jk |sqrt(T) g_j><sqrt(T) g_k|, with
+    A_jk = <sqrt(R) g_k|sqrt(R) g_j> = exp(R e_jk) and
+    e_jk = -(|gamma_j - gamma_k|^2 + |delta_j - delta_k|^2)/2 + i Im(gamma_k* gamma_j + delta_k* delta_j),
+    whose real part is formed without cancellation.  The weights are A over
+    the input's norm^2 sum_jk exp(e_jk).  The layers are coherent rows at
+    sqrt(T) times the amplitudes, on `default_cutoff` of each point's
+    largest, whose tail checks catch truncation.  Heads that are each
+    other's conjugates at every point, as a real state's are, are paired.
+    """
+    gammas, deltas = np.asarray(gammas), np.asarray(deltas)
+    points, heads = gammas.shape
+    d_gamma, d_delta = gammas[:, :, None] - gammas[:, None, :], deltas[:, :, None] - deltas[:, None, :]
+    exponent = -((d_gamma * d_gamma.conj()).real + (d_delta * d_delta.conj()).real) / 2
+    if np.iscomplexobj(gammas) or np.iscomplexobj(deltas):
+        phase = gammas[:, :, None] * gammas[:, None, :].conj() + deltas[:, :, None] * deltas[:, None, :].conj()
+        exponent = exponent + 1j * phase.imag
+    weights = np.exp((1.0 - t) * exponent) / np.exp(exponent).sum(axis=(1, 2)).real[:, None, None]
+    scaled = sqrt(t) * np.concatenate((gammas, deltas), axis=1)
+    cut = [default_cutoff(m) for m in np.abs(scaled).max(axis=1).tolist()]
+    rows = coherent_amps(scaled.ravel(), np.repeat(cut, 2 * heads)).reshape(points, 2 * heads, -1)
+    # twin[j, k]: head k is head j conjugated at every point
+    twin = (gammas[:, :, None].conj() == gammas[:, None, :]) & (deltas[:, :, None].conj() == deltas[:, None, :])
+    twin = twin.all(axis=0)
+    partner = twin.argmax(axis=1)
+    pairs = ()
+    if rows.dtype.kind == "c" and twin.any(axis=1).all() and np.array_equal(partner[partner], np.arange(heads)):
+        pairs = tuple((j, k) for j, k in enumerate(partner.tolist()) if j < k)
+    return Layers(rows[:, :heads], rows[:, heads:], weights, pairs)
+
+
+def class_layers(n_components: int, alphas, t: float) -> Layers:
+    """(|C_N(alpha)>|0> + |0>|C_N(alpha)>)/sqrt(M) at each alpha after loss at transmission t.
+
+    The cat is the coherent state's projection on n = 0 (mod N), the mean of
+    its N heads at phases 2 pi j/N.  Loss leaves the environment of a head
+    in |sqrt(R) alpha e^{2 pi i j/N}>, whose s photons carry the phase
+    2 pi j s/N, so the mean over j keeps the cells n + s = 0 (mod N).  With
+    c = `coherent_amps(sqrt(T) alpha)` and the environment's own grid
+    p = `coherent_amps(sqrt(R) alpha)`^2, arm a holds the residue-class
+    layers a_m = c on n = m (mod N), times |0> on mode b, and arm b their
+    mirrors, for the classes the grid reaches.  Layer m of either arm weighs
+    P_{-m mod N}, P_r = sum_{s = r (mod N)} p_s, summed by `np.bincount`:
+    every entry is a sum of positive terms.  The arms meet only where both
+    environments hold nothing, B[a_0, b_0] = p_0.  The weights carry the
+    input's norm^2 2 (sum_{n = 0 (mod N)} q_n + q_0), q = `coherent_amps(alpha)`^2
+    on the input's own `default_cutoff`.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    r = 1.0 - t
+    lay = coherent_amps(sqrt(t) * alphas, [default_cutoff(sqrt(t) * x) for x in alphas.tolist()])
+    env = coherent_amps(sqrt(r) * alphas, [default_cutoff(sqrt(r) * x) for x in alphas.tolist()]) ** 2
+    full = coherent_amps(alphas, [default_cutoff(x) for x in alphas.tolist()]) ** 2
+    points, size = lay.shape
+    classes = min(n_components, size)  # N may pass the grid, and each cell is then its own class
+    n = np.arange(size)
+    a, b = np.zeros((points, 2 * classes, size)), np.zeros((points, 2 * classes, size))
+    a[:, n % classes, n] = b[:, classes + n % classes, n] = lay
+    b[:, :classes, 0] = a[:, classes:, 0] = 1.0
+    # P_r of each point; past the environment's grid every class is empty
+    step = min(n_components, env.shape[1])
+    at = (np.arange(points)[:, None] * step + np.arange(env.shape[1]) % step).ravel()
+    p_class = np.bincount(at, env.ravel(), points * step).reshape(points, step)
+    weights = np.zeros((points, 2 * classes, 2 * classes))
+    for m in range(classes):
+        if (q := -m % n_components) < step:
+            weights[:, m, m] = weights[:, classes + m, classes + m] = p_class[:, q]
+    weights[:, 0, classes] = weights[:, classes, 0] = env[:, 0]
+    norm_sq = 2 * (full[:, :: min(n_components, full.shape[1])].sum(axis=1) + full[:, 0])
+    return Layers(a, b, weights / norm_sq[:, None, None])
+
+
+def noon_layers(ns, n_maxes, t: float) -> Layers:
+    """(|n,0> + |0,n>)/sqrt(2), the vacuum for n = 0, at each n of ns after loss at transmission t.
+
+    The Kraus ladder, one cell a layer: losing k photons takes |n> to
+    coef[k, n - k] |n - k> (`_loss_coeff_table`).  Layer m <= n is the cell
+    (m, 0) of arm a and layer n + m (m >= 1) the cell (0, m) of arm b, each
+    of weight 1/2.  The arms meet where neither lost a photon,
+    B[n, 2n] = 1/2, and both reach the vacuum by losing all n, with
+    environments that differ, so layer 0 weighs 1/2 + 1/2.  The grid is the
+    largest of the cutoffs n_maxes.
+    """
+    ns = np.asarray(ns, dtype=int)
+    size = int(np.max(n_maxes)) + 1
+    coef = _loss_coeff_table(size - 1, t)
+    count = 2 * int(ns.max(initial=0)) + 1
+    a, b = np.zeros((ns.size, count, size)), np.zeros((ns.size, count, size))
+    weights = np.zeros((ns.size, count, count))
+    for p, n in enumerate(ns.tolist()):
+        m = np.arange(n + 1)
+        amp = coef[n - m, m]
+        a[p, m, m], b[p, n + m[1:], m[1:]] = amp, amp[1:]
+        b[p, m, 0] = a[p, n + m[1:], 0] = 1.0
+        weights[p, np.arange(2 * n + 1), np.arange(2 * n + 1)] = 0.5
+        weights[p, 0, 0] = 1.0
+        if n:
+            weights[p, n, 2 * n] = weights[p, 2 * n, n] = 0.5
+    return Layers(a, b, weights)
+
+
+def _rank_stacks(ks: np.ndarray, nb: np.ndarray, p: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                 rank: np.ndarray, density: np.ndarray | None = None) -> list:
+    """Blocks of one width on the cells (ks, nb) of points p as stacks of equal rank, each block keeping
+    its first rank eigenpairs, vals (blocks, k) in descending order and vecs (blocks, width, k)."""
+    ranks = rank.tolist()
+    if min(ranks) == max(ranks):  # most often: one stack, of slices
+        r = ranks[0]
+        return [BlockStack(ks, nb, vals[:, :r], vecs[:, :, :r], p, density)] if r else []
+    stacks = []
+    for r in sorted(set(ranks) - {0}):
+        keep = rank == r
+        stacks.append(BlockStack(ks[keep], nb[keep], vals[keep, :r], vecs[keep, :, :r], p[keep],
+                                 None if density is None else density[keep]))
+    return stacks
+
+
+def layer_blocks(layers: Layers, t: float) -> SpectralState:
+    """The phase average of the layers' state in block form: a block per sector n of each point.
+
+    The sector's layer rows H_n[x, l] = a_l(x) b_l(n - x), over its occupied
+    cells, give its block.  A block narrower than `RANK_WIDTH` is formed
+    elementwise, rho_n = H_n B H_n^H, diagonalized by a batched eigh and
+    kept with its eigenpairs.  A wider one is the thin SVD of H_n W, where
+    W = V sqrt(lambda) from eigh(B), lambda above 1e-15 of its largest, so
+    W W^H = B; the factors are zero-padded to the power of 2 at or above
+    their width and decomposed in batches of one padded shape.  Sectors at
+    or below `SECTOR_FLOOR` of their point's trace and eigenvalues at or
+    below `BLOCK_FLOOR` of their block's are dropped.  A point whose kept
+    sectors' trace is not its input's 1 to 1e-8 raises a CutoffError before
+    any block is decomposed (t names the loss).
+    """
+    # the rows laid out (point, n, layer), so that a cell's layer row is one gather
+    a, b = (np.ascontiguousarray(rows.transpose(0, 2, 1)) for rows in (layers.a, layers.b))
+    w = layers.weights
+    points, size, count = a.shape
+    n_sec = 2 * size - 1
+    # the occupied cells: some layer nonzero on both modes
+    p, x, y = np.nonzero(np.matmul((a != 0).astype(np.float32), (b != 0).astype(np.float32).transpose(0, 2, 1)))
+    order = np.argsort((p * n_sec + x + y) * size + x)
+    p, x, y = p[order], x[order], y[order]
+    sec = p * n_sec + x + y
+    if (nbytes := 3 * p.size * count * np.result_type(a, b, w).itemsize) > LOSS_LINE_BYTES:
+        raise CutoffError(f"the layer rows need {nbytes:,} bytes for 3 x {p.size} x {count} elements,"
+                          f" above the line budget of {LOSS_LINE_BYTES:,} bytes")
+    h = a[p, x] * b[p, y]
+    if layers.pairs:
+        # H = H_r Q, with columns j and k of H_r the real and imaginary parts of H_j = conj(H_k): real
+        # rows, and real weights Q B Q^H
+        j, k = np.array(layers.pairs).T
+        q = np.eye(count, dtype=complex)
+        q[k, j], q[j, k], q[k, k] = 1j, 1.0, -1j
+        h_r = h.real.copy()
+        h_r[:, k] = h[:, j].imag
+        h, w = h_r, (q @ w @ q.conj().T).real
+    bounds = np.searchsorted(p, np.arange(points + 1)).tolist()
+
+    def times(mat: np.ndarray) -> np.ndarray:
+        """H mat[p] for each cell of point p, a point at a time."""
+        out = np.empty((h.shape[0], mat.shape[2]), dtype=np.result_type(h, mat))
+        for q in range(points):
+            np.matmul(h[bounds[q] : bounds[q + 1]], mat[q], out=out[bounds[q] : bounds[q + 1]])
+        return out
+
+    hb = times(w)
+    first = np.flatnonzero(np.concatenate(([True], sec[1:] != sec[:-1])))  # each sector's first cell
+    m_of = np.append(first[1:], sec.size) - first
+    trace = np.add.reduceat(np.einsum("kl,kl->k", hb, h.conj()).real, first)
+    p_of, n_of = np.divmod(sec[first], n_sec)
+    kept = np.flatnonzero(trace > SECTOR_FLOOR * np.bincount(p_of, trace, points)[p_of])
+    _check_trace(np.ones(points), np.bincount(p_of[kept], trace[kept], points), t)
+    kept = kept[np.argsort(m_of[kept], kind="stable")]  # equal widths side by side, to share a stack
+    narrow, wide = np.split(kept, [np.searchsorted(m_of[kept], RANK_WIDTH)])
+    stacks = []
+    for m in sorted(set(m_of[narrow].tolist())):
+        sel = narrow[m_of[narrow] == m]
+        cells = first[sel, None] + np.arange(m)
+        rho = hb[cells] @ h[cells].conj().transpose(0, 2, 1)
+        vals, vecs = np.linalg.eigh(rho)  # ascending, so reversed
+        vals, vecs, ks = vals[:, ::-1], vecs[:, :, ::-1], x[cells]
+        rank = (vals > BLOCK_FLOOR * trace[sel, None]).sum(axis=1)
+        stacks += _rank_stacks(ks, n_of[sel, None] - ks, p_of[sel], vals, vecs, rank, rho)
+    if wide.size:
+        lam, v = np.linalg.eigh(w)
+        lam = np.where(lam > 1e-15 * lam[:, -1:], lam, 0.0)
+        r = int(np.count_nonzero(lam, axis=1).max())
+        hw = times(v[:, :, count - r :] * np.sqrt(lam[:, None, count - r :]))  # H W, W's columns of lambda = 0 zero
+        m = m_of[wide]
+        top = 1 << (int(m[-1]) - 1).bit_length()
+        if (nbytes := wide.size * top * r * hw.itemsize) > LOSS_LINE_BYTES:
+            raise CutoffError(f"the padded layer factors need {nbytes:,} bytes for {wide.size} x {top} x {r}"
+                              f" elements, above the line budget of {LOSS_LINE_BYTES:,} bytes")
+        # every block's rows: its cells, then zeros up to the widest padded height
+        at = first[wide, None] + np.arange(top)
+        cells = np.where(at < (first[wide] + m)[:, None], at, sec.size)
+        factors = np.concatenate((hw, np.zeros((1, r), dtype=hw.dtype)))[cells]
+        ks = np.append(x, 0)[cells]
+        nb = n_of[wide, None] - ks
+        # runs of one width, decomposed together by padded height
+        ends = [*(np.flatnonzero(np.diff(m)) + 1).tolist(), wide.size]
+        groups = {}
+        for s0, s1 in zip([0, *ends], ends):
+            k = int(m[s0])
+            groups.setdefault(1 << (k - 1).bit_length(), []).append((s0, s1, k))
+        vals, vecs = np.zeros((wide.size, r)), {}
+        for height, runs in groups.items():
+            g0, g1 = runs[0][0], runs[-1][1]
+            vecs[g0], sv, _ = np.linalg.svd(factors[g0:g1, :height], full_matrices=False)  # descending
+            vals[g0:g1, : sv.shape[1]] = sv * sv
+        rank = (vals > BLOCK_FLOOR * trace[wide, None]).sum(axis=1)
+        for runs in groups.values():
+            u, g0 = vecs[runs[0][0]], runs[0][0]
+            for s0, s1, k in runs:
+                stacks += _rank_stacks(ks[s0:s1, :k], nb[s0:s1, :k], p_of[wide[s0:s1]], vals[s0:s1],
+                                       u[s0 - g0 : s1 - g0, :k], rank[s0:s1])
+    return SpectralState(size - 1, tuple(stacks), points)
 
 
 # ---------------------------------------------------------------------------

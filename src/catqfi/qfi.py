@@ -12,8 +12,12 @@ evaluates, per block of the state's block form, both the gap-safe double sum
 (over the block's support; null-space pairs are folded in exactly via
 ||P_null G v_i||^2) and the textbook eigenvector-derivative form
 4 sum l_i f_i - sum_{i != j} 8 l_i l_j/(l_i+l_j) |<i'|j>|^2 with
-|i'> = iG|i>.  The two must agree to 1e-8 on every block; the double-sum
-value is the one returned.  Both generators are diagonal in the Fock grid,
+|i'> = iG|i>.  <i| d_phi rho |j> is (l_j - l_i) <i|G|j>, or, for a block that
+keeps its density (`channels.BlockStack`), the element of V^H D V with
+D = (g_x - g_y) rho_xy, which keeps the digits of a small coherence that the
+difference of two nearly equal eigenvalues loses.  The two forms must agree
+to 1e-8 (absolute below F = 1) on every block; the double-sum value is the
+one returned.  Both generators are diagonal in the Fock grid,
 so they never couple two blocks and F is the sum of the blocks' values
 (Liu et al., J. Phys. A 53, 023001 (2020)); all blocks of a state, a
 batch's too, are evaluated in one pass and their values summed per point.
@@ -71,7 +75,8 @@ def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float | np.ndarray:
     float for a one-point state, else the QFI of each point of the batch,
     (points,).
     """
-    g_grid = _generator_grid(s.n_max, generator)
+    if generator not in GENERATORS:
+        raise ValueError(f"generator must be one of {GENERATORS}, got {generator!r}")
     blocks = sum(len(st.na) for st in s.stacks)
     width = max((st.na.shape[1] for st in s.stacks), default=0)
     rank = max((st.weights.shape[1] for st in s.stacks), default=0)
@@ -81,11 +86,13 @@ def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float | np.ndarray:
                           f" above the line budget of {LOSS_LINE_BYTES:,} bytes")
     lam, g, point = np.zeros((blocks, rank)), np.zeros((blocks, width)), np.zeros(blocks, dtype=int)
     v = np.zeros((blocks, width, rank), dtype=dtype)
-    lo = 0
+    lo, kept = 0, []  # kept: (first block, stack) of the stacks that keep their density
     for st in s.stacks:
         hi, (_, cells, r) = lo + len(st.na), st.vecs.shape
         lam[lo:hi, :r], v[lo:hi, :cells, :r] = st.weights, st.vecs
-        g[lo:hi, :cells], point[lo:hi] = g_grid[st.na, st.nb], st.point
+        g[lo:hi, :cells], point[lo:hi] = st.nb if generator == "n_b" else 0.5 * (st.nb - st.na), st.point
+        if st.density is not None:
+            kept.append((lo, st))
         lo = hi
 
     gv = g[:, :, None] * v
@@ -106,6 +113,24 @@ def qfi_mixed(s: SpectralState, generator: str = "n_b") -> float | np.ndarray:
     null_res = g_norm2 - np.sum(abs_m2, axis=1)
     f_null = np.sum(4.0 * lam * np.clip(null_res, 0.0, None), axis=1)
     f_sum = f_pairs + f_null
+    if kept:
+        # a block that keeps its density takes <i|[G, rho]|j> = (V^H D V)_ij, D = (g_x - g_y) rho_xy, for
+        # (l_j - l_i) <i|G|j>, whose eigenvalue difference keeps only about |rho_xy|/l of its digits in a
+        # nearly decohered block, and its null term from the residual vectors (1 - P) G v_i
+        at = np.concatenate([lo + np.arange(len(st.na)) for lo, st in kept])
+        cells = max(st.density.shape[1] for _, st in kept)
+        rho = np.zeros((at.size, cells, cells), dtype=np.result_type(*(st.density for _, st in kept)))
+        lo = 0
+        for _, st in kept:
+            hi, k = lo + len(st.na), st.density.shape[1]
+            rho[lo:hi, :k, :k] = st.density
+            lo = hi
+        g_d, v_d = g[at, :cells], v[at, :cells]
+        c = np.conj(v_d).transpose(0, 2, 1) @ ((g_d[:, :, None] - g_d[:, None, :]) * rho) @ v_d
+        residual = gv[at] - v[at] @ m[at]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pairs = np.where(ok[at], 2.0 * np.abs(c) ** 2 / pair_sum[at], 0.0)
+        f_sum[at] = pairs.sum(axis=(1, 2)) + 4.0 * np.sum(lam[at] * np.sum(np.abs(residual) ** 2, axis=1), axis=1)
 
     # literal eigen-decomposition form, as a built-in consistency check;
     # ||G v_i||^2 already counts the null-space components of G v_i

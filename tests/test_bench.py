@@ -72,7 +72,7 @@ GRID_FUNCTIONS = {
     fock: ("cat_state", "coherent", "beam_splitter_5050", "extended_entangled_state", "noon_state", "default_cutoff",
            "cat_amps", "coherent_amps", "extended_grids", "noon_grids", "product_grids", "stack_grids", "normalized",
            "number_moments"),
-    channels: ("phase_average", "loss_channel", "lossy_phase_average"),
+    channels: ("phase_average", "loss_channel", "head_layers", "class_layers", "noon_layers", "layer_blocks"),
     qfi: ("qfi_mixed", "qfi_pure", "qfi_pure_grids"),
 }
 
@@ -351,6 +351,45 @@ def test_lossy_cat4_memory_at_large_n_av():
     assert peak < 80 * 2**20
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, expected",
+    [(6.0, 6.0, 32.4787018506626), (8.0, 8.0, 31.604177195406717), (16.0, 1.0, 66.948299954542),
+     (12.0, 6.0, 55.08118469536307)],
+)
+def test_lossy_cat4_qfi_pinned_at_large_n_av(alpha, beta, expected):
+    # the values of the Kraus loss on the offset planes, which the coherent heads at sqrt(T) reproduce
+    curve = bench.point_curve("cat4", "phase_averaged", alpha, beta, transmission=0.9)
+    assert bench.numeric_point(curve, alpha)[1] == pytest.approx(expected, rel=1e-12)
+
+
+NOON_SPAN = [("ecs", None), ("modified", None), ("extended", 4), ("extended", 8), ("extended", 16)]
+
+
+@pytest.mark.parametrize("transmission", [0.9, 0.85])
+@pytest.mark.parametrize("kind, n_components", NOON_SPAN, ids=[f"{k}-{n}" for k, n in NOON_SPAN])
+def test_lossy_noon_span_points_match_the_closed_form_at_large_n_av(kind, n_components, transmission):
+    # decohered blocks: the grid's mixed QFI was 1.1e-3 off for ecs at alpha 12, T 0.9, when the pair
+    # term came from the difference of two nearly equal eigenvalues
+    curve = bench.point_curve(kind, "phase_averaged", 5.0, n_components=n_components, transmission=transmission)
+    alphas = (5.0, 8.0, 12.0)
+    for alpha, (_, f) in zip(alphas, bench.numeric_points(curve, alphas)):
+        assert f == pytest.approx(cf.pa_qfi(curve.n_components, alpha, transmission), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", tuple(bench.FAMILIES))
+def test_lossy_points_take_the_layers_not_the_kraus_planes(monkeypatch, kind):
+    def kraus(*args, **kwargs):
+        raise AssertionError("a lossy point reached the Kraus planes")
+
+    monkeypatch.setattr(channels, "_planes", kraus)
+    monkeypatch.setattr(channels, "_lose", kraus)
+    family = bench.FAMILIES[kind]
+    curve = bench.FamilyCurve(kind, kind, "phase_averaged", 0.5 if "beta_ratio" in family.params else None,
+                              4 if "n_components" in family.params else None, 0.9)
+    points = bench.numeric_points(curve, (1.0, 1.5, sqrt(2.0), 3.0))
+    assert sum(p is not None for p in points) == (3 if kind == "noon" else 4)
+
+
 def test_sweep_chunk_failure_drops_only_its_row(monkeypatch, capsys):
     chunk = bench._SWEEP_CHUNK
     grid = tuple(round(0.2 + 0.05 * i, 10) for i in range(2 * chunk + 3))
@@ -486,15 +525,15 @@ def test_crossover_rejects_bracket_not_increasing(bracket):
 # N_av returns them, each beside the midpoint of the last 1e-4 bracket that the
 # bisection used before it returned
 CROSSOVER_TABLE = [
-    ("fig1", "ecs", "cat4[b=a/2]", (0.2, 1.2), 0.7511409596737325, 0.751116943359375),
-    ("fig1", "ecs", "cat4[b=a/4]", (0.2, 1.2), 0.6694686792492918, 0.669451904296875),
-    ("fig1", "ecs", "cat4[b=0]", (0.2, 1.2), 0.6264298108513896, 0.626422119140625),
-    ("fig1", "cat4[b=a]", "cat4[b=a/2]", (0.2, 1.2), 1.1724707773663734, 1.172442626953125),
-    ("fig1", "cat4[b=a]", "cat4[b=a/4]", (0.2, 1.2), 0.9570514446506285, 0.957049560546875),
-    ("fig1", "cat4[b=a]", "cat4[b=0]", (0.2, 1.2), 0.8830453923594319, 0.883074951171875),
-    ("fig1", "cat4[b=a/2]", "cat4[b=a/4]", (0.2, 1.2), 0.5675215458029816, 0.567523193359375),
-    ("fig1", "cat4[b=a/2]", "cat4[b=0]", (0.2, 1.2), 0.5228154707514212, 0.522845458984375),
-    ("fig1", "cat4[b=a/4]", "cat4[b=0]", (0.2, 1.2), 0.418493861273438, 0.41847534179687496),
+    ("fig1", "ecs", "cat4[b=a/2]", (0.2, 1.2), 0.7511409596737333, 0.751116943359375),
+    ("fig1", "ecs", "cat4[b=a/4]", (0.2, 1.2), 0.6694686792492915, 0.669451904296875),
+    ("fig1", "ecs", "cat4[b=0]", (0.2, 1.2), 0.6264298108513894, 0.626422119140625),
+    ("fig1", "cat4[b=a]", "cat4[b=a/2]", (0.2, 1.2), 1.1724707773663745, 1.172442626953125),
+    ("fig1", "cat4[b=a]", "cat4[b=a/4]", (0.2, 1.2), 0.9570514446506287, 0.957049560546875),
+    ("fig1", "cat4[b=a]", "cat4[b=0]", (0.2, 1.2), 0.8830453923594315, 0.883074951171875),
+    ("fig1", "cat4[b=a/2]", "cat4[b=a/4]", (0.2, 1.2), 0.5675215458029829, 0.567523193359375),
+    ("fig1", "cat4[b=a/2]", "cat4[b=0]", (0.2, 1.2), 0.5228154707514192, 0.522845458984375),
+    ("fig1", "cat4[b=a/4]", "cat4[b=0]", (0.2, 1.2), 0.41849386127344235, 0.41847534179687496),
     ("fig2b", "extended[N=4]", "extended[N=8]", (0.5, 3.5), 3.4874566238167577, 3.4874114990234375),
 ]
 

@@ -545,3 +545,13 @@ def test_qfi_dust_point_reads_unresolved():
     payload = json.loads(result.output)
     assert payload["qfi_numeric_resolved"] is False
     assert payload["qfi_closed_form"] == pytest.approx(1.133627902601422e-44, rel=1e-12)
+
+
+def test_qfi_lossy_ecs_at_large_n_av_matches_its_closed_form():
+    # 5.2645e-9 against the closed 5.2586e-9 when the decohered blocks' pair term came from the
+    # difference of their eigenvalues
+    result = invoke("qfi", "--family", "ecs", "--alpha", "12", "--phase-averaged", "--transmission", "0.9")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["qfi_numeric"] == pytest.approx(payload["qfi_closed_form"], rel=1e-12)
+    assert payload["qfi_closed_form"] == pytest.approx(5.258563221900322e-09, rel=1e-12)

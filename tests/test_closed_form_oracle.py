@@ -97,12 +97,9 @@ def test_fig1_moments_match_the_50_digit_sums(alpha, beta_ratio):
     m = cf.fig1_moments(alpha, beta)
     assert_close(m.n_av, nb)
     assert_close(m.mean_nb2, nb2)
-    # 4 Var(n_b) = 4 (<n_b^2> - <n_b>^2) cancels about <n_b^2>/Var(n_b) ~ <n_b>
-    # of its digits, most at beta = 0: 7.1e-14 up to alpha = 14, 1.2e-13 at
-    # alpha = 18-20, 2.6e-13 at alpha = 26 (the same on the forms before the
-    # series scaled itself), so its 1e-13 check stops at alpha = 12
-    if alpha <= 12.0:
-        assert_close(cf.moment_qfi(m), f)
+    # Var(n_b) is formed without 4 (<n_b^2> - <n_b>^2), which cancelled about <n_b> ulps: 1.2e-13 off
+    # at alpha = 18-20 that way, within 1.1e-15 of the oracle now
+    assert_close(cf.moment_qfi(m), f)
 
 
 @pytest.mark.parametrize("alpha", [26.0, 30.0, 40.0])

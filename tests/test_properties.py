@@ -18,7 +18,16 @@ from hypothesis import strategies as st
 
 from catqfi import bench, channels
 from catqfi.channels import BlockStack, LossSpec, SpectralState, loss_channel, phase_average
-from catqfi.fock import CatSpec, TwoModeState, beam_splitter_5050, cat_state, coherent, extended_entangled_state
+from catqfi.fock import (
+    CatSpec,
+    TwoModeState,
+    beam_splitter_5050,
+    cat_state,
+    coherent,
+    coherent_amps,
+    default_cutoff,
+    extended_entangled_state,
+)
 from catqfi.qfi import qfi_mixed
 from noon_basis import to_dense
 
@@ -287,7 +296,7 @@ def point(s: SpectralState, p: int) -> SpectralState:
 @given(st.lists(sparse_states(), min_size=1, max_size=3), transmissions)
 def test_planes_from_grids_match_loss_before_averaging(states, t):
     # the reference: the dense operator sum on each pure state, then its coherences between sectors erased
-    lost = channels.lossy_phase_average(states, LossSpec(t))
+    lost = loss_channel(phase_average(states), LossSpec(t))
     assert lost.points == len(states)
     n_max = lost.n_max
     n = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)).ravel()
@@ -296,7 +305,6 @@ def test_planes_from_grids_match_loss_before_averaging(states, t):
                                               channels._loss_coeff_table(n_max, t)))
         dense[n[:, None] != n[None, :]] = 0.0
         assert np.max(np.abs(to_dense(point(lost, p)) - dense)) <= 1e-12
-        assert np.max(np.abs(to_dense(point(loss_channel(phase_average(states), LossSpec(t)), p)) - dense)) <= 1e-12
 
 
 @given(st.lists(sparse_states(), min_size=1, max_size=3))
@@ -318,3 +326,60 @@ def test_plane_boxes_are_the_extents_of_their_cell_pairs(states):
     assert np.array_equal(split.rows, rows) and np.array_equal(split.cols, cols)
     if all(not s.amps[1:, 1:].any() for s in states):
         assert np.all(rows[1:] * cols[1:] <= 1)  # a noon-span box past d = 0 is its corner alone
+
+
+@st.composite
+def head_sums(draw, radius: float) -> tuple:
+    """(gammas, deltas) of 2-8 coherent heads, moduli up to radius; half the time closed under conjugation,
+    as a real state's heads are."""
+    heads = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = radius * np.sqrt(rng.random((2, heads))) * np.exp(2j * np.pi * rng.random((2, heads)))
+    if draw(st.booleans()):  # the first half and their conjugates, with one real head where the count is odd
+        half = heads // 2
+        amps[:, half : 2 * half] = amps[:, :half].conj()
+        amps[:, 2 * half :] = amps[:, 2 * half :].real
+    return amps[0], amps[1]
+
+
+def sector_elements(s: SpectralState) -> dict:
+    """{(n, x, x'): <x, n - x|rho|x', n - x'>} of a one-point state whose blocks each lie in one sector."""
+    out = {}
+    for blocks in s.stacks:
+        rho = np.einsum("bir,br,bjr->bij", blocks.vecs, blocks.weights, blocks.vecs.conj())
+        n = blocks.sectors[:, None, None]
+        x, y = np.broadcast_arrays(blocks.na[:, :, None], blocks.na[:, None, :])
+        out.update(zip(zip(np.broadcast_to(n, x.shape).ravel().tolist(), x.ravel().tolist(), y.ravel().tolist()),
+                       rho.ravel().tolist()))
+    return out
+
+
+def max_sector_diff(a: SpectralState, b: SpectralState) -> float:
+    ea, eb = sector_elements(a), sector_elements(b)
+    return max(abs(ea.get(k, 0.0) - eb.get(k, 0.0)) for k in ea.keys() | eb.keys())
+
+
+def head_sum_state(gammas, deltas, n_max: int) -> TwoModeState:
+    rows = coherent_amps(np.concatenate((gammas, deltas)), [n_max] * (2 * gammas.size))
+    return TwoModeState(sum(np.outer(a, b) for a, b in zip(rows[: gammas.size], rows[gammas.size :]))).normalize()
+
+
+@settings(max_examples=30, deadline=None)
+@given(head_sums(1.2), st.floats(0.3, 1.0, exclude_max=True))
+def test_head_layers_match_the_dense_loss_before_averaging(heads, t):
+    # n_max 20 holds every head of modulus 1.2 to 1e-17 of its norm, and keeps the dense operator sum small
+    gammas, deltas = heads
+    lost = channels.layer_blocks(channels.head_layers(gammas[None], deltas[None], t), t)
+    assert abs(lost.trace() - 1.0) < 1e-12
+    assert max_sector_diff(lost, phase_average(loss_channel(head_sum_state(gammas, deltas, 20), LossSpec(t)))) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(head_sums(3.0), st.floats(0.3, 1.0, exclude_max=True))
+def test_head_layers_match_the_kraus_planes(heads, t):
+    # heads up to modulus 3 on their default cutoff, against the Kraus loss of the phase-averaged grid,
+    # which the planes test above ties to the dense route
+    gammas, deltas = heads
+    lost = channels.layer_blocks(channels.head_layers(gammas[None], deltas[None], t), t)
+    pure = head_sum_state(gammas, deltas, default_cutoff(float(np.abs(np.concatenate((gammas, deltas))).max())))
+    assert max_sector_diff(lost, loss_channel(phase_average(pure), LossSpec(t))) <= 1e-12
